@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fixtures
 from .core import (
+    INF,
     LaurentPoly,
     MatrixPoly,
     det_ratio_oracle,
@@ -47,12 +48,9 @@ from .shifts import (
     MultiShiftSpec,
     ShiftSpec,
     double_shift_laurent,
-    left_shift_laurent,
     left_shift_poly,
-    multishift_laurent,
     multishift_poly,
     palindromic_shift,
-    right_shift_laurent,
     right_shift_poly,
     shift_from_infinity,
     shift_to_infinity,
@@ -114,10 +112,6 @@ def matrix_json(mat):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
 
 
-def _load(path):
-    return read_poly(path)
-
-
 def _auto_right_vector(p, lam):
     if is_infinite(lam):
         mat = p.coeffs[-1]
@@ -137,6 +131,11 @@ def _vector_arg(text, p, lam, side="right"):
     return parse_vector(text, p.n)
 
 
+def _dual_arg(text, n):
+    """A dual vector flag; 'auto' leaves it to the default (the shift vector itself)."""
+    return None if text == "auto" else parse_vector(text, n)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def cmd_fixture(args):
 
 
 def cmd_eig(args):
-    poly = _load(args.input)
+    poly = read_poly(args.input)
     if not isinstance(poly, MatrixPoly):
         raise UsageError("eig expects a matrix polynomial file (lo == 0)")
     spec = polyeig(poly, seed=args.seed, want_left=args.left)
@@ -204,116 +203,92 @@ def _require(args, names, mode):
             raise UsageError(f"--{name} is required for {mode} shifts")
 
 
-def cmd_shift(args):
-    poly = _load(args.input)
-    is_poly = isinstance(poly, MatrixPoly)
-    mode = _shift_mode(args)
-    removed, added = [], []
-    fit_constant = False
+# Each shift handler returns (shifted, removed, added, fit_constant, mode note).
 
-    if mode == "single":
-        _require(args, ["lambda", "mu"], "single")
-        lam, mu = args.lam, args.mu
-        if is_infinite(lam) or is_infinite(mu):
-            if not is_poly:
-                raise UsageError("infinity shifts need a matrix polynomial input")
-            mode_note = "single (routed to infinity shift)"
-            fit_constant = True
-            if is_infinite(lam):
-                u = _vector_arg(args.u, poly, lam)
-                v = None if args.v == "auto" else parse_vector(args.v, poly.n)
-                shifted = shift_from_infinity(poly, mu, u, v)
-                added = [mu]
-            else:
-                u = _vector_arg(args.u, poly, lam)
-                v = None if args.v == "auto" else parse_vector(args.v, poly.n)
-                shifted = shift_to_infinity(poly, lam, u, v)
-                removed = [lam]
-        else:
-            mode_note = f"single {args.side}"
-            if args.side == "right":
-                u = _vector_arg(args.u, poly, lam, "right")
-                dual = None if args.v == "auto" else parse_vector(args.v, poly.n)
-                spec = ShiftSpec(lam, mu, u, dual, side="right")
-                shifted = (
-                    right_shift_poly(poly, spec) if is_poly else right_shift_laurent(poly, spec)
-                )
-            else:
-                v = _vector_arg(args.v, poly, lam, "left")
-                dual = None if args.u == "auto" else parse_vector(args.u, poly.n)
-                spec = ShiftSpec(lam, mu, v, dual, side="left")
-                shifted = (
-                    left_shift_poly(poly, spec) if is_poly else left_shift_laurent(poly, spec)
-                )
-            removed, added = [lam], [mu]
-            if mu == lam:
-                print("warning: mu equals lambda; the shift is a no-op", file=sys.stderr)
-    elif mode == "double":
-        _require(args, ["lambda", "mu", "lambda2", "mu2"], "double")
-        l1, m1, l2, m2 = args.lam, args.mu, args.lam2, args.mu2
-        u = _vector_arg(args.u, poly, l1, "right")
-        v = _vector_arg(args.v, poly, l2, "left")
-        rspec = ShiftSpec(l1, m1, u, side="right")
-        lspec = ShiftSpec(l2, m2, v, side="left")
-        lpoly = poly.to_laurent() if is_poly else poly
-        shifted = double_shift_laurent(lpoly, rspec, lspec)
-        if is_poly:
-            shifted = shifted.to_matrix_poly()
-        removed, added = [l1, l2], [m1, m2]
-        mode_note = "double"
-    elif mode == "multi":
-        with open(args.multi, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.multi}: {exc.msg} at line {exc.lineno}") from exc
+def _shift_single(args, poly):
+    lam, mu = args.lam, args.mu
+    if is_infinite(lam) or is_infinite(mu):
+        if not isinstance(poly, MatrixPoly):
+            raise UsageError("infinity shifts need a matrix polynomial input")
+        handler = _shift_from_inf if is_infinite(lam) else _shift_to_inf
+        shifted, removed, added, fit_constant, _ = handler(args, poly)
+        return shifted, removed, added, fit_constant, "single (routed to infinity shift)"
+    if args.side == "right":
+        spec = ShiftSpec(lam, mu, _vector_arg(args.u, poly, lam), _dual_arg(args.v, poly.n))
+        shifted = right_shift_poly(poly, spec)
+    else:
+        v = _vector_arg(args.v, poly, lam, "left")
+        spec = ShiftSpec(lam, mu, v, _dual_arg(args.u, poly.n), side="left")
+        shifted = left_shift_poly(poly, spec)
+    if mu == lam:
+        print("warning: mu equals lambda; the shift is a no-op", file=sys.stderr)
+    return shifted, [lam], [mu], False, f"single {args.side}"
+
+
+def _shift_double(args, poly):
+    l1, m1, l2, m2 = args.lam, args.mu, args.lam2, args.mu2
+    rspec = ShiftSpec(l1, m1, _vector_arg(args.u, poly, l1, "right"), side="right")
+    lspec = ShiftSpec(l2, m2, _vector_arg(args.v, poly, l2, "left"), side="left")
+    return double_shift_laurent(poly, rspec, lspec), [l1, l2], [m1, m2], False, "double"
+
+
+def _shift_multi(args, poly):
+    with open(args.multi, "r", encoding="utf-8") as fh:
         try:
-            lams = [parse_complex(str(s)) for s in payload["lambdas"]]
-            targets = [parse_complex(str(s)) for s in payload["targets"]]
-        except KeyError as exc:
-            raise ParseError(f"{args.multi}: missing key {exc}") from exc
-        if len(lams) != len(targets) or not lams:
-            raise ParseError("lambdas and targets must be equal-length non-empty lists")
-        cols = []
-        for lam in lams:
-            pair = refine_pair(poly, lam, _auto_right_vector(poly, lam))
-            cols.append(pair.right)
-        ms = MultiShiftSpec(np.column_stack(cols), np.diag(lams), np.diag(targets))
-        shifted = multishift_poly(poly, ms) if is_poly else multishift_laurent(poly, ms)
-        removed, added = lams, targets
-        mode_note = f"multishift m={len(lams)}"
-    elif mode == "from-inf":
-        if not is_poly:
-            raise UsageError("infinity shifts need a matrix polynomial input")
-        _require(args, ["mu"], "from-inf")
-        u = _vector_arg(args.u, poly, complex(math.inf))
-        v = None if args.v == "auto" else parse_vector(args.v, poly.n)
-        shifted = shift_from_infinity(poly, args.mu, u, v)
-        added = [args.mu]
-        fit_constant = True
-        mode_note = "from infinity"
-    elif mode == "to-inf":
-        if not is_poly:
-            raise UsageError("infinity shifts need a matrix polynomial input")
-        _require(args, ["lambda"], "to-inf")
-        u = _vector_arg(args.u, poly, args.lam)
-        v = None if args.v == "auto" else parse_vector(args.v, poly.n)
-        shifted = shift_to_infinity(poly, args.lam, u, v)
-        removed = [args.lam]
-        fit_constant = True
-        mode_note = "to infinity"
-    else:  # palindromic
-        if not is_poly:
-            raise UsageError("the palindromic shift needs a matrix polynomial input")
-        _require(args, ["lambda", "mu"], "palindromic")
-        lam, mu = args.lam, args.mu
-        u = _vector_arg(args.u, poly, lam)
-        shifted = palindromic_shift(poly, lam, mu, u)
-        removed = [lam] + ([1.0 / lam.conjugate()] if lam != 0 else [])
-        added = [mu] + ([1.0 / mu.conjugate()] if mu != 0 else [])
-        fit_constant = True
-        mode_note = "palindromic"
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.multi}: {exc.msg} at line {exc.lineno}") from exc
+    try:
+        lams = [parse_complex(str(s)) for s in payload["lambdas"]]
+        targets = [parse_complex(str(s)) for s in payload["targets"]]
+    except KeyError as exc:
+        raise ParseError(f"{args.multi}: missing key {exc}") from exc
+    if len(lams) != len(targets) or not lams:
+        raise ParseError("lambdas and targets must be equal-length non-empty lists")
+    cols = [refine_pair(poly, lam, _auto_right_vector(poly, lam)).right for lam in lams]
+    ms = MultiShiftSpec(np.column_stack(cols), np.diag(lams), np.diag(targets))
+    return multishift_poly(poly, ms), lams, targets, False, f"multishift m={len(lams)}"
 
+
+def _shift_from_inf(args, poly):
+    u = _vector_arg(args.u, poly, INF)
+    shifted = shift_from_infinity(poly, args.mu, u, _dual_arg(args.v, poly.n))
+    return shifted, [], [args.mu], True, "from infinity"
+
+
+def _shift_to_inf(args, poly):
+    u = _vector_arg(args.u, poly, args.lam)
+    shifted = shift_to_infinity(poly, args.lam, u, _dual_arg(args.v, poly.n))
+    return shifted, [args.lam], [], True, "to infinity"
+
+
+def _shift_palindromic(args, poly):
+    lam, mu = args.lam, args.mu
+    shifted = palindromic_shift(poly, lam, mu, _vector_arg(args.u, poly, lam))
+    removed = [lam] + ([1.0 / lam.conjugate()] if lam != 0 else [])
+    added = [mu] + ([1.0 / mu.conjugate()] if mu != 0 else [])
+    return shifted, removed, added, True, "palindromic"
+
+
+# mode -> (handler, required flags, matrix polynomial input only)
+SHIFT_MODES = {
+    "single": (_shift_single, ("lambda", "mu"), False),
+    "double": (_shift_double, ("lambda", "mu", "lambda2", "mu2"), False),
+    "multi": (_shift_multi, (), False),
+    "from-inf": (_shift_from_inf, ("mu",), True),
+    "to-inf": (_shift_to_inf, ("lambda",), True),
+    "palindromic": (_shift_palindromic, ("lambda", "mu"), True),
+}
+
+
+def cmd_shift(args):
+    poly = read_poly(args.input)
+    mode = _shift_mode(args)
+    handler, required, poly_only = SHIFT_MODES[mode]
+    if poly_only and not isinstance(poly, MatrixPoly):
+        raise UsageError(f"{mode} shifts need a matrix polynomial input")
+    _require(args, required, mode)
+    shifted, removed, added, fit_constant, mode_note = handler(args, poly)
     write_poly(shifted, args.output)
     report = det_ratio_oracle(
         poly,
@@ -353,7 +328,7 @@ def cmd_shift(args):
 
 
 def cmd_factor(args):
-    poly = _load(args.input)
+    poly = read_poly(args.input)
     payload = {"command": "factor"}
     if args.quad:
         if not isinstance(poly, LaurentPoly) or (poly.lo, poly.hi) != (-1, 1):
@@ -430,7 +405,7 @@ def cmd_factor(args):
 
 
 def cmd_solve(args):
-    poly = _load(args.input)
+    poly = read_poly(args.input)
     if not isinstance(poly, MatrixPoly):
         raise UsageError("solve expects a matrix polynomial file (lo == 0)")
     if args.shift is not None:
@@ -440,7 +415,7 @@ def cmd_solve(args):
         lam = parse_complex(parts[0])
         mu = parse_complex(parts[1]) if len(parts) == 2 else 0.0 + 0.0j
         u = _vector_arg(args.u, poly, lam)
-        v = None if args.v == "auto" else parse_vector(args.v, poly.n)
+        v = _dual_arg(args.v, poly.n)
         rep = shift_accelerated_solve(
             poly, lam, u, v, mu, tol=args.tol, maxit=args.maxit, seed=args.seed
         )
@@ -481,8 +456,8 @@ def cmd_solve(args):
 
 
 def cmd_check(args):
-    a = _load(args.a)
-    b = _load(args.b)
+    a = read_poly(args.a)
+    b = read_poly(args.b)
     removed = [parse_complex(s) for s in args.removed.split(",") if s.strip()]
     added = [parse_complex(s) for s in args.added.split(",") if s.strip()]
     report = det_ratio_oracle(

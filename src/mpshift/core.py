@@ -61,9 +61,16 @@ def _square_coeffs(coeffs):
 
 @dataclass(frozen=True, eq=False)
 class MatrixPoly:
-    """Matrix polynomial A(z) = sum_{i=0}^d z^i coeffs[i]."""
+    """Matrix polynomial A(z) = sum_{i=0}^d z^i coeffs[i].
+
+    ``lo`` and ``truncated`` are class constants, not fields: a matrix
+    polynomial reads as a Laurent polynomial with lo = 0, so code written for
+    :class:`LaurentPoly` accepts it unchanged.
+    """
 
     coeffs: tuple
+    lo = 0
+    truncated = False
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _square_coeffs(self.coeffs))
@@ -172,6 +179,14 @@ def unit_vector(v):
     return v * phase.conjugate()
 
 
+def horner(coeffs, z):
+    """sum_k z^k coeffs[k] by Horner's scheme."""
+    acc = np.array(coeffs[-1], dtype=complex)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
 def evaluate(p, z):
     """Evaluate A(z) by Horner's scheme.
 
@@ -179,27 +194,22 @@ def evaluate(p, z):
     ascending-power coefficients, so z = 0 is rejected when lo < 0.
     """
     z = complex(z)
-    lo = 0 if isinstance(p, MatrixPoly) else p.lo
-    if z == 0 and lo < 0:
+    if z == 0 and p.lo < 0:
         raise ZeroAtNegativePower("cannot evaluate at z = 0 with negative powers")
-    coeffs = p.coeffs
-    acc = np.array(coeffs[-1], dtype=complex)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    if lo != 0:
-        acc = acc * z**lo
+    acc = horner(p.coeffs, z)
+    if p.lo != 0:
+        acc = acc * z**p.lo
     return acc
 
 
 def derivative_at(p, z):
     """Evaluate A'(z) = sum_i i z^{i-1} A_i directly."""
     z = complex(z)
-    lo = 0 if isinstance(p, MatrixPoly) else p.lo
-    if z == 0 and lo < 0:
+    if z == 0 and p.lo < 0:
         raise ZeroAtNegativePower("cannot differentiate at z = 0 with negative powers")
     acc = np.zeros((p.n, p.n), dtype=complex)
     for k, c in enumerate(p.coeffs):
-        i = lo + k
+        i = p.lo + k
         if i != 0:
             acc = acc + i * z ** (i - 1) * c
     return acc
@@ -220,11 +230,10 @@ def reverse(p):
 def coeff_scale(p, radius):
     """sum_i ||A_i||_F radius^i, the natural scale for residuals at |z| = radius."""
     radius = float(radius)
-    lo = 0 if isinstance(p, MatrixPoly) else p.lo
-    if radius == 0.0 and lo < 0:
+    if radius == 0.0 and p.lo < 0:
         raise ZeroAtNegativePower("scale undefined at radius 0 with negative powers")
     return float(
-        sum(np.linalg.norm(c) * radius ** (lo + k) for k, c in enumerate(p.coeffs))
+        sum(np.linalg.norm(c) * radius ** (p.lo + k) for k, c in enumerate(p.coeffs))
     )
 
 
@@ -252,6 +261,17 @@ def left_residual(p, lam, v):
         return float(np.linalg.norm(v.conj() @ lead) / (nv * max(np.linalg.norm(lead), FLOOR)))
     scale = max(coeff_scale(p, abs(complex(lam))), FLOOR)
     return float(np.linalg.norm(v.conj() @ evaluate(p, lam)) / (nv * scale))
+
+
+def equation_residual(p, g):
+    """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F."""
+    g = np.asarray(g, dtype=complex)
+    acc = np.zeros((p.n, p.n), dtype=complex)
+    power = np.eye(p.n, dtype=complex)
+    for c in p.coeffs:
+        acc = acc + c @ power
+        power = power @ g
+    return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR))
 
 
 def kernel_residual(a, u):
@@ -365,12 +385,11 @@ def det_ratio_oracle(
 
 def write_poly(p, path):
     """Write a polynomial to the ``.mp.json`` format (bit-exact round trip)."""
-    lo = 0 if isinstance(p, MatrixPoly) else p.lo
     coeffs = []
     for c in p.coeffs:
         c = np.asarray(c)
         coeffs.append([[[float(x.real), float(x.imag)] for x in row] for row in c])
-    payload = {"n": p.n, "lo": lo, "coeffs": coeffs}
+    payload = {"n": p.n, "lo": p.lo, "coeffs": coeffs}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

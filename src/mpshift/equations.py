@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLOOR, MatrixPoly, is_infinite, right_residual
+from .core import MatrixPoly, equation_residual, is_infinite, right_residual
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
@@ -97,17 +97,6 @@ def reblock(p):
         b1[i * n : (i + 1) * n, (i - 1) * n : i * n] = eye
     b1[:n, (k - 1) * n :] = p.coeffs[d]
     return ReblockedQuadratic(bm1, b0, b1)
-
-
-def equation_residual(p, g):
-    """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F."""
-    g = np.asarray(g, dtype=complex)
-    acc = np.zeros((p.n, p.n), dtype=complex)
-    power = np.eye(p.n, dtype=complex)
-    for c in p.coeffs:
-        acc = acc + c @ power
-        power = power @ g
-    return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR))
 
 
 def convergence_ratio(p, seed=0):

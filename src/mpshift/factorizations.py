@@ -29,8 +29,9 @@ from .core import (
     FLOOR,
     LaurentPoly,
     MatrixPoly,
+    equation_residual,
     evaluate,
-    left_residual,
+    horner,
     right_residual,
 )
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
     SingularWtilde,
     ZeroLambda,
 )
-from .shifts import _left_shift_coeffs
+from .shifts import ShiftSpec, left_shift_poly, right_shift_laurent
 from .spectra import spectral_radius
 
 UNIT_CIRCLE = tuple(cmath.exp(2j * math.pi * k / 8) for k in range(8))
@@ -268,16 +269,7 @@ class CanonicalFactors:
     lcoeffs: tuple
 
     def value(self, z):
-        u = _poly_value(self.ucoeffs, z)
-        l = _poly_value(self.lcoeffs, 1.0 / z)
-        return u @ l
-
-
-def _poly_value(coeffs, z):
-    acc = np.array(coeffs[-1], dtype=complex)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
+        return horner(self.ucoeffs, z) @ horner(self.lcoeffs, 1.0 / z)
 
 
 def _coeff_tuple(coeffs):
@@ -289,25 +281,23 @@ def _coeff_tuple(coeffs):
     return out
 
 
-def _shift_l_coeffs(lcoeffs, lam, mu, u, vbar):
-    """L~_i = L_i - (lam-mu) sum_{j>=1} lam^{-j} L_{j+i-1} u v* (finite for polynomials)."""
-    ell = len(lcoeffs) - 1
-    out = [np.array(c, dtype=complex) for c in lcoeffs]
-    inv_lam = 1.0 / lam
-    w = np.zeros(lcoeffs[0].shape[0], dtype=complex)
-    fac = lam - mu
-    # w at index i equals sum_{j>=1} lam^{-j} L_{j+i-1} u, built downward in i
-    for i in range(ell, 0, -1):
-        w = inv_lam * (lcoeffs[i] @ u + w)
-        out[i] -= fac * np.outer(w, vbar)
-    return out
+def _shift_l(lcoeffs, spec):
+    """Right shift of L(1/z) = sum_i z^{-i} L_i, a Laurent polynomial with hi = 0.
+
+    Only the negative-power half of the shift acts:
+    L~_i = L_i - (lam-mu) sum_{j>=1} lam^{-j} L_{j+i-1} Q (finite for
+    polynomials).  The shift's eigenpair gate is ||L(1/lam) u|| <= 1e-8.
+    """
+    l_inv = LaurentPoly(1 - len(lcoeffs), lcoeffs[::-1])
+    return right_shift_laurent(l_inv, spec).coeffs[::-1]
 
 
 def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
     """Update a canonical factorization under a right shift inside the unit disk.
 
     Given A(z) = U(z) L(z^{-1}) and an eigenpair A(lam) u = 0 with
-    |lam| < 1, |mu| < 1, the shifted function keeps U and replaces L by
+    |lam| < 1, |mu| < 1 (so L(1/lam) u = 0), the shifted function keeps U
+    and replaces L by
     L~_0 = L_0, L~_i = L_i - (lam-mu) sum_{j>=1} lam^{-j} L_{j+i-1} Q.
     The updated factors are verified against the shifted function at 8
     unit-circle points, and det L~ is checked to have no roots in the closed
@@ -321,27 +311,15 @@ def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
         raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
     ucoeffs = _coeff_tuple(ucoeffs)
     lcoeffs = _coeff_tuple(lcoeffs)
-    lpoly = MatrixPoly(lcoeffs)
-    u_vec, dual = _normalized_pair(u, v)
-    res = right_residual(lpoly, 1.0 / lam, u_vec)
-    if res > 1e-8:
-        raise NotAnEigenpair(f"||L(1/lambda) u|| residual {res:.2e} exceeds 1e-8")
+    spec = ShiftSpec(lam, mu, u, v)
+    factors = CanonicalFactors(ucoeffs, _shift_l(lcoeffs, spec))
     if mu == lam:
-        return CanonicalFactors(ucoeffs, lcoeffs)
-    new_l = _shift_l_coeffs(lcoeffs, lam, mu, u_vec, dual.conj())
-    factors = CanonicalFactors(ucoeffs, tuple(new_l))
-    _check_shifted_product(ucoeffs, lcoeffs, factors, [(lam, mu, u_vec, dual, "right")])
+        return factors
+    _check_shifted_product(
+        ucoeffs, lcoeffs, factors, [(lam, mu, spec.vector, spec.dual, "right")]
+    )
     _check_l_outside_disk(factors.lcoeffs)
     return factors
-
-
-def _normalized_pair(u, v):
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = u if v is None else np.asarray(v, dtype=complex).reshape(-1)
-    ip = np.vdot(u, v)
-    if abs(ip) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v):
-        raise ValueError("dual vector is orthogonal to the shift vector")
-    return u, v / ip
 
 
 def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
@@ -355,7 +333,7 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
     )
     worst = 0.0
     for z in UNIT_CIRCLE:
-        ref = _poly_value(ucoeffs, z) @ _poly_value(lcoeffs, 1.0 / z)
+        ref = horner(ucoeffs, z) @ horner(lcoeffs, 1.0 / z)
         for lam, mu, vec, dual, side in shifts_applied:
             if side == "right":
                 ref = ref @ (eye + (lam - mu) / (z - lam) * np.outer(vec, dual.conj()))
@@ -404,7 +382,8 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     am1 = np.asarray(am1, dtype=complex)
     a0 = np.asarray(a0, dtype=complex)
     a1 = np.asarray(a1, dtype=complex)
-    u_vec, dual = _normalized_pair(u, v)
+    spec = ShiftSpec(lam, mu, u, v)
+    u_vec, dual = spec.vector, spec.dual
     lpoly = LaurentPoly(-1, (am1, a0, a1))
     res = right_residual(lpoly, lam, u_vec)
     if res > 1e-8:
@@ -490,27 +469,11 @@ def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):
         raise ModulusConstraintViolated(
             f"left pair must lie outside the unit circle (|lam2|={abs(l2):.4f}, |mu2|={abs(m2):.4f})"
         )
-    lpoly = MatrixPoly(lcoeffs)
-    upoly = MatrixPoly(ucoeffs)
     if l1 == 0:
         raise ZeroLambda("lambda1 = 0 is outside the annulus of the factorization")
-    res_l = right_residual(lpoly, 1.0 / l1, right_spec.vector)
-    if res_l > 1e-8:
-        raise NotAnEigenpair(f"||L(1/lambda1) u|| residual {res_l:.2e} exceeds 1e-8")
-    res_u = left_residual(upoly, l2, left_spec.vector)
-    if res_u > 1e-8:
-        raise NotAnEigenpair(f"||v* U(lambda2)|| residual {res_u:.2e} exceeds 1e-8")
-
-    new_l = lcoeffs
-    if m1 != l1:
-        new_l = tuple(
-            _shift_l_coeffs(lcoeffs, l1, m1, right_spec.vector, right_spec.dual.conj())
-        )
-    new_u = ucoeffs
-    if m2 != l2:
-        new_u = tuple(
-            _left_shift_coeffs(ucoeffs, 0, l2, m2, left_spec.vector, left_spec.dual)
-        )
+    # each shift gates its own eigenpair: ||L(1/lambda1) u|| and ||v* U(lambda2)||
+    new_l = _shift_l(lcoeffs, right_spec)
+    new_u = left_shift_poly(MatrixPoly(ucoeffs), left_spec).coeffs
     factors = CanonicalFactors(new_u, new_l)
     applied = []
     if m1 != l1:
@@ -535,16 +498,10 @@ def poly_factorization(p, g):
     rho = spectral_radius(g)
     if rho >= 1.0 - RADIUS_MARGIN:
         raise NotASolvent(f"rho(g) = {rho:.8f} is not below one")
+    res = equation_residual(p, g)
+    if res > 1e-10:
+        raise NotASolvent(f"relative ||sum A_i g^i|| = {res:.2e} exceeds 1e-10")
     scale = max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR)
-    acc = np.zeros_like(g)
-    power = np.eye(p.n, dtype=complex)
-    for c in p.coeffs:
-        acc = acc + c @ power
-        power = power @ g
-    if np.linalg.norm(acc) > 1e-10 * scale:
-        raise NotASolvent(
-            f"||sum A_i g^i|| = {np.linalg.norm(acc):.2e} exceeds 1e-10 * scale"
-        )
     ucoeffs = [None] * p.d
     ucoeffs[p.d - 1] = np.array(p.coeffs[p.d], dtype=complex)
     for i in range(p.d - 1, 0, -1):
@@ -556,7 +513,7 @@ def poly_factorization(p, g):
     worst = 0.0
     eye = np.eye(p.n, dtype=complex)
     for z in UNIT_CIRCLE:
-        rhs = _poly_value(ucoeffs, z) @ (z * eye - g)
+        rhs = horner(ucoeffs, z) @ (z * eye - g)
         worst = max(worst, np.linalg.norm(evaluate(p, z) - rhs) / scale)
     if worst > 1e-10:
         raise NotASolvent(f"reconstruction residual {worst:.2e} exceeds 1e-10")

@@ -1,19 +1,34 @@
-"""Rank-one and rank-m eigenvalue shifts for matrix polynomials and Laurent polynomials.
+"""Eigenvalue shifts for matrix polynomials and matrix Laurent polynomials.
 
-A right shift multiplies A(z) by I + ((lambda - mu)/(z - lambda)) u v* where
-A(lambda) u = 0 and v* u = 1; the result is again a matrix (Laurent)
-polynomial with the same support whose spectrum equals that of A(z) with
-lambda replaced by mu.  Left shifts multiply from the left using a left
-eigenvector, double shifts compose one of each, and multishifts move a whole
-packet of eigenvalues held by an invariant pair (U, Lambda) to the
-eigenvalues of an arbitrary target matrix S.  Shifts from/to infinity and a
-structure-preserving shift for *-palindromic polynomials round out the set.
+Every shift here is one identity, the generalized Brauer theorem
 
-Every shift here is validated downstream by the determinant-ratio oracle in
-:mod:`mpshift.core`; the coefficient recurrences below are exact (finite
-sums) for polynomial data.  For truncated Laurent series the sums run over
-the stored support only and the result keeps the ``truncated`` flag, since
-the dropped tail decays geometrically.
+    A~(z) = A(z) (I + U (zI - Lambda)^{-1} (Lambda - S) V*),
+
+for an invariant pair sum_i A_i U Lambda^i = 0 and any V with V* U = I: the
+eigenvalues of Lambda move to those of S, the rest of the spectrum stays,
+and A~ is again a matrix (Laurent) polynomial with the support of A.  One
+coefficient kernel, :func:`_shift_coeffs`, evaluates it.  Each public shift
+checks its own inputs and then composes the kernel with reversal, adjoint
+or both:
+
+* a right shift of lambda to mu is the kernel with m = 1 (U = u, S = mu,
+  V = v); a multishift is the kernel with an m-column packet;
+* a left shift with factor y v* is the adjoint of a right shift of the
+  adjoint coefficients A_i*, with conj(lambda) and conj(mu); a double shift
+  is one right shift and one left shift;
+* a shift from infinity is a right shift 0 -> 1/mu of the reversal
+  z^d A(1/z), reversed back; a shift to infinity reverses around
+  1/lambda -> 0;
+* the *-palindromic shift is a right shift lambda -> mu, the flip
+  A_i -> A_{d-i}*, the same right shift again, and the flip back.
+
+Matrix polynomials are Laurent polynomials with lo = 0, so every entry
+point takes either type and returns the type it was given.  Every shift is
+validated downstream by the determinant-ratio oracle in
+:mod:`mpshift.core`; the kernel's sums are exact (finite) for polynomial
+data.  For truncated Laurent series the sums run over the stored support
+only and the result keeps the ``truncated`` flag, since the dropped tail
+decays geometrically.
 """
 
 from __future__ import annotations
@@ -30,6 +45,7 @@ from .core import (
     is_infinite,
     kernel_residual,
     left_residual,
+    reverse,
     right_residual,
     unit_vector,
 )
@@ -131,63 +147,18 @@ class MultiShiftSpec:
 
 
 # ---------------------------------------------------------------------------
-# coefficient workers (shared by polynomial and Laurent entry points)
+# the shift kernel and its compositions
 # ---------------------------------------------------------------------------
 
-def _right_shift_coeffs(coeffs, lo, lam, mu, u, dual):
-    """Apply the right-shift recurrences on a coefficient list.
+def _shift_coeffs(coeffs, lo, u, lam, s, v):
+    """Coefficients of A(z) (I + U (zI - Lambda)^{-1} (Lambda - S) V*).
 
-    Nonnegative powers get A_i + (lam-mu) * (sum_k lam^k A_{k+i+1} u) v*,
-    negative powers get A_i - (lam-mu) * (sum_k lam^{-k-1} A_{i-k} u) v*,
-    with sums over the stored support.
+    Nonnegative powers gain (sum_{k>=0} A_{i+k+1} U Lambda^k)(Lambda - S) V*,
+    negative powers lose (sum_{k>=0} A_{i-k} U Lambda^{-k-1})(Lambda - S) V*,
+    with sums over the stored support; the top coefficient never changes.
     """
     hi = lo + len(coeffs) - 1
-    n = coeffs[0].shape[0]
-    out = [np.array(c, dtype=complex) for c in coeffs]
-    vbar = dual.conj()
-    fac = lam - mu
-
-    w = np.zeros(n, dtype=complex)
-    for i in range(hi - 1, -1, -1):
-        w = coeffs[i + 1 - lo] @ u + lam * w
-        out[i - lo] += fac * np.outer(w, vbar)
-
-    if lo < 0:
-        inv_lam = 1.0 / lam
-        s = np.zeros(n, dtype=complex)
-        for i in range(lo, 0):
-            s = (coeffs[i - lo] @ u + s) * inv_lam
-            out[i - lo] -= fac * np.outer(s, vbar)
-    return out
-
-
-def _left_shift_coeffs(coeffs, lo, lam, mu, v, y):
-    """Left-shift recurrences: rank-one factor S = y v* applied from the left."""
-    hi = lo + len(coeffs) - 1
-    n = coeffs[0].shape[0]
-    out = [np.array(c, dtype=complex) for c in coeffs]
-    vbar = v.conj()
-    fac = lam - mu
-
-    row = np.zeros(n, dtype=complex)
-    for i in range(hi - 1, -1, -1):
-        row = vbar @ coeffs[i + 1 - lo] + lam * row
-        out[i - lo] += fac * np.outer(y, row)
-
-    if lo < 0:
-        inv_lam = 1.0 / lam
-        t = np.zeros(n, dtype=complex)
-        for i in range(lo, 0):
-            t = (vbar @ coeffs[i - lo] + t) * inv_lam
-            out[i - lo] -= fac * np.outer(y, t)
-    return out
-
-
-def _multishift_coeffs(coeffs, lo, u, lam, s, v):
-    """Packet version of the right-shift recurrences with U Lambda^k blocks."""
-    hi = lo + len(coeffs) - 1
-    n = coeffs[0].shape[0]
-    m = u.shape[1]
+    n, m = u.shape
     out = [np.array(c, dtype=complex) for c in coeffs]
     diff = lam - s
     vstar = v.conj().T
@@ -209,6 +180,27 @@ def _multishift_coeffs(coeffs, lo, u, lam, s, v):
     return out
 
 
+def _right(coeffs, lo, lam, mu, u, v):
+    """Right shift of lam to mu with Q = u v*: the kernel with m = 1."""
+    return _shift_coeffs(coeffs, lo, u[:, None], np.array([[lam]]), np.array([[mu]]), v[:, None])
+
+
+def _adjoint(coeffs):
+    return [c.conj().T for c in coeffs]
+
+
+def _left(coeffs, lo, lam, mu, v, y):
+    """Left shift of lam to mu with factor y v*: the adjoint of a right shift of A_i*."""
+    return _adjoint(_right(_adjoint(coeffs), lo, lam.conjugate(), mu.conjugate(), v, y))
+
+
+def _like(p, coeffs):
+    """A polynomial of p's own type and support holding ``coeffs``."""
+    if isinstance(p, MatrixPoly):
+        return MatrixPoly(coeffs)
+    return LaurentPoly(p.lo, coeffs, p.truncated)
+
+
 # ---------------------------------------------------------------------------
 # single shifts
 # ---------------------------------------------------------------------------
@@ -227,71 +219,56 @@ def right_shift_pencil(a, spec):
     return a + (spec.mu - spec.lam) * np.outer(u, spec.dual.conj())
 
 
-def _route_infinite(p, spec):
-    lam_inf, mu_inf = is_infinite(spec.lam), is_infinite(spec.mu)
-    if lam_inf and mu_inf:
-        raise ZeroMu("both lambda and mu are infinite; nothing to shift")
-    if lam_inf:
-        return shift_from_infinity(p, spec.mu, spec.vector, spec.dual)
-    return shift_to_infinity(p, spec.lam, spec.vector, spec.dual)
+def _check_single(p, spec, side):
+    """Gate of a finite single shift: lambda != 0 with negative powers, and the eigenpair."""
+    if is_infinite(spec.lam) or is_infinite(spec.mu):
+        raise ZeroMu("infinite lambda or mu: only right_shift_poly routes to the infinity shifts")
+    if p.lo < 0 and spec.lam == 0:
+        raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
+    residual = right_residual if side == "right" else left_residual
+    res = residual(p, spec.lam, spec.vector)
+    if res > EIGENPAIR_TOL:
+        raise NotAnEigenpair(f"{side} eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+
+
+def _single_shift(p, spec, side):
+    _check_single(p, spec, side)
+    if spec.mu == spec.lam:
+        return p
+    shift = _right if side == "right" else _left
+    return _like(p, shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual))
 
 
 def right_shift_poly(p, spec):
     """Shift one eigenvalue of a matrix polynomial; degree and A_d are preserved.
 
     Infinite ``lam`` or ``mu`` are routed to :func:`shift_from_infinity` or
-    :func:`shift_to_infinity` respectively.
+    :func:`shift_to_infinity` respectively.  A Laurent polynomial is shifted
+    as by :func:`right_shift_laurent`.
     """
-    if is_infinite(spec.lam) or is_infinite(spec.mu):
-        return _route_infinite(p, spec)
-    res = right_residual(p, spec.lam, spec.vector)
-    if res > EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    if spec.mu == spec.lam:
-        return p
-    return MatrixPoly(_right_shift_coeffs(p.coeffs, 0, spec.lam, spec.mu, spec.vector, spec.dual))
+    lam_inf, mu_inf = is_infinite(spec.lam), is_infinite(spec.mu)
+    if lam_inf and mu_inf:
+        raise ZeroMu("both lambda and mu are infinite; nothing to shift")
+    if lam_inf:
+        return shift_from_infinity(p, spec.mu, spec.vector, spec.dual)
+    if mu_inf:
+        return shift_to_infinity(p, spec.lam, spec.vector, spec.dual)
+    return _single_shift(p, spec, "right")
 
 
 def left_shift_poly(p, spec):
-    """Left-eigenvector analogue of :func:`right_shift_poly`."""
-    if is_infinite(spec.lam) or is_infinite(spec.mu):
-        raise ZeroMu("infinity shifts are provided for the right side only")
-    res = left_residual(p, spec.lam, spec.vector)
-    if res > EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"left eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    if spec.mu == spec.lam:
-        return p
-    return MatrixPoly(_left_shift_coeffs(p.coeffs, 0, spec.lam, spec.mu, spec.vector, spec.dual))
+    """Left-eigenvector analogue of :func:`right_shift_poly` (finite values only)."""
+    return _single_shift(p, spec, "left")
 
 
 def right_shift_laurent(p, spec):
     """Shift one eigenvalue of a matrix Laurent polynomial; support (lo, hi) is kept."""
-    if is_infinite(spec.lam) or is_infinite(spec.mu):
-        raise ZeroMu("infinity shifts apply to matrix polynomials only")
-    if p.lo < 0 and spec.lam == 0:
-        raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
-    res = right_residual(p, spec.lam, spec.vector)
-    if res > EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    if spec.mu == spec.lam:
-        return p
-    coeffs = _right_shift_coeffs(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
-    return LaurentPoly(p.lo, coeffs, p.truncated)
+    return _single_shift(p, spec, "right")
 
 
 def left_shift_laurent(p, spec):
     """Left-eigenvector analogue of :func:`right_shift_laurent`."""
-    if is_infinite(spec.lam) or is_infinite(spec.mu):
-        raise ZeroMu("infinity shifts apply to matrix polynomials only")
-    if p.lo < 0 and spec.lam == 0:
-        raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
-    res = left_residual(p, spec.lam, spec.vector)
-    if res > EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"left eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    if spec.mu == spec.lam:
-        return p
-    coeffs = _left_shift_coeffs(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
-    return LaurentPoly(p.lo, coeffs, p.truncated)
+    return _single_shift(p, spec, "left")
 
 
 def double_shift_laurent(p, right_spec, left_spec):
@@ -299,45 +276,22 @@ def double_shift_laurent(p, right_spec, left_spec):
 
     The composition order does not matter (both yield the same series); this
     routine applies the right shift first.  lambda1 = lambda2 is rejected.
+    Both eigenpairs are checked on ``p`` before either shift is applied.
     """
     if right_spec.lam == left_spec.lam:
         raise CoincidentEigenvalues("double shift requires lambda1 != lambda2")
-    if p.lo < 0 and (right_spec.lam == 0 or left_spec.lam == 0):
-        raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
-    res_r = right_residual(p, right_spec.lam, right_spec.vector)
-    if res_r > EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"right eigenpair residual {res_r:.2e} exceeds {EIGENPAIR_TOL}")
-    res_l = left_residual(p, left_spec.lam, left_spec.vector)
-    if res_l > EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"left eigenpair residual {res_l:.2e} exceeds {EIGENPAIR_TOL}")
-
+    _check_single(p, right_spec, "right")
+    _check_single(p, left_spec, "left")
     coeffs = p.coeffs
-    if right_spec.mu != right_spec.lam:
-        coeffs = _right_shift_coeffs(
-            coeffs, p.lo, right_spec.lam, right_spec.mu, right_spec.vector, right_spec.dual
-        )
-    if left_spec.mu != left_spec.lam:
-        coeffs = _left_shift_coeffs(
-            coeffs, p.lo, left_spec.lam, left_spec.mu, left_spec.vector, left_spec.dual
-        )
-    return LaurentPoly(p.lo, coeffs, p.truncated)
+    for spec, shift in ((right_spec, _right), (left_spec, _left)):
+        if spec.mu != spec.lam:
+            coeffs = shift(coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
+    return _like(p, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # multishifts
 # ---------------------------------------------------------------------------
-
-def _multishift_residual(p, ms):
-    from .spectra import invariant_pair_residual
-
-    return invariant_pair_residual(p, ms.u, ms.lam)
-
-
-def _single_spec_from(ms):
-    return ShiftSpec(
-        complex(ms.lam[0, 0]), complex(ms.s[0, 0]), ms.u[:, 0], ms.v[:, 0]
-    )
-
 
 def multishift_pencil(a, ms):
     """Move the eigenvalues of an invariant pair of A to those of S: A - U (Lambda - S) V*."""
@@ -348,60 +302,56 @@ def multishift_pencil(a, ms):
     if res > EIGENPAIR_TOL:
         raise NotInvariant(f"||A U - U Lambda|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if ms.m == 1:
-        return right_shift_pencil(a, _single_spec_from(ms))
+        return right_shift_pencil(a, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
         return a.copy()
     return a - ms.u @ (ms.lam - ms.s) @ ms.v.conj().T
 
 
 def multishift_poly(p, ms):
-    """Packet shift for matrix polynomials; m = 1 reduces to the single right shift."""
-    res = _multishift_residual(p, ms)
-    if res > EIGENPAIR_TOL:
-        raise NotInvariant(f"invariant-pair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    if ms.m == 1:
-        return right_shift_poly(p, _single_spec_from(ms))
-    if np.array_equal(ms.s, ms.lam):
-        return p
-    return MatrixPoly(_multishift_coeffs(p.coeffs, 0, ms.u, ms.lam, ms.s, ms.v))
+    """Packet shift for matrix polynomials; m = 1 reduces to the single right shift.
+
+    The same as :func:`multishift_laurent`, which takes either type.
+    """
+    return multishift_laurent(p, ms)
 
 
 def multishift_laurent(p, ms):
     """Packet shift for matrix Laurent polynomials (Lambda nonsingular when lo < 0)."""
+    from .spectra import invariant_pair_residual
+
     if p.lo < 0:
         svals = np.linalg.svd(ms.lam, compute_uv=False)
         if svals[-1] <= 1e-14 * max(svals[0], FLOOR):
             raise SingularLambda("Lambda is singular; negative powers cannot be shifted")
-    res = _multishift_residual(p, ms)
+    res = invariant_pair_residual(p, ms.u, ms.lam)
     if res > EIGENPAIR_TOL:
         raise NotInvariant(f"invariant-pair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if ms.m == 1:
-        return right_shift_laurent(p, _single_spec_from(ms))
+        # through ShiftSpec, so m = 1 matches right_shift_laurent bit for bit
+        return right_shift_laurent(p, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
         return p
-    coeffs = _multishift_coeffs(p.coeffs, p.lo, ms.u, ms.lam, ms.s, ms.v)
-    return LaurentPoly(p.lo, coeffs, p.truncated)
+    return _like(p, _shift_coeffs(p.coeffs, p.lo, ms.u, ms.lam, ms.s, ms.v))
 
 
 # ---------------------------------------------------------------------------
 # shifts from and to infinity
 # ---------------------------------------------------------------------------
 
-def _dual_for(u, v):
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = u if v is None else np.asarray(v, dtype=complex).reshape(-1)
-    ip = np.vdot(u, v)
-    if abs(ip) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v):
-        raise ValueError("dual vector is orthogonal to the shift vector")
-    return u, v / ip
+def _reversed_right_shift(p, spec):
+    """Right shift of the reversal z^d A(1/z), reversed back."""
+    rev = reverse(p)
+    return reverse(MatrixPoly(_right(rev.coeffs, 0, spec.lam, spec.mu, spec.vector, spec.dual)))
 
 
 def shift_from_infinity(p, mu, u, v=None):
     """Replace one eigenvalue at infinity by finite mu != 0.
 
-    Requires A_d u = 0.  Coefficients become A_i - mu^{-1} A_{i-1} Q with
-    A_0 unchanged; all finite eigenvalues are preserved and the determinant
-    gains the factor (1 - z/mu).
+    Requires A_d u = 0.  The reversal has the eigenvalue 0 there, shifted to
+    1/mu: coefficients become A_i - mu^{-1} A_{i-1} Q with A_0 unchanged;
+    all finite eigenvalues are preserved and the determinant gains the
+    factor (1 - z/mu).
     """
     if not isinstance(p, MatrixPoly):
         raise DimensionMismatch("infinity shifts act on matrix polynomials")
@@ -410,23 +360,19 @@ def shift_from_infinity(p, mu, u, v=None):
         raise ZeroMu("target mu must be nonzero")
     if is_infinite(mu):
         raise ZeroMu("target mu must be finite")
-    u, dual = _dual_for(u, v)
-    res = kernel_residual(p.coeffs[-1], u)
+    spec = ShiftSpec(0.0, 1.0 / mu, u, v)
+    res = kernel_residual(p.coeffs[-1], spec.vector)
     if res > EIGENPAIR_TOL:
         raise NotInKernel(f"||A_d u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    vbar = dual.conj()
-    inv_mu = 1.0 / mu
-    out = [np.array(p.coeffs[0], dtype=complex)]
-    for i in range(1, p.d + 1):
-        out.append(p.coeffs[i] - inv_mu * np.outer(p.coeffs[i - 1] @ u, vbar))
-    return MatrixPoly(out)
+    return _reversed_right_shift(p, spec)
 
 
 def shift_to_infinity(p, lam, u, v=None):
     """Send the finite eigenvalue lam != 0 to infinity.
 
-    Coefficients become A_i + sum_{k=0}^{i-1} lam^{-k-1} A_{i-k-1} Q with A_0
-    unchanged; the new leading coefficient annihilates u.
+    The reversal has the eigenvalue 1/lam, shifted to 0: coefficients become
+    A_i + sum_{k=0}^{i-1} lam^{-k-1} A_{i-k-1} Q with A_0 unchanged; the new
+    leading coefficient annihilates u.
     """
     if not isinstance(p, MatrixPoly):
         raise DimensionMismatch("infinity shifts act on matrix polynomials")
@@ -435,33 +381,31 @@ def shift_to_infinity(p, lam, u, v=None):
         raise ZeroLambda("lambda must be nonzero")
     if is_infinite(lam):
         raise ZeroLambda("lambda must be finite")
-    u, dual = _dual_for(u, v)
-    res = right_residual(p, lam, u)
+    spec = ShiftSpec(1.0 / lam, 0.0, u, v)
+    res = right_residual(p, lam, spec.vector)
     if res > EIGENPAIR_TOL:
         raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    vbar = dual.conj()
-    inv_lam = 1.0 / lam
-    out = [np.array(p.coeffs[0], dtype=complex)]
-    g = np.zeros(p.n, dtype=complex)
-    for i in range(1, p.d + 1):
-        g = inv_lam * (p.coeffs[i - 1] @ u + g)
-        out.append(p.coeffs[i] + np.outer(g, vbar))
-    return MatrixPoly(out)
+    return _reversed_right_shift(p, spec)
 
 
 # ---------------------------------------------------------------------------
 # palindromic double shift
 # ---------------------------------------------------------------------------
 
+def _flip(coeffs):
+    """A_i -> A_{d-i}*, the map that fixes a *-palindromic polynomial."""
+    return _adjoint(coeffs[::-1])
+
+
 def palindromic_shift(p, lam, mu, u):
     """Move the eigenvalue pair (lam, 1/conj(lam)) of a *-palindromic polynomial
     to (mu, 1/conj(mu)), preserving A_i = A_{d-i}^*.
 
-    Uses Q = u u*/(u* u) on both sides; the output is explicitly
-    re-symmetrized (averaging A_i with A_{d-i}^*) after the two-stage
-    formulas, whose pre-symmetrization deviation is checked against
-    1e-12 * scale.  lam = 0 (the pair (0, infinity)) uses the simplified
-    closed form.
+    A right shift lam -> mu with Q = u u*/(u* u), then the same right shift
+    conjugated by the flip A_i -> A_{d-i}*, which moves the partner
+    1/conj(lam).  The output is explicitly re-symmetrized (averaging A_i with
+    A_{d-i}^*); the deviation before that is checked against 1e-12 * scale.
+    lam = 0 (the pair (0, infinity)) needs no special case.
     """
     if not isinstance(p, MatrixPoly):
         raise DimensionMismatch("palindromic shift acts on matrix polynomials")
@@ -485,28 +429,8 @@ def palindromic_shift(p, lam, mu, u):
             stacklevel=2,
         )
     uh = unit_vector(u)
-    ubar = uh.conj()
-
-    if lam == 0:
-        q = np.outer(uh, ubar)
-        out = []
-        for i in range(d + 1):
-            nxt = p.coeffs[i + 1] if i + 1 <= d else np.zeros((p.n, p.n), dtype=complex)
-            prv = p.coeffs[i - 1] if i - 1 >= 0 else np.zeros((p.n, p.n), dtype=complex)
-            out.append(
-                p.coeffs[i]
-                - mu * nxt @ q
-                - mu.conjugate() * q @ prv
-                + (mu * mu.conjugate()) * q @ p.coeffs[i] @ q
-            )
-    else:
-        ahat = _right_shift_coeffs(p.coeffs, 0, lam, mu, uh, uh)
-        cl, cm = lam.conjugate(), mu.conjugate()
-        out = [ahat[0]]
-        t = np.zeros(p.n, dtype=complex)
-        for i in range(1, d + 1):
-            t = ubar @ ahat[i - 1] + cl * t
-            out.append(ahat[i] + (cl - cm) * np.outer(uh, t))
+    ahat = _right(p.coeffs, 0, lam, mu, uh, uh)
+    out = _flip(_right(_flip(ahat), 0, lam, mu, uh, uh))
 
     dev = max(np.linalg.norm(out[i] - out[d - i].conj().T) for i in range(d + 1))
     out_scale = max(sum(np.linalg.norm(c) for c in out), FLOOR)

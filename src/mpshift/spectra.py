@@ -258,18 +258,17 @@ def invariant_pair_residual(p, u, lam):
 
     u = np.asarray(u, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
-    lo = 0 if isinstance(p, MatrixPoly) else p.lo
     rho = spectral_radius(lam)
     acc = np.zeros_like(u)
-    if lo < 0:
+    if p.lo < 0:
         try:
             lam_inv = np.linalg.inv(lam)
         except np.linalg.LinAlgError as exc:
             raise SingularLambda("Lambda is singular; negative powers are undefined") from exc
-        power = np.linalg.matrix_power(lam_inv, -lo)
+        power = np.linalg.matrix_power(lam_inv, -p.lo)
         scale = max(coeff_scale(p, max(rho, FLOOR)), FLOOR)
     else:
-        power = np.linalg.matrix_power(lam, lo)
+        power = np.linalg.matrix_power(lam, p.lo)
         scale = max(coeff_scale(p, rho), FLOOR)
     for c in p.coeffs:
         acc = acc + c @ u @ power

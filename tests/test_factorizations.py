@@ -22,6 +22,7 @@ from mpshift import (
     shifted_factorization_both,
     shifted_factorization_right,
     spectral_radius,
+    unit_vector,
 )
 from mpshift.errors import (
     DegenerateShift,
@@ -32,7 +33,7 @@ from mpshift.errors import (
     SingularPivot,
 )
 
-from conftest import qbd_quadratic
+from conftest import crandn, qbd_quadratic
 
 GOLDEN = 2.0 - math.sqrt(3.0)  # minimal root of x^2 - 4x + 1
 
@@ -225,6 +226,31 @@ def test_shifted_right_agrees_with_fresh_cr():
     shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), spec)
     f2 = cr_quadratic(shifted.coeff(-1), shifted.coeff(0), shifted.coeff(1))
     assert np.linalg.norm(gtilde - f2.gplus) <= 1e-8
+
+
+def test_shifted_right_degree_two_l_matches_closed_form():
+    rng = np.random.default_rng(293)
+    n, lam, mu = 3, 0.6 + 0.2j, -0.25j
+    u = unit_vector(crandn(rng, n))
+    eye = np.eye(n, dtype=complex)
+    # L(w) = (I - w B1)(I - w B2) with B2 u = lam u: det L has its roots 1/eig(B)
+    # outside the unit disk, one of them at 1/lam with L(1/lam) u = 0
+    b1 = 0.1 * crandn(rng, n, n)
+    m = 0.1 * crandn(rng, n, n)
+    b2 = m - np.outer(m @ u - lam * u, u.conj())
+    lcoeffs = [eye, -(b1 + b2), b1 @ b2]
+    ucoeffs = [eye + 0.1 * crandn(rng, n, n), 0.1 * crandn(rng, n, n)]
+    factors = shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u)
+    q = ShiftSpec(lam, mu, u).q
+    ell = len(lcoeffs) - 1
+    assert np.array_equal(factors.lcoeffs[0], lcoeffs[0])
+    # L~_i = L_i - (lam - mu) sum_{j>=1} lam^{-j} L_{j+i-1} Q
+    for i in range(1, ell + 1):
+        tail = sum(lam ** (-j) * lcoeffs[j + i - 1] for j in range(1, ell - i + 2))
+        ref = lcoeffs[i] - (lam - mu) * tail @ q
+        assert np.linalg.norm(factors.lcoeffs[i] - ref) <= 1e-14
+    for a, b in zip(factors.ucoeffs, ucoeffs):
+        assert np.array_equal(a, b)
 
 
 def test_shifted_right_rejects_outside_disk():

@@ -240,13 +240,13 @@ def test_left_shift_laurent_matches_transpose_route():
 
 # --- double shift ---
 
-def _double_shift_instance(seed):
+def _double_shift_instance(seed, lo=-1):
     rng = np.random.default_rng(seed)
-    p = rand_laurent(rng, 3, -1, 1)
+    p = rand_laurent(rng, 3, -1, 1) if lo else rand_poly(rng, 3, 2)
     lam1, u = 0.5 + 0.2j, unit_vector(crandn(rng, 3))
     p = plant_right(p, lam1, u)
-    # a second, left eigenpair of the planted polynomial
-    quad = MatrixPoly([p.coeff(-1), p.coeff(0), p.coeff(1)])
+    # a second, left eigenpair of the planted polynomial (z^-lo A(z) has the same)
+    quad = MatrixPoly(p.coeffs)
     others = [
         q for q in polyeig(quad).finite() if abs(q.value - lam1) > 0.2 and abs(q.value) > 0.05
     ]
@@ -308,6 +308,29 @@ def test_double_shift_rejects_coincident():
     ls = ShiftSpec(l1, 0.2, v, side="left")
     with pytest.raises(CoincidentEigenvalues):
         double_shift_laurent(p, rs, ls)
+
+
+@pytest.mark.parametrize("lo", [0, -1], ids=["MatrixPoly", "LaurentPoly"])
+@pytest.mark.parametrize(
+    "shift, sides",
+    [
+        pytest.param(right_shift_poly, "r", id="right_shift_poly"),
+        pytest.param(left_shift_poly, "l", id="left_shift_poly"),
+        pytest.param(right_shift_laurent, "r", id="right_shift_laurent"),
+        pytest.param(left_shift_laurent, "l", id="left_shift_laurent"),
+        pytest.param(double_shift_laurent, "rl", id="double_shift_laurent"),
+    ],
+)
+def test_shift_accepts_either_type_and_keeps_it(shift, sides, lo):
+    p, (l1, u), (l2, v) = _double_shift_instance(211, lo)
+    specs = {"r": ShiftSpec(l1, 0.1 - 0.2j, u), "l": ShiftSpec(l2, 1.5j, v, side="left")}
+    out = shift(p, *(specs[s] for s in sides))
+    assert type(out) is type(p)
+    assert out.lo == p.lo and len(out.coeffs) == len(p.coeffs)
+    rep = det_ratio_oracle(
+        p, out, removed=[specs[s].lam for s in sides], added=[specs[s].mu for s in sides]
+    )
+    assert rep.passed, rep
 
 
 # --- multishift ---
@@ -471,6 +494,22 @@ def test_to_infinity_oracle_and_errors():
         shift_to_infinity(p, 0.0, u)
 
 
+def test_to_infinity_matches_closed_form():
+    rng = np.random.default_rng(193)
+    p = rand_poly(rng, 4, 3)
+    lam, u = 0.7 - 0.4j, unit_vector(crandn(rng, 4))
+    p = plant_right(p, lam, u)
+    y = crandn(rng, 4)
+    out = shift_to_infinity(p, lam, u, y)
+    q = ShiftSpec(lam, 0.0, u, y).q
+    scale = poly_scale(p)
+    # A~_i = A_i + sum_{k=0}^{i-1} lam^{-k-1} A_{i-k-1} Q
+    for i in range(p.d + 1):
+        ref = p.coeffs[i] + sum(lam ** (-k - 1) * p.coeffs[i - k - 1] @ q for k in range(i))
+        assert np.linalg.norm(out.coeffs[i] - ref) <= 1e-13 * scale
+    assert np.linalg.norm(out.coeffs[-1] @ u) <= 1e-12 * scale
+
+
 def test_infinity_round_trip_restores_spectrum():
     rng = np.random.default_rng(139)
     p = rand_poly(rng, 3, 2)
@@ -553,6 +592,25 @@ def test_palindromic_lambda_zero_closed_form():
     assert rep.passed
     for i in range(3):
         assert np.array_equal(out.coeffs[i], out.coeffs[2 - i].conj().T)
+
+
+def test_palindromic_cubic_oracle_and_structure():
+    rng = np.random.default_rng(197)
+    a0, a1 = crandn(rng, 3, 3), crandn(rng, 3, 3)
+    p = MatrixPoly([a0, a1, a1.conj().T, a0.conj().T])
+    pair = next(
+        q for q in sorted(polyeig(p).finite(), key=lambda q: abs(q.value))
+        if abs(abs(q.value) - 1.0) > 0.05
+    )
+    pair = refine_pair(p, pair.value, pair.right)
+    lam, mu = complex(pair.value), 0.2 + 0.3j
+    out = palindromic_shift(p, lam, mu, pair.right)
+    removed = [lam, 1.0 / lam.conjugate()]
+    added = [mu, 1.0 / mu.conjugate()]
+    rep = det_ratio_oracle(p, out, removed=removed, added=added, fit_constant=True)
+    assert rep.passed, rep
+    for i in range(4):
+        assert np.array_equal(out.coeffs[i], out.coeffs[3 - i].conj().T)
 
 
 def test_palindromic_rejects_structure_violation(p1):
