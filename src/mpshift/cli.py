@@ -109,7 +109,9 @@ def fmt_matrix(mat, indent="  "):
 
 
 def matrix_json(mat):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
+    """A complex array as nested lists with each entry a [re, im] pair of floats."""
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return mat.view(float).reshape(*mat.shape, 2).tolist()
 
 
 def _auto_right_vector(p, lam):
@@ -164,10 +166,8 @@ def cmd_eig(args):
                     "value": "inf" if q.is_infinite else [q.value.real, q.value.imag],
                     "residual": q.residual,
                     "borderline": q.borderline,
-                    "right": [[v.real, v.imag] for v in q.right],
-                    "left": None
-                    if q.left is None
-                    else [[v.real, v.imag] for v in q.left],
+                    "right": matrix_json(q.right),
+                    "left": None if q.left is None else matrix_json(q.left),
                 }
             )
         print(json.dumps({"command": "eig", "eigenvalues": rows}))

@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -384,35 +385,97 @@ def det_ratio_oracle(
 # ---------------------------------------------------------------------------
 
 def write_poly(p, path):
-    """Write a polynomial to the ``.mp.json`` format (bit-exact round trip)."""
-    coeffs = []
-    for c in p.coeffs:
-        c = np.asarray(c)
-        coeffs.append([[[float(x.real), float(x.imag)] for x in row] for row in c])
-    payload = {"n": p.n, "lo": p.lo, "coeffs": coeffs}
+    """Write a polynomial to the ``.mp.json`` format (bit-exact round trip).
+
+    The bytes are those of ``json.dump(payload, indent=1)`` plus a newline,
+    with every entry a ``[re, im]`` pair of shortest round-trip floats.  The
+    layout is filled in as one template rather than through the encoder,
+    whose ``indent`` mode runs in pure Python per value.
+    """
+    n = p.n
+    pair = "    [\n     %r,\n     %r\n    ]"
+    row = "   [\n" + ",\n".join([pair] * n) + "\n   ]"
+    mat = "  [\n" + ",\n".join([row] * n) + "\n  ]"
+    body = ",\n".join([mat] * len(p.coeffs))
+    floats = np.ascontiguousarray(p.coeffs, dtype=complex).view(float).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "n": {json.dumps(n)},\n "lo": {json.dumps(p.lo)},\n "coeffs": [\n')
+        fh.write(body % tuple(floats))
+        fh.write("\n ]\n}\n")
 
 
 def _entry(value, where):
+    """Raise ParseError at ``where`` unless ``value`` is a finite [re, im] pair."""
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise ParseError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:
+        raise ParseError(f"{where}: entry out of double range, got {value!r}") from None
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: non-finite entry, got {value!r}")
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _coeff_array(raw, n):
+    """The coefficients as one (len(raw), n, n) complex array, or None.
+
+    None means some check failed: a leaf that is not a JSON number (bools
+    included), a shape other than len(raw) x n x n x 2, or an entry that is
+    non-finite or out of double range.
+    """
+    try:
+        leaves = chain.from_iterable(chain.from_iterable(chain.from_iterable(raw)))
+        if not set(map(type, leaves)) <= _NUMBER_TYPES:
+            return None
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != (len(raw), n, n, 2) or not np.isfinite(arr).all():
+        return None
+    return arr.view(complex).reshape(len(raw), n, n)
+
+
+def _reject_coeffs(raw, n):
+    """Raise the error, with its location, of coefficients _coeff_array refused."""
+    for k, mat in enumerate(raw):
+        if not isinstance(mat, list):
+            raise ParseError(f"coeffs[{k}]: expected an array of rows")
+        widths = {len(row) if isinstance(row, list) else -1 for row in mat}
+        if len(widths) > 1 or -1 in widths:
+            raise ParseError(f"coeffs[{k}]: ragged or malformed rows")
+        if len(mat) != n or (mat and len(mat[0]) != n):
+            raise DimensionMismatch(
+                f"coeffs[{k}]: shape {len(mat)}x{len(mat[0]) if mat else 0}, expected {n}x{n}"
+            )
+        for i, row in enumerate(mat):
+            for j, v in enumerate(row):
+                _entry(v, f"coeffs[{k}][{i}][{j}]")
+    raise ParseError("field 'coeffs': not an array of [re, im] pairs")
 
 
 def read_poly(path):
-    """Read a ``.mp.json`` file; returns MatrixPoly when lo == 0, else LaurentPoly."""
+    """Read a ``.mp.json`` file; returns MatrixPoly when lo == 0, else LaurentPoly.
+
+    Malformed input raises :class:`ParseError` (or :class:`DimensionMismatch`
+    for a size that disagrees with ``n``) naming the first offending
+    ``coeffs[k][i][j]``; entries must be finite JSON numbers within double
+    range.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ParseError(str(exc)) from exc
     if not isinstance(payload, dict):
         raise ParseError("top-level value must be an object")
     for key in ("n", "lo", "coeffs"):
@@ -430,23 +493,9 @@ def read_poly(path):
             f"coefficient range [{lo}, {lo + len(raw) - 1}] must contain power 0"
         )
 
-    coeffs = []
-    for k, mat in enumerate(raw):
-        if not isinstance(mat, list):
-            raise ParseError(f"coeffs[{k}]: expected an array of rows")
-        widths = {len(row) if isinstance(row, list) else -1 for row in mat}
-        if len(widths) > 1 or -1 in widths:
-            raise ParseError(f"coeffs[{k}]: ragged or malformed rows")
-        if len(mat) != n or (mat and len(mat[0]) != n):
-            raise DimensionMismatch(
-                f"coeffs[{k}]: shape {len(mat)}x{len(mat[0]) if mat else 0}, expected {n}x{n}"
-            )
-        coeffs.append(
-            [
-                [_entry(v, f"coeffs[{k}][{i}][{j}]") for j, v in enumerate(row)]
-                for i, row in enumerate(mat)
-            ]
-        )
+    coeffs = _coeff_array(raw, n)
+    if coeffs is None:
+        _reject_coeffs(raw, n)
     if lo == 0:
         return MatrixPoly(tuple(coeffs))
     return LaurentPoly(lo, tuple(coeffs))

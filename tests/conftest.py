@@ -1,5 +1,7 @@
 """Shared fixtures and seeded instance builders for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,12 @@ def match_moduli(got, expected, split_inf=True):
 
 def poly_scale(p):
     return float(sum(np.linalg.norm(c) for c in p.coeffs))
+
+
+def mp_json_reference(p):
+    """The ``.mp.json`` text of ``p`` as the per-entry ``json.dumps`` encoder writes it."""
+    coeffs = [
+        [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(c)]
+        for c in p.coeffs
+    ]
+    return json.dumps({"n": p.n, "lo": p.lo, "coeffs": coeffs}, indent=1) + "\n"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mpshift import MatrixPoly, LaurentPoly, read_poly, write_poly
+from mpshift import MatrixPoly, LaurentPoly, cli, read_poly, write_poly
 from mpshift.cli import main, parse_complex
 from mpshift.fixtures import p1 as fixture_p1
 
@@ -533,3 +533,63 @@ def test_eig_numeric_failure_exits_1(tmp_path, capsys):
     write_poly(degenerate, path)
     code, _, err = run(capsys, "eig", str(path))
     assert code == 1 and "error" in err
+
+
+# --- JSON encoding ---
+
+@pytest.mark.parametrize(
+    "entry", ["[NaN, 0]", "[0, Infinity]", "[1e999, 0]", "[1" + "0" * 400 + ", 0]"],
+    ids=["nan", "inf", "1e999", "int-1e400"],
+)
+def test_eig_nonfinite_entry_exits_2_with_location(tmp_path, capsys, entry):
+    path = tmp_path / "bad.mp.json"
+    path.write_text(
+        f'{{"n": 2, "lo": 0, "coeffs": [[[[1, 0], [0, 0]], [[0, 0], {entry}]]]}}',
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "eig", str(path))
+    assert code == 2
+    assert err.startswith("error: coeffs[0][1][1]:") and "Traceback" not in err
+
+
+def _per_entry_json(mat):
+    """Reference encoder: one Python [re, im] list per entry."""
+    mat = np.asarray(mat)
+    if mat.ndim == 1:
+        return [[float(v.real), float(v.imag)] for v in mat]
+    return [_per_entry_json(row) for row in mat]
+
+
+def test_matrix_json_matches_per_entry_encoding():
+    vals = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1.0, 0.1, 1e16]
+    mat = np.array([complex(a, b) for a in vals for b in vals]).reshape(7, 7)
+    for m in (mat, mat[1], mat.T, mat.real, np.eye(3)):
+        assert json.dumps(cli.matrix_json(m)) == json.dumps(_per_entry_json(m))
+
+
+def _report_commands(tmp_path):
+    from mpshift.fixtures import p3
+
+    p3_path, p1_path, quad = (str(tmp_path / f) for f in ("p3.mp.json", "p1.mp.json", "q.mp.json"))
+    write_poly(p3(), p3_path)
+    write_poly(fixture_p1(), p1_path)
+    b1 = np.array([[1.0, 0.1], [0.0, 1.0]])
+    write_poly(LaurentPoly(-1, (-0.25 * np.eye(2), b1, -0.25 * np.eye(2))), quad)
+    return [
+        ["solve", p3_path],
+        ["solve", p3_path, "--shift", "1,0", "--u", "1,1,1,1,1", "--v", "0.2,0.2,0.2,0.2,0.2"],
+        ["factor", quad, "--quad", "--both"],
+        ["eig", p1_path, "--left"],
+    ]
+
+
+def test_json_reports_match_per_entry_encoding(tmp_path, capsys, monkeypatch):
+    reports = []
+    for argv in _report_commands(tmp_path):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        reports.append(out)
+    assert "-0.0" in reports[0]  # G of p3 has signed-zero entries
+    monkeypatch.setattr(cli, "matrix_json", _per_entry_json)
+    for argv, out in zip(_report_commands(tmp_path), reports):
+        assert run(capsys, *argv, "--format", "json")[1] == out

@@ -1,5 +1,8 @@
 """Core containers, evaluation, determinants, serialization, and the oracle."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,9 @@ from mpshift.errors import (
     ParseError,
     ZeroAtNegativePower,
 )
+from mpshift import core
 
-from conftest import crandn, plant_right, rand_poly
+from conftest import crandn, mp_json_reference, plant_right, rand_poly
 
 
 # --- evaluation ---
@@ -193,6 +197,121 @@ def test_empty_file_raises_parse_error(tmp_path):
     path = tmp_path / "empty.mp.json"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ParseError):
+        read_poly(path)
+
+
+# Each case pins the reader's exception and full message, location included;
+# the whole-array check must accept none of these files.
+MALFORMED = [
+    ("true", '[[[[true,0]]]]', 1, ParseError,
+     "coeffs[0][0][0]: expected a [re, im] pair, got [True, 0]"),
+    ("string", '[[[["1",0]]]]', 1, ParseError,
+     "coeffs[0][0][0]: expected a [re, im] pair, got ['1', 0]"),
+    ("null", '[[[[1,0],[0,0]],[[0,0],null]]]', 2, ParseError,
+     "coeffs[0][1][1]: expected a [re, im] pair, got None"),
+    ("pair1", '[[[[1]]]]', 1, ParseError,
+     "coeffs[0][0][0]: expected a [re, im] pair, got [1]"),
+    ("pair3", '[[[[1,0,0]]]]', 1, ParseError,
+     "coeffs[0][0][0]: expected a [re, im] pair, got [1, 0, 0]"),
+    ("ragged row", '[[[[1,0],[0,0]],[[0,0]]]]', 2, ParseError,
+     "coeffs[0]: ragged or malformed rows"),
+    ("row is a number", '[[[[1,0],[0,0]],5]]', 2, ParseError,
+     "coeffs[0]: ragged or malformed rows"),
+    ("matrix is a number", '[[[[1,0]]],7]', 1, ParseError,
+     "coeffs[1]: expected an array of rows"),
+    ("empty matrix", '[[]]', 1, DimensionMismatch,
+     "coeffs[0]: shape 0x0, expected 1x1"),
+    ("n disagrees", '[[[[1,0],[0,0]],[[0,0],[1,0]]]]', 3, DimensionMismatch,
+     "coeffs[0]: shape 2x2, expected 3x3"),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, n, exc, message", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_malformed_coefficients_rejected_with_location(tmp_path, coeffs, n, exc, message):
+    path = tmp_path / "bad.mp.json"
+    path.write_text(f'{{"n": {n}, "lo": 0, "coeffs": {coeffs}}}', encoding="utf-8")
+    with pytest.raises(exc) as info:
+        read_poly(path)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]", "[1e999, 0]", "[0, -1e999]",
+     "[1" + "0" * 400 + ", 0]"],
+    ids=["nan", "inf", "-inf", "1e999", "-1e999", "int-1e400"],
+)
+def test_nonfinite_or_out_of_range_entry_is_parse_error(tmp_path, entry):
+    good = "[[1, 0], [0, 0]], [[0, 0], [1, 0]]"
+    bad = f"[[1, 0], {entry}], [[0, 0], [1, 0]]"
+    path = tmp_path / "bad.mp.json"
+    path.write_text(
+        f'{{"n": 2, "lo": -1, "coeffs": [[{good}], [{bad}], [{good}]]}}', encoding="utf-8"
+    )
+    with pytest.raises(ParseError, match=re.escape("coeffs[1][0][1]:")):
+        read_poly(path)
+
+
+def test_integer_beyond_digit_limit_is_parse_error(tmp_path):
+    path = tmp_path / "bad.mp.json"
+    path.write_text('{"n": 1, "lo": 0, "coeffs": [[[[1' + "0" * 5000 + ', 0]]]]}', encoding="utf-8")
+    with pytest.raises(ParseError):
+        read_poly(path)
+
+
+def test_nonfinite_in_memory_poly_still_value_error():
+    with pytest.raises(ValueError, match="non-finite"):
+        MatrixPoly([np.array([[np.nan, 0.0], [0.0, 1.0]])])
+
+
+def test_integer_entries_read_as_complex(tmp_path):
+    pairs = [[1, 0], [-3, 2], [2**53 + 1, -(2**64) - 3], [10**300, 0.5]]
+    path = tmp_path / "ints.mp.json"
+    path.write_text(
+        json.dumps({"n": 2, "lo": 0, "coeffs": [[pairs[:2], pairs[2:]]]}), encoding="utf-8"
+    )
+    got = read_poly(path).coeffs[0]
+    expected = np.array([[complex(*pairs[0]), complex(*pairs[1])],
+                         [complex(*pairs[2]), complex(*pairs[3])]])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+SPECIAL_DOUBLES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1.0, -3.0, 1e16, 2.0**60, 0.1,
+]
+
+
+@pytest.mark.parametrize("lo", [0, -1])
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_write_poly_matches_per_entry_encoder(tmp_path, n, lo):
+    rng = np.random.default_rng(1000 + n)
+    flat = rng.standard_normal(6 * n * n * 2) * 10.0 ** rng.integers(-300, 300, 6 * n * n * 2)
+    flat[: len(SPECIAL_DOUBLES)] = SPECIAL_DOUBLES
+    flat[-2:] = [-0.0, -0.0]
+    coeffs = flat.view(complex).reshape(6, n, n)
+    p = MatrixPoly(coeffs) if lo == 0 else LaurentPoly(lo, coeffs)
+    path = tmp_path / "w.mp.json"
+    write_poly(p, path)
+    assert path.read_bytes() == mp_json_reference(p).encode("utf-8")
+    back = read_poly(path)
+    assert np.array_equal(np.array(back.coeffs).view(np.uint64), coeffs.view(np.uint64))
+
+
+def test_valid_file_read_without_per_entry_walk(tmp_path, monkeypatch, p3):
+    paths = [tmp_path / "p3.mp.json", tmp_path / "laurent.mp.json", tmp_path / "ints.mp.json"]
+    write_poly(p3, paths[0])
+    write_poly(LaurentPoly(-1, [crandn(np.random.default_rng(2), 4, 4) for _ in range(3)]),
+               paths[1])
+    paths[2].write_text('{"n": 1, "lo": 0, "coeffs": [[[[1, -2]]]]}', encoding="utf-8")
+
+    def no_walk(value, where):
+        raise AssertionError(f"per-entry walk ran at {where}")
+
+    monkeypatch.setattr(core, "_entry", no_walk)
+    for path in paths:
         read_poly(path)
 
 

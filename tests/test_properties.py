@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpshift import (
+    LaurentPoly,
     MatrixPoly,
     ShiftSpec,
     evaluate,
@@ -16,7 +17,7 @@ from mpshift import (
     write_poly,
 )
 
-from conftest import crandn, plant_right, rand_laurent, rand_poly
+from conftest import crandn, mp_json_reference, plant_right, rand_laurent, rand_poly
 
 finite_doubles = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100
@@ -42,6 +43,31 @@ def test_serialization_round_trip_bit_exact(tmp_path_factory, payload):
     back = read_poly(path)
     for a, b in zip(p.coeffs, back.coeffs):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(-2, 0),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_file_round_trip_is_bit_exact_with_signed_zeros(tmp_path_factory, n, lo, k, data):
+    # full double range: subnormals, +-0.0 in either part, the extremes
+    count = max(k, 1 - lo) * n * n * 2
+    values = data.draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=count, max_size=count)
+    )
+    coeffs = np.array(values, dtype=float).view(complex).reshape(-1, n, n)
+    p = MatrixPoly(coeffs) if lo == 0 else LaurentPoly(lo, coeffs)
+    path = tmp_path_factory.mktemp("rt") / "p.mp.json"
+    write_poly(p, path)
+    assert path.read_text(encoding="utf-8") == mp_json_reference(p)
+    back = read_poly(path)
+    assert (back.lo, len(back.coeffs)) == (p.lo, len(p.coeffs))
+    got = np.array(back.coeffs).view(np.uint64)
+    assert np.array_equal(got, coeffs.view(np.uint64))
 
 
 @settings(max_examples=25, deadline=None)
