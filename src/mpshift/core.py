@@ -6,9 +6,11 @@ with lo <= 0 <= hi.  This module provides the containers, evaluation,
 determinants, serialization, and the determinant-ratio oracle used to
 validate every eigenvalue shift in the package.
 
-All arithmetic is complex double precision; real inputs are promoted on
-construction.  Containers are immutable after construction and all
-operations are pure functions, so concurrent use is safe.
+Containers store complex double precision; real inputs are promoted on
+construction.  The solvers compute in real double precision when no input
+entry has a nonzero imaginary part (see :func:`as_working`) and promote
+their results back to complex.  Containers are immutable after construction
+and all operations are pure functions, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ def _freeze(arr):
     arr = np.array(arr, dtype=complex)
     arr.setflags(write=False)
     return arr
+
+
+def as_working(*arrays):
+    """The arrays in the dtype the solvers compute in.
+
+    Real float64 (the ``.real`` parts, C-contiguous) when no entry of any
+    array has a nonzero imaginary part, complex128 otherwise.  The test is
+    exact, so the real path drops only zeros.
+    """
+    arrays = [np.asarray(a) for a in arrays]
+    if any(np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return tuple(np.asarray(a, dtype=complex) for a in arrays)
+    return tuple(np.ascontiguousarray(a.real, dtype=float) for a in arrays)
 
 
 def _square_coeffs(coeffs):
@@ -266,13 +281,13 @@ def left_residual(p, lam, v):
 
 def equation_residual(p, g):
     """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F."""
-    g = np.asarray(g, dtype=complex)
-    acc = np.zeros((p.n, p.n), dtype=complex)
-    power = np.eye(p.n, dtype=complex)
-    for c in p.coeffs:
+    *coeffs, g = as_working(*p.coeffs, g)
+    acc = np.zeros_like(g)
+    power = np.eye(p.n, dtype=g.dtype)
+    for c in coeffs:
         acc = acc + c @ power
         power = power @ g
-    return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR))
+    return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in coeffs), FLOOR))
 
 
 def kernel_residual(a, u):

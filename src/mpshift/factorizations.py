@@ -15,6 +15,10 @@ R+ and K+ and replaces G+ by G+ + (mu - lambda) u v*; the double-sided
 update additionally transforms H_0 in closed form.  These updates are what
 make shift-accelerated equation solving cheap: no factorization has to be
 recomputed from scratch.
+
+Cyclic reduction, the H_0 series and the reversed factorization compute in
+real arithmetic when their inputs have no imaginary part (QBD blocks are
+real); every factor they return is complex128 either way.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .core import (
     FLOOR,
     LaurentPoly,
     MatrixPoly,
+    as_working,
     equation_residual,
     evaluate,
     horner,
@@ -52,6 +57,7 @@ from .spectra import spectral_radius
 
 UNIT_CIRCLE = tuple(cmath.exp(2j * math.pi * k / 8) for k in range(8))
 RADIUS_MARGIN = 1e-8
+H0_MAXSTEPS = 64  # doubling steps: the first 2^64 terms of the H_0 series
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +92,11 @@ class PolyFactorization:
 
     g: np.ndarray
     ucoeffs: tuple
+
+
+def _promote(*arrays):
+    """Working-dtype results as the complex128 arrays every public result holds."""
+    return tuple(np.asarray(a, dtype=complex) for a in arrays)
 
 
 def _quad_value(am1, a0, a1, z):
@@ -125,15 +136,14 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     eigenvalues may sit on the unit circle and only the minimal solvent is
     wanted (convergence is then linear instead of quadratic).
     """
-    am1 = np.asarray(am1, dtype=complex)
-    a0 = np.asarray(a0, dtype=complex)
-    a1 = np.asarray(a1, dtype=complex)
+    am1, a0, a1 = as_working(am1, a0, a1)
     if not (am1.shape == a0.shape == a1.shape) or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch("coefficients must be square and equally sized")
 
     def inorm(x):
         return np.linalg.norm(x, np.inf)
 
+    n = a0.shape[0]
     denom = max(inorm(am1) + inorm(a0) + inorm(a1), FLOOR)
     scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
 
@@ -147,10 +157,10 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
                 "(eigenvalues on the unit circle without a gap?)"
             )
         try:
-            x = np.linalg.solve(b0, bm1)
-            y = np.linalg.solve(b0, b1)
+            xy = np.linalg.solve(b0, np.hstack((bm1, b1)))
         except np.linalg.LinAlgError as exc:
             raise SingularPivot(k) from exc
+        x, y = xy[:, :n], xy[:, n:]
         bm1_next = -bm1 @ x
         b1_next = -b1 @ y
         b0 = b0 - bm1 @ y - b1 @ x
@@ -183,18 +193,34 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     fact_res = _quad_fact_residual(am1, a0, a1, gplus, rplus, kplus)
     if fact_res > 1e-10:
         raise NoConvergence(f"factorization residual {fact_res:.2e} exceeds 1e-10")
+    # G+ and R+ are minus a solve: promoting before the negation gives real
+    # data the -0.0 imaginary parts that complex arithmetic writes to reports.
+    gplus, rplus = (-m for m in _promote(-gplus, -rplus))
+    (kplus,) = _promote(kplus)
     return QuadFactorization(gplus, rplus, kplus, k, fact_res, rho_g, rho_r)
 
 
 def _h0(f):
-    """H_0 = sum_j G+^j K+^{-1} R+^j, summed to a geometric tail of 1e-16."""
-    term = np.linalg.inv(f.kplus)
-    total = term.copy()
-    for _ in range(20000):
-        term = f.gplus @ term @ f.rplus
-        total += term
-        if np.linalg.norm(term) <= 1e-16 * max(np.linalg.norm(total), FLOOR):
-            return total
+    """H_0 = sum_j G+^j K+^{-1} R+^j by Smith doubling, in the working dtype.
+
+    After k steps h holds the first 2^k terms: h <- h + G h R adds the next
+    2^k, then G <- G^2 and R <- R^2.  It stops once the added block is below
+    1e-16 of the sum; a series still growing after H0_MAXSTEPS steps, or one
+    that overflowed, raises NoConvergence.
+    """
+    g, k, r = as_working(f.gplus, f.kplus, f.rplus)
+    h = np.linalg.inv(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(H0_MAXSTEPS):
+            term = g @ h @ r
+            h = h + term
+            total = np.linalg.norm(h)
+            if not math.isfinite(total):
+                break
+            if np.linalg.norm(term) <= 1e-16 * max(total, FLOOR):
+                return h
+            g = g @ g
+            r = r @ r
     raise NoConvergence("H_0 series did not reach its tail tolerance")
 
 
@@ -206,7 +232,7 @@ def inverse_coefficients(f, m):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    h0 = _h0(f)
+    (h0,) = _promote(_h0(f))
     neg = []
     cur = h0
     for _ in range(m):
@@ -226,16 +252,14 @@ def reversed_factorization(am1, a0, a1, f):
     G- = H_0 R+ H_0^{-1}, R- = H_0^{-1} G+ H_0, and K- = A_0 + A_{-1} G-
     (= A_0 + R- A_1; both expressions are computed and must agree).
     """
-    am1 = np.asarray(am1, dtype=complex)
-    a0 = np.asarray(a0, dtype=complex)
-    a1 = np.asarray(a1, dtype=complex)
+    am1, a0, a1, gplus, rplus = as_working(am1, a0, a1, f.gplus, f.rplus)
     h0 = _h0(f)
     if 1.0 / np.linalg.cond(h0) < 1e-12:
         raise SingularH0(
             f"reciprocal condition of H_0 is {1.0 / np.linalg.cond(h0):.2e}"
         )
-    gminus = np.linalg.solve(h0.T, (h0 @ f.rplus).T).T
-    rminus = np.linalg.solve(h0, f.gplus @ h0)
+    gminus = np.linalg.solve(h0.T, (h0 @ rplus).T).T
+    rminus = np.linalg.solve(h0, gplus @ h0)
     k_a = a0 + am1 @ gminus
     k_b = a0 + rminus @ a1
     scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
@@ -246,15 +270,9 @@ def reversed_factorization(am1, a0, a1, f):
     fact_res = _quad_fact_residual(a1, a0, am1, gminus, rminus, k_a)
     if fact_res > 1e-10:
         raise SingularH0(f"reversed factorization residual {fact_res:.2e} exceeds 1e-10")
-    return ReversedFactorization(
-        gminus,
-        rminus,
-        k_a,
-        h0,
-        fact_res,
-        spectral_radius(gminus),
-        spectral_radius(rminus),
-    )
+    rho_g, rho_r = spectral_radius(gminus), spectral_radius(rminus)
+    gminus, rminus, k_a, h0 = _promote(gminus, rminus, k_a, h0)
+    return ReversedFactorization(gminus, rminus, k_a, h0, fact_res, rho_g, rho_r)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ SOFT_INF_TOL = 1e-6
 
 
 def spectral_radius(a):
-    """Largest eigenvalue modulus, by the dense eigensolver."""
-    a = np.asarray(a, dtype=complex)
+    """Largest eigenvalue modulus, by the dense eigensolver (real one for real a)."""
+    a = np.asarray(a)
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(a))))

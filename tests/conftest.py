@@ -87,6 +87,22 @@ def qbd_quadratic(rng, n, sub=0.9):
     return b[0], b[1] - np.eye(n), b[2]
 
 
+def critical_qbd(seed, n, drift, scale=1.0):
+    """Near-critical QBD quadratic Laurent coefficients (A_-1, A_0, A_1).
+
+    Random nonnegative blocks with row sums 0.3 + drift/2, 0.4 and
+    0.3 - drift/2, so B_-1 + B_0 + B_1 is row stochastic and z = 1 is an
+    eigenvalue (on the unit circle); A_0 = scale B_0 - I and the other two
+    are scale B_(+-1).  scale < 1 pulls every eigenvalue off the circle.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for r in (0.3 + drift / 2, 0.4, 0.3 - drift / 2):
+        b = rng.random((n, n))
+        blocks.append(scale * b * (r / b.sum(axis=1))[:, None])
+    return blocks[0], blocks[1] - np.eye(n), blocks[2]
+
+
 def palindromic_quad(rng, n):
     a0 = crandn(rng, n, n)
     r = crandn(rng, n, n)

@@ -16,6 +16,7 @@ from mpshift import (
     read_poly,
     reverse,
     right_shift_poly,
+    solve_unilateral,
     unit_vector,
     write_poly,
 )
@@ -74,6 +75,35 @@ def test_laurent_evaluation_matches_power_sum():
     z = 0.7 + 0.4j
     naive = sum(z ** (p.lo + k) * c for k, c in enumerate(p.coeffs))
     assert np.linalg.norm(evaluate(p, z) - naive) <= 1e-13 * np.linalg.norm(naive)
+
+
+# --- working dtype ---
+
+def test_as_working_is_real_exactly_when_no_imaginary_part():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((3, 3))
+    signed = np.array([[complex(1.5, -0.0), complex(-0.0, 0.0)]])
+    a, b, c = core.as_working(x, x.astype(complex), signed)
+    assert a.dtype == b.dtype == c.dtype == np.float64
+    assert np.array_equal(b, x) and b.flags.c_contiguous
+    assert np.array_equal(np.signbit(c), [[False, True]])  # real parts kept bit for bit
+    assert core.as_working(np.eye(2, dtype=int))[0].dtype == np.float64
+    # one tiny imaginary part anywhere sends every array to complex
+    tiny = x.astype(complex)
+    tiny[2, 1] += 1e-300j
+    a, b = core.as_working(x, tiny)
+    assert a.dtype == b.dtype == np.complex128
+    assert np.array_equal(a, x) and np.array_equal(b, tiny)
+
+
+def test_equation_residual_same_on_real_and_complex_paths(p3):
+    # a perturbed solvent, so the residual is well above roundoff; rotating
+    # the coefficients by e^{0.7i} keeps it and forces the complex path
+    g = solve_unilateral(p3).g + 1e-3
+    rotated = MatrixPoly([np.exp(0.7j) * c for c in p3.coeffs])
+    real = core.equation_residual(p3, g)
+    assert real > 1e-4
+    assert abs(core.equation_residual(rotated, g) - real) <= 1e-13 * real
 
 
 # --- determinants ---

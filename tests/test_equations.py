@@ -21,7 +21,7 @@ from mpshift.errors import (
     SplittingFailure,
 )
 
-from conftest import crandn, qbd_quadratic, rand_poly
+from conftest import critical_qbd, crandn, qbd_quadratic, rand_poly
 
 
 def test_p3_row_sums_are_exact_in_integer_arithmetic():
@@ -207,6 +207,16 @@ def test_iterations_monotone_in_sigma(p3):
     fast = shift_accelerated_solve(p3, 1.0, np.ones(5), np.ones(5) / 5, 0.0)
     assert fast.sigma < plain.sigma
     assert fast.iterations <= plain.iterations
+
+
+def test_production_size_near_critical_qbd():
+    n = 200
+    p = MatrixPoly(critical_qbd(7, n, drift=5e-4))
+    plain = solve_unilateral(p)
+    fast = shift_accelerated_solve(p, 1.0, np.ones(n), np.ones(n) / n, 0.0)
+    assert plain.residual <= 1e-10 and fast.residual <= 1e-10
+    assert fast.iterations < plain.iterations
+    assert plain.g.dtype == fast.g.dtype == np.complex128
 
 
 # --- convergence ratio ---

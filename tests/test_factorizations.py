@@ -1,5 +1,6 @@
 """Cyclic reduction, inverse coefficients, and factorization updates under shifts."""
 
+import cmath
 import math
 
 import numpy as np
@@ -33,7 +34,10 @@ from mpshift.errors import (
     SingularPivot,
 )
 
-from conftest import crandn, qbd_quadratic
+from mpshift import factorizations
+from mpshift.factorizations import QuadFactorization, _h0
+
+from conftest import critical_qbd, crandn, qbd_quadratic
 
 GOLDEN = 2.0 - math.sqrt(3.0)  # minimal root of x^2 - 4x + 1
 
@@ -137,6 +141,88 @@ def test_inverse_coefficients_match_pointwise_inverse():
         approx = sum(z ** (i - m) * hs[i] for i in range(2 * m + 1))
         exact = np.linalg.inv(quad_value(am1, a0, a1, z))
         assert np.linalg.norm(approx - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+# --- H_0 by Smith doubling ---
+
+def _stein_residual(f, h0):
+    """||H_0 - G+ H_0 R+ - K+^{-1}|| / ||H_0||: H_0 is the fixed point of that map."""
+    k_inv = np.linalg.inv(f.kplus)
+    return np.linalg.norm(h0 - f.gplus @ h0 @ f.rplus - k_inv) / np.linalg.norm(h0)
+
+
+def test_reversed_factorization_near_critical_zero_drift():
+    # rho(G+) = rho(R+) = 0.99942: the H_0 series needs about 3e4 terms to
+    # reach its 1e-16 tail
+    am1, a0, a1 = critical_qbd(0, 8, drift=0.0, scale=1 - 1e-7)
+    f = cr_quadratic(am1, a0, a1)
+    assert f.iterations == 16
+    assert 0.999 < max(f.rho_g, f.rho_r) < 1 - 1e-8
+    rf = reversed_factorization(am1, a0, a1, f)
+    assert rf.residual <= 1e-10
+    assert _stein_residual(f, rf.w) <= 1e-12
+
+
+def test_h0_divergent_series_raises():
+    # rho(G+) rho(R+) = 1: the partial sums grow without bound
+    eye = np.eye(3)
+    with pytest.raises(NoConvergence):
+        _h0(QuadFactorization(eye, eye, eye, 0, 0.0, 1.0, 1.0))
+    with pytest.raises(NoConvergence):  # overflows before the step bound
+        _h0(QuadFactorization(2 * eye, eye, eye, 0, 0.0, 2.0, 1.0))
+
+
+def test_h0_slow_geometric_series():
+    # sum_j 0.999^j = 1000, to a 1e-16 tail only after about 3.7e4 terms
+    eye = np.eye(3)
+    h0 = _h0(QuadFactorization(eye, 0.999 * eye, eye, 0, 0.0, 1.0, 0.999))
+    assert np.linalg.norm(h0 - 1000 * eye) <= 1e-12 * np.linalg.norm(1000 * eye)
+
+
+# --- real arithmetic for real data ---
+
+def _rel(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("n", [8, 50])
+def test_real_and_complex_paths_agree(n, monkeypatch):
+    # e^{i theta} A(z) keeps G+ and R+, scales K+ by e^{i theta} and H_0 by
+    # e^{-i theta}, and its coefficients force the complex path
+    radius_dtypes = []
+
+    def radius(a):
+        radius_dtypes.append(np.asarray(a).dtype)
+        return spectral_radius(a)
+
+    monkeypatch.setattr(factorizations, "spectral_radius", radius)
+    am1, a0, a1 = critical_qbd(3, n, drift=5e-4, scale=0.99)
+    c = cmath.exp(0.7j)
+    f = cr_quadratic(am1, a0, a1)
+    rf = reversed_factorization(am1, a0, a1, f)
+    assert set(radius_dtypes) == {np.dtype(float)}
+    radius_dtypes.clear()
+    fc = cr_quadratic(c * am1, c * a0, c * a1)
+    rfc = reversed_factorization(c * am1, c * a0, c * a1, fc)
+    assert set(radius_dtypes) == {np.dtype(complex)}
+
+    assert fc.iterations == f.iterations
+    assert _rel(fc.gplus, f.gplus) <= 1e-12
+    assert _rel(fc.rplus, f.rplus) <= 1e-12
+    assert _rel(fc.kplus, c * f.kplus) <= 1e-12
+    assert _rel(rfc.w, rf.w / c) <= 1e-12
+    assert _rel(rfc.gminus, rf.gminus) <= 1e-12
+    assert _rel(rfc.rminus, rf.rminus) <= 1e-12
+    assert _rel(rfc.kminus, c * rf.kminus) <= 1e-12
+
+
+def test_real_input_results_are_complex128():
+    am1, a0, a1 = critical_qbd(4, 8, drift=5e-4, scale=0.99)
+    f = cr_quadratic(am1, a0, a1)
+    rf = reversed_factorization(am1, a0, a1, f)
+    arrays = [f.gplus, f.rplus, f.kplus, rf.gminus, rf.rminus, rf.kminus, rf.w]
+    arrays += inverse_coefficients(f, 2)
+    assert all(a.dtype == np.complex128 for a in arrays)
 
 
 # --- reversed factorization ---
