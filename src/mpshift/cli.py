@@ -23,8 +23,6 @@ import numpy as np
 from . import fixtures
 from .core import (
     INF,
-    LaurentPoly,
-    MatrixPoly,
     det_ratio_oracle,
     evaluate,
     is_infinite,
@@ -85,7 +83,10 @@ def parse_vector(text, n):
     parts = [s for s in text.split(",") if s.strip()]
     if len(parts) != n:
         raise UsageError(f"vector {text!r} has {len(parts)} components, expected {n}")
-    return np.array([parse_complex(s) for s in parts], dtype=complex)
+    vec = np.array([parse_complex(s) for s in parts], dtype=complex)
+    if not vec.any():
+        raise UsageError(f"vector {text!r} is zero")
+    return vec
 
 
 def fmt_float(x):
@@ -155,7 +156,7 @@ def cmd_fixture(args):
 
 def cmd_eig(args):
     poly = read_poly(args.input)
-    if not isinstance(poly, MatrixPoly):
+    if poly.lo != 0:
         raise UsageError("eig expects a matrix polynomial file (lo == 0)")
     spec = polyeig(poly, seed=args.seed, want_left=args.left)
     if args.format == "json":
@@ -208,7 +209,7 @@ def _require(args, names, mode):
 def _shift_single(args, poly):
     lam, mu = args.lam, args.mu
     if is_infinite(lam) or is_infinite(mu):
-        if not isinstance(poly, MatrixPoly):
+        if poly.lo != 0:
             raise UsageError("infinity shifts need a matrix polynomial input")
         handler = _shift_from_inf if is_infinite(lam) else _shift_to_inf
         shifted, removed, added, fit_constant, _ = handler(args, poly)
@@ -285,7 +286,7 @@ def cmd_shift(args):
     poly = read_poly(args.input)
     mode = _shift_mode(args)
     handler, required, poly_only = SHIFT_MODES[mode]
-    if poly_only and not isinstance(poly, MatrixPoly):
+    if poly_only and poly.lo != 0:
         raise UsageError(f"{mode} shifts need a matrix polynomial input")
     _require(args, required, mode)
     shifted, removed, added, fit_constant, mode_note = handler(args, poly)
@@ -331,7 +332,7 @@ def cmd_factor(args):
     poly = read_poly(args.input)
     payload = {"command": "factor"}
     if args.quad:
-        if not isinstance(poly, LaurentPoly) or (poly.lo, poly.hi) != (-1, 1):
+        if (poly.lo, poly.hi) != (-1, 1):
             raise UsageError("--quad expects a Laurent polynomial with powers -1..1")
         f = cr_quadratic(
             poly.coeff(-1), poly.coeff(0), poly.coeff(1), tol=args.tol, maxit=args.maxit
@@ -375,7 +376,7 @@ def cmd_factor(args):
                     print(f"{name} =")
                     print(fmt_matrix(mat))
     else:
-        if not isinstance(poly, MatrixPoly):
+        if poly.lo != 0:
             raise UsageError("factoring a Laurent polynomial requires --quad")
         if args.both:
             raise UsageError("--both applies to --quad factorizations only")
@@ -406,7 +407,7 @@ def cmd_factor(args):
 
 def cmd_solve(args):
     poly = read_poly(args.input)
-    if not isinstance(poly, MatrixPoly):
+    if poly.lo != 0:
         raise UsageError("solve expects a matrix polynomial file (lo == 0)")
     if args.shift is not None:
         parts = args.shift.split(",")

@@ -1,8 +1,9 @@
-"""Core data types and operations for matrix polynomials and Laurent polynomials.
+"""Core data types and operations for matrix Laurent polynomials.
 
-A matrix polynomial is A(z) = sum_{i=0}^d z^i A_i with square complex
-coefficients; a matrix Laurent polynomial is A(z) = sum_{i=lo}^{hi} z^i A_i
-with lo <= 0 <= hi.  This module provides the containers, evaluation,
+One container, :class:`LaurentPoly`, holds A(z) = sum_{i=lo}^{hi} z^i A_i
+with square complex coefficients and lo <= 0 <= hi.  A matrix polynomial is
+the case lo = 0; :class:`MatrixPoly` is the subclass that fixes lo = 0 and
+adds nothing else.  This module provides the container, evaluation,
 determinants, serialization, and the determinant-ratio oracle used to
 validate every eigenvalue shift in the package.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -76,46 +77,15 @@ def _square_coeffs(coeffs):
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixPoly:
-    """Matrix polynomial A(z) = sum_{i=0}^d z^i coeffs[i].
-
-    ``lo`` and ``truncated`` are class constants, not fields: a matrix
-    polynomial reads as a Laurent polynomial with lo = 0, so code written for
-    :class:`LaurentPoly` accepts it unchanged.
-    """
-
-    coeffs: tuple
-    lo = 0
-    truncated = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _square_coeffs(self.coeffs))
-
-    @property
-    def n(self):
-        return self.coeffs[0].shape[0]
-
-    @property
-    def d(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, i):
-        """Coefficient of z^i; zero matrix outside the stored range."""
-        if 0 <= i <= self.d:
-            return self.coeffs[i]
-        return np.zeros((self.n, self.n), dtype=complex)
-
-    def to_laurent(self, truncated=False):
-        return LaurentPoly(0, self.coeffs, truncated)
-
-
-@dataclass(frozen=True, eq=False)
 class LaurentPoly:
     """Matrix Laurent polynomial A(z) = sum_{i=lo}^{hi} z^i A_i, lo <= 0 <= hi.
 
     ``coeffs[k]`` is the coefficient of z^{lo+k}.  The ``truncated`` flag
     records that the instance stands for a truncated Laurent series; the
-    truncation itself is the caller's responsibility.
+    truncation itself is the caller's responsibility.  A matrix polynomial
+    is the case lo = 0; functions defined only for polynomials check
+    ``p.lo == 0``, so they accept ``LaurentPoly(0, coeffs)`` and
+    :class:`MatrixPoly` alike.
     """
 
     lo: int
@@ -137,16 +107,26 @@ class LaurentPoly:
     def hi(self):
         return self.lo + len(self.coeffs) - 1
 
+    @property
+    def d(self):
+        return self.hi - self.lo
+
     def coeff(self, power):
         """Coefficient of z^power; zero matrix outside the stored range."""
         if self.lo <= power <= self.hi:
             return self.coeffs[power - self.lo]
         return np.zeros((self.n, self.n), dtype=complex)
 
-    def to_matrix_poly(self):
-        if self.lo != 0:
-            raise DimensionMismatch("only lo == 0 converts to a matrix polynomial")
-        return MatrixPoly(self.coeffs)
+    def to_laurent(self, truncated=False):
+        return LaurentPoly(self.lo, self.coeffs, truncated)
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixPoly(LaurentPoly):
+    """Matrix polynomial A(z) = sum_{i=0}^d z^i coeffs[i]: a LaurentPoly with lo = 0."""
+
+    lo: int = field(default=0, init=False)
+    truncated: bool = field(default=False, init=False)
 
 
 INF = complex(math.inf, 0.0)
@@ -238,9 +218,9 @@ def det_at(p, z):
 
 def reverse(p):
     """Reverse polynomial z^d A(1/z); eigenvalues become reciprocals (1/0 = inf)."""
-    if not isinstance(p, MatrixPoly):
+    if p.lo != 0:
         raise DimensionMismatch("reverse is defined for matrix polynomials")
-    return MatrixPoly(tuple(reversed(p.coeffs)))
+    return replace(p, coeffs=p.coeffs[::-1])
 
 
 def coeff_scale(p, radius):
@@ -279,14 +259,18 @@ def left_residual(p, lam, v):
     return float(np.linalg.norm(v.conj() @ evaluate(p, lam)) / (nv * scale))
 
 
+def matrix_horner(coeffs, x):
+    """sum_k coeffs[k] X^k by Horner's scheme, one matrix product per term."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc @ x + c
+    return acc
+
+
 def equation_residual(p, g):
     """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F."""
     *coeffs, g = as_working(*p.coeffs, g)
-    acc = np.zeros_like(g)
-    power = np.eye(p.n, dtype=g.dtype)
-    for c in coeffs:
-        acc = acc + c @ power
-        power = power @ g
+    acc = matrix_horner(coeffs, g)
     return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in coeffs), FLOOR))
 
 

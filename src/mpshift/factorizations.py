@@ -37,14 +37,12 @@ from .core import (
     equation_residual,
     evaluate,
     horner,
-    right_residual,
 )
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
     ModulusConstraintViolated,
     NoConvergence,
-    NotAnEigenpair,
     NotASolvent,
     ShiftOutsideDisk,
     SingularH0,
@@ -246,6 +244,30 @@ def inverse_coefficients(f, m):
     return list(reversed(neg)) + [h0] + pos
 
 
+def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
+    """Factors of A(z^{-1}) by similarity with H (H_0, or W~ after a shift).
+
+    G- = H R+ H^{-1}, R- = H^{-1} G+ H, and K- = A_0 + A_{-1} G-
+    (= A_0 + R- A_1; both expressions are computed and must agree).  Raises
+    ``error`` when H, named ``h_name`` in the message, is numerically
+    singular or the two K- disagree; the caller gates the returned 8-point
+    residual.
+    """
+    rcond = 1.0 / np.linalg.cond(h)
+    if rcond < 1e-12:
+        raise error(f"reciprocal condition of {h_name} is {rcond:.2e}")
+    gminus = np.linalg.solve(h.T, (h @ rplus).T).T
+    rminus = np.linalg.solve(h, gplus @ h)
+    k_a = a0 + am1 @ gminus
+    k_b = a0 + rminus @ a1
+    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
+    if np.linalg.norm(k_a - k_b) > 1e-10 * scale:
+        raise error(f"the two K- expressions disagree by {np.linalg.norm(k_a - k_b):.2e}")
+    fact_res = _quad_fact_residual(a1, a0, am1, gminus, rminus, k_a)
+    rho_g, rho_r = spectral_radius(gminus), spectral_radius(rminus)
+    return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res, rho_g, rho_r)
+
+
 def reversed_factorization(am1, a0, a1, f):
     """Canonical factorization of A(z^{-1}) when H_0 is nonsingular.
 
@@ -253,26 +275,10 @@ def reversed_factorization(am1, a0, a1, f):
     (= A_0 + R- A_1; both expressions are computed and must agree).
     """
     am1, a0, a1, gplus, rplus = as_working(am1, a0, a1, f.gplus, f.rplus)
-    h0 = _h0(f)
-    if 1.0 / np.linalg.cond(h0) < 1e-12:
-        raise SingularH0(
-            f"reciprocal condition of H_0 is {1.0 / np.linalg.cond(h0):.2e}"
-        )
-    gminus = np.linalg.solve(h0.T, (h0 @ rplus).T).T
-    rminus = np.linalg.solve(h0, gplus @ h0)
-    k_a = a0 + am1 @ gminus
-    k_b = a0 + rminus @ a1
-    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
-    if np.linalg.norm(k_a - k_b) > 1e-10 * scale:
-        raise SingularH0(
-            f"the two K- expressions disagree by {np.linalg.norm(k_a - k_b):.2e}"
-        )
-    fact_res = _quad_fact_residual(a1, a0, am1, gminus, rminus, k_a)
-    if fact_res > 1e-10:
-        raise SingularH0(f"reversed factorization residual {fact_res:.2e} exceeds 1e-10")
-    rho_g, rho_r = spectral_radius(gminus), spectral_radius(rminus)
-    gminus, rminus, k_a, h0 = _promote(gminus, rminus, k_a, h0)
-    return ReversedFactorization(gminus, rminus, k_a, h0, fact_res, rho_g, rho_r)
+    rf = _similar_factors(am1, a0, a1, gplus, rplus, _h0(f), SingularH0, "H_0")
+    if rf.residual > 1e-10:
+        raise SingularH0(f"reversed factorization residual {rf.residual:.2e} exceeds 1e-10")
+    return rf
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +394,10 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     and the non-degeneracy condition
     (lam-mu) v* (I - mu G-)^{-1} G- u != 1 (checked with margin 1e-10).
 
-    Returns the pair (QuadFactorization, ReversedFactorization) for the
-    shifted Laurent polynomial.
+    The shifted coefficients, and the eigenpair gate, are those of
+    :func:`~mpshift.shifts.right_shift_laurent`.  Returns the pair
+    (QuadFactorization, ReversedFactorization) for the shifted Laurent
+    polynomial.
     """
     lam = complex(lam)
     mu = complex(mu)
@@ -397,72 +405,31 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
         raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
     if abs(lam) >= 1 or abs(mu) >= 1:
         raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
-    am1 = np.asarray(am1, dtype=complex)
-    a0 = np.asarray(a0, dtype=complex)
-    a1 = np.asarray(a1, dtype=complex)
     spec = ShiftSpec(lam, mu, u, v)
-    u_vec, dual = spec.vector, spec.dual
-    lpoly = LaurentPoly(-1, (am1, a0, a1))
-    res = right_residual(lpoly, lam, u_vec)
-    if res > 1e-8:
-        raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds 1e-8")
+    shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), spec)
     if mu == lam:
         return f, rf
+    am1_t, a0_t, a1_t = shifted.coeffs
 
-    n = a0.shape[0]
-    eye = np.eye(n, dtype=complex)
-    resolvent_g = np.linalg.solve(eye - mu * rf.gminus, rf.gminus @ u_vec)
-    cond_val = (lam - mu) * (dual.conj() @ resolvent_g)
+    eye = np.eye(shifted.n, dtype=complex)
+    resolvent_g = np.linalg.solve(eye - mu * rf.gminus, rf.gminus @ spec.vector)
+    cond_val = (lam - mu) * (spec.dual.conj() @ resolvent_g)
     if abs(cond_val - 1.0) < 1e-10:
         raise DegenerateShift(
             f"(lam-mu) v* (I - mu G-)^-1 G- u = {cond_val:.6e} is too close to 1"
         )
 
-    q = np.outer(u_vec, dual.conj())
+    q = spec.q
     gplus_t = f.gplus + (mu - lam) * q
-    # shifted coefficients of the Laurent polynomial
-    am1_t = am1 + (lam - mu) * (a0 + lam * a1) @ q
-    a0_t = a0 + (lam - mu) * a1 @ q
-    a1_t = a1
-
     w_t = rf.w + (mu - lam) * q @ rf.w @ np.linalg.solve(eye - mu * f.rplus, f.rplus)
-    if 1.0 / np.linalg.cond(w_t) < 1e-12:
-        raise SingularWtilde(
-            f"reciprocal condition of W~ is {1.0 / np.linalg.cond(w_t):.2e}"
-        )
-    gminus_t = np.linalg.solve(w_t.T, (w_t @ f.rplus).T).T
-    rminus_t = np.linalg.solve(w_t, gplus_t @ w_t)
-    k_a = a0_t + am1_t @ gminus_t
-    k_b = a0_t + rminus_t @ a1
-    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
-    if np.linalg.norm(k_a - k_b) > 1e-10 * scale:
-        raise SingularWtilde(
-            f"the two K~- expressions disagree by {np.linalg.norm(k_a - k_b):.2e}"
-        )
-
+    rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t, SingularWtilde, "W~")
     fact_res = _quad_fact_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
-    rev_res = _quad_fact_residual(a1_t, a0_t, am1_t, gminus_t, rminus_t, k_a)
-    if max(fact_res, rev_res) > 1e-10:
+    if max(fact_res, rev.residual) > 1e-10:
         raise NoConvergence(
-            f"shifted factorization residuals {fact_res:.2e}/{rev_res:.2e} exceed 1e-10"
+            f"shifted factorization residuals {fact_res:.2e}/{rev.residual:.2e} exceed 1e-10"
         )
     quad = QuadFactorization(
-        gplus_t,
-        f.rplus,
-        f.kplus,
-        f.iterations,
-        fact_res,
-        spectral_radius(gplus_t),
-        f.rho_r,
-    )
-    rev = ReversedFactorization(
-        gminus_t,
-        rminus_t,
-        k_a,
-        w_t,
-        rev_res,
-        spectral_radius(gminus_t),
-        spectral_radius(rminus_t),
+        gplus_t, f.rplus, f.kplus, f.iterations, fact_res, spectral_radius(gplus_t), f.rho_r
     )
     return quad, rev
 
@@ -508,7 +475,7 @@ def poly_factorization(p, g):
     The quotient follows the backward recurrence U_{d-1} = A_d,
     U_{i-1} = A_i + U_i g, with the consistency condition A_0 + U_0 g = 0.
     """
-    if not isinstance(p, MatrixPoly):
+    if p.lo != 0:
         raise DimensionMismatch("poly_factorization expects a matrix polynomial")
     g = np.asarray(g, dtype=complex)
     if g.shape != (p.n, p.n):

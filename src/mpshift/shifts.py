@@ -22,26 +22,27 @@ or both:
 * the *-palindromic shift is a right shift lambda -> mu, the flip
   A_i -> A_{d-i}*, the same right shift again, and the flip back.
 
-Matrix polynomials are Laurent polynomials with lo = 0, so every entry
-point takes either type and returns the type it was given.  Every shift is
-validated downstream by the determinant-ratio oracle in
-:mod:`mpshift.core`; the kernel's sums are exact (finite) for polynomial
-data.  For truncated Laurent series the sums run over the stored support
-only and the result keeps the ``truncated`` flag, since the dropped tail
-decays geometrically.
+A matrix polynomial is a :class:`~mpshift.core.LaurentPoly` with lo = 0
+(:class:`~mpshift.core.MatrixPoly` fixes that), so each shift has one
+function: the ``*_poly`` and ``*_laurent`` names of the right, left and
+multi shifts are the same function.  Every result is built by
+``dataclasses.replace`` and keeps the input's type.  The reversal-based
+shifts require lo = 0.  Every shift is validated downstream by the
+determinant-ratio oracle in :mod:`mpshift.core`; the kernel's sums are exact
+(finite) for polynomial data.  For truncated Laurent series the sums run
+over the stored support only and the result keeps the ``truncated`` flag,
+since the dropped tail decays geometrically.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     FLOOR,
-    LaurentPoly,
-    MatrixPoly,
     is_infinite,
     kernel_residual,
     left_residual,
@@ -194,13 +195,6 @@ def _left(coeffs, lo, lam, mu, v, y):
     return _adjoint(_right(_adjoint(coeffs), lo, lam.conjugate(), mu.conjugate(), v, y))
 
 
-def _like(p, coeffs):
-    """A polynomial of p's own type and support holding ``coeffs``."""
-    if isinstance(p, MatrixPoly):
-        return MatrixPoly(coeffs)
-    return LaurentPoly(p.lo, coeffs, p.truncated)
-
-
 # ---------------------------------------------------------------------------
 # single shifts
 # ---------------------------------------------------------------------------
@@ -222,7 +216,7 @@ def right_shift_pencil(a, spec):
 def _check_single(p, spec, side):
     """Gate of a finite single shift: lambda != 0 with negative powers, and the eigenpair."""
     if is_infinite(spec.lam) or is_infinite(spec.mu):
-        raise ZeroMu("infinite lambda or mu: only right_shift_poly routes to the infinity shifts")
+        raise ZeroMu("infinite lambda or mu: only the right shift routes to the infinity shifts")
     if p.lo < 0 and spec.lam == 0:
         raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
     residual = right_residual if side == "right" else left_residual
@@ -236,15 +230,15 @@ def _single_shift(p, spec, side):
     if spec.mu == spec.lam:
         return p
     shift = _right if side == "right" else _left
-    return _like(p, shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual))
+    return replace(p, coeffs=shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual))
 
 
-def right_shift_poly(p, spec):
-    """Shift one eigenvalue of a matrix polynomial; degree and A_d are preserved.
+def right_shift_laurent(p, spec):
+    """Shift one eigenvalue; the support (lo, hi) and A_hi are preserved.
 
     Infinite ``lam`` or ``mu`` are routed to :func:`shift_from_infinity` or
-    :func:`shift_to_infinity` respectively.  A Laurent polynomial is shifted
-    as by :func:`right_shift_laurent`.
+    :func:`shift_to_infinity` respectively, which need lo = 0.  Also bound
+    as ``right_shift_poly``.
     """
     lam_inf, mu_inf = is_infinite(spec.lam), is_infinite(spec.mu)
     if lam_inf and mu_inf:
@@ -256,19 +250,19 @@ def right_shift_poly(p, spec):
     return _single_shift(p, spec, "right")
 
 
-def left_shift_poly(p, spec):
-    """Left-eigenvector analogue of :func:`right_shift_poly` (finite values only)."""
-    return _single_shift(p, spec, "left")
-
-
-def right_shift_laurent(p, spec):
-    """Shift one eigenvalue of a matrix Laurent polynomial; support (lo, hi) is kept."""
-    return _single_shift(p, spec, "right")
-
-
 def left_shift_laurent(p, spec):
-    """Left-eigenvector analogue of :func:`right_shift_laurent`."""
+    """Left-eigenvector analogue of :func:`right_shift_laurent` (finite values only).
+
+    Also bound as ``left_shift_poly``.
+    """
     return _single_shift(p, spec, "left")
+
+
+# One function, two public names.  The ``*_poly`` name is bound last, so a
+# scan of the module's attributes (as perfbench's spans do) names each
+# function after it.
+right_shift_poly = right_shift_laurent
+left_shift_poly = left_shift_laurent
 
 
 def double_shift_laurent(p, right_spec, left_spec):
@@ -286,7 +280,7 @@ def double_shift_laurent(p, right_spec, left_spec):
     for spec, shift in ((right_spec, _right), (left_spec, _left)):
         if spec.mu != spec.lam:
             coeffs = shift(coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
-    return _like(p, coeffs)
+    return replace(p, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +302,11 @@ def multishift_pencil(a, ms):
     return a - ms.u @ (ms.lam - ms.s) @ ms.v.conj().T
 
 
-def multishift_poly(p, ms):
-    """Packet shift for matrix polynomials; m = 1 reduces to the single right shift.
-
-    The same as :func:`multishift_laurent`, which takes either type.
-    """
-    return multishift_laurent(p, ms)
-
-
 def multishift_laurent(p, ms):
-    """Packet shift for matrix Laurent polynomials (Lambda nonsingular when lo < 0)."""
+    """Packet shift (Lambda nonsingular when lo < 0); m = 1 is the single right shift.
+
+    Also bound as ``multishift_poly``.
+    """
     from .spectra import invariant_pair_residual
 
     if p.lo < 0:
@@ -332,7 +321,10 @@ def multishift_laurent(p, ms):
         return right_shift_laurent(p, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
         return p
-    return _like(p, _shift_coeffs(p.coeffs, p.lo, ms.u, ms.lam, ms.s, ms.v))
+    return replace(p, coeffs=_shift_coeffs(p.coeffs, p.lo, ms.u, ms.lam, ms.s, ms.v))
+
+
+multishift_poly = multishift_laurent
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +334,8 @@ def multishift_laurent(p, ms):
 def _reversed_right_shift(p, spec):
     """Right shift of the reversal z^d A(1/z), reversed back."""
     rev = reverse(p)
-    return reverse(MatrixPoly(_right(rev.coeffs, 0, spec.lam, spec.mu, spec.vector, spec.dual)))
+    coeffs = _right(rev.coeffs, 0, spec.lam, spec.mu, spec.vector, spec.dual)
+    return reverse(replace(rev, coeffs=coeffs))
 
 
 def shift_from_infinity(p, mu, u, v=None):
@@ -353,7 +346,7 @@ def shift_from_infinity(p, mu, u, v=None):
     all finite eigenvalues are preserved and the determinant gains the
     factor (1 - z/mu).
     """
-    if not isinstance(p, MatrixPoly):
+    if p.lo != 0:
         raise DimensionMismatch("infinity shifts act on matrix polynomials")
     mu = complex(mu)
     if mu == 0:
@@ -374,7 +367,7 @@ def shift_to_infinity(p, lam, u, v=None):
     A_i + sum_{k=0}^{i-1} lam^{-k-1} A_{i-k-1} Q with A_0 unchanged; the new
     leading coefficient annihilates u.
     """
-    if not isinstance(p, MatrixPoly):
+    if p.lo != 0:
         raise DimensionMismatch("infinity shifts act on matrix polynomials")
     lam = complex(lam)
     if lam == 0:
@@ -407,7 +400,7 @@ def palindromic_shift(p, lam, mu, u):
     A_{d-i}^*); the deviation before that is checked against 1e-12 * scale.
     lam = 0 (the pair (0, infinity)) needs no special case.
     """
-    if not isinstance(p, MatrixPoly):
+    if p.lo != 0:
         raise DimensionMismatch("palindromic shift acts on matrix polynomials")
     d = p.d
     scale = max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR)
@@ -444,4 +437,4 @@ def palindromic_shift(p, lam, mu, u):
             f"palindromic shift lost structure (deviation {dev:.2e}); eigenpair too inaccurate"
         )
     sym = [(out[i] + out[d - i].conj().T) / 2 for i in range(d + 1)]
-    return MatrixPoly(sym)
+    return replace(p, coeffs=sym)

@@ -21,12 +21,12 @@ import numpy as np
 from .core import (
     FLOOR,
     EigenPair,
-    MatrixPoly,
     coeff_scale,
     derivative_at,
     evaluate,
     is_infinite,
     kernel_residual,
+    matrix_horner,
     right_residual,
     unit_vector,
 )
@@ -37,6 +37,7 @@ from .errors import (
     DistinctnessViolated,
     EigensolverFailure,
     NotInvariant,
+    SingularLambda,
     ZeroAtNegativePower,
 )
 
@@ -130,7 +131,7 @@ def polyeig(p, seed=0, want_left=False):
 
     Parameters
     ----------
-    p : MatrixPoly
+    p : LaurentPoly with lo = 0
         Square matrix polynomial with det A(z) not identically zero.
     seed : int
         Seed for the random Cayley point; the computed spectrum is invariant
@@ -144,7 +145,7 @@ def polyeig(p, seed=0, want_left=False):
         n*d eigenpairs including eigenvalues at infinity when the leading
         coefficient is singular.
     """
-    if not isinstance(p, MatrixPoly):
+    if p.lo != 0:
         raise DimensionMismatch("polyeig expects a matrix polynomial")
     rng = np.random.default_rng(seed)
     _check_not_degenerate(p, rng)
@@ -253,26 +254,22 @@ class InvariantPair:
 
 
 def invariant_pair_residual(p, u, lam):
-    """||sum_i A_i U Lambda^i||_F normalized by ||U||_F and the coefficient scale."""
-    from .errors import SingularLambda
+    """||sum_i A_i U Lambda^i||_F normalized by ||U||_F and the coefficient scale.
 
+    The sum is (sum_k A_{lo+k} U Lambda^k) Lambda^lo, the first factor by Horner.
+    """
     u = np.asarray(u, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     rho = spectral_radius(lam)
-    acc = np.zeros_like(u)
+    acc = matrix_horner([c @ u for c in p.coeffs], lam)
     if p.lo < 0:
         try:
             lam_inv = np.linalg.inv(lam)
         except np.linalg.LinAlgError as exc:
             raise SingularLambda("Lambda is singular; negative powers are undefined") from exc
-        power = np.linalg.matrix_power(lam_inv, -p.lo)
-        scale = max(coeff_scale(p, max(rho, FLOOR)), FLOOR)
-    else:
-        power = np.linalg.matrix_power(lam, p.lo)
-        scale = max(coeff_scale(p, rho), FLOOR)
-    for c in p.coeffs:
-        acc = acc + c @ u @ power
-        power = power @ lam
+        acc = acc @ np.linalg.matrix_power(lam_inv, -p.lo)
+        rho = max(rho, FLOOR)
+    scale = max(coeff_scale(p, rho), FLOOR)
     return float(np.linalg.norm(acc) / (max(np.linalg.norm(u), FLOOR) * scale))
 
 
@@ -281,7 +278,7 @@ def invariant_pair(p, selected):
 
     Parameters
     ----------
-    p : MatrixPoly | LaurentPoly
+    p : LaurentPoly
     selected : sequence of EigenPair
         Finite eigenpairs with linearly independent right vectors.
 

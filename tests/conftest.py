@@ -1,6 +1,7 @@
 """Shared fixtures and seeded instance builders for the test suite."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,11 +39,8 @@ def rand_laurent(rng, n, lo, hi):
 
 def _sub_at_zero(p, corr):
     coeffs = list(np.array(c) for c in p.coeffs)
-    if isinstance(p, MatrixPoly):
-        coeffs[0] = coeffs[0] - corr
-        return MatrixPoly(coeffs)
     coeffs[-p.lo] = coeffs[-p.lo] - corr
-    return LaurentPoly(p.lo, coeffs, p.truncated)
+    return replace(p, coeffs=coeffs)
 
 
 def plant_right(p, lam, u):

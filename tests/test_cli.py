@@ -330,6 +330,24 @@ def test_solve_p3_shifted(tmp_path, capsys):
     assert payload["shifted"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{p3}", "--shift", "1,0", "--u", "0,0,0,0,0"),
+        ("shift", "{p3}", "--lambda", "1", "--mu", "0", "--u", "0,0,0,0,0", "-o", "{out}"),
+    ],
+    ids=["solve_shift", "shift"],
+)
+def test_zero_vector_is_a_usage_error(tmp_path, capsys, argv):
+    from mpshift.fixtures import p3
+
+    path = tmp_path / "p3.mp.json"
+    write_poly(p3(), path)
+    argv = [a.format(p3=path, out=tmp_path / "out.mp.json") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "'0,0,0,0,0' is zero" in err
+
+
 def test_solve_degree_one(tmp_path, capsys):
     path = tmp_path / "pencil.mp.json"
     write_poly(MatrixPoly([-np.diag([0.3, 0.5]), np.eye(2)]), path)

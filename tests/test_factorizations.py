@@ -29,6 +29,7 @@ from mpshift.errors import (
     DegenerateShift,
     ModulusConstraintViolated,
     NoConvergence,
+    NotAnEigenpair,
     NotASolvent,
     ShiftOutsideDisk,
     SingularPivot,
@@ -410,6 +411,18 @@ def test_shifted_both_degenerate_condition_rejected():
     v = np.linalg.pinv(basis).conj().T @ np.array([1.0, 1.0 / (lam - mu)])
     with pytest.raises(DegenerateShift):
         shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v)
+
+
+def test_shifted_both_gates_the_eigenpair_through_the_shift():
+    rng = np.random.default_rng(277)
+    am1, a0, a1 = qbd_quadratic(rng, 4)
+    f = cr_quadratic(am1, a0, a1)
+    rf = reversed_factorization(am1, a0, a1, f)
+    lam, u = _inside_eigenpair(f)
+    with pytest.raises(NotAnEigenpair):
+        shifted_factorization_both(am1, a0, a1, f, rf, lam, 0.0, u + 1e-3 * crandn(rng, 4))
+    with pytest.raises(NotAnEigenpair):  # also when mu = lambda
+        shifted_factorization_both(am1, a0, a1, f, rf, 0.9 * lam, 0.9 * lam, u)
 
 
 # --- double-shift factorization ---

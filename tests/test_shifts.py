@@ -310,7 +310,11 @@ def test_double_shift_rejects_coincident():
         double_shift_laurent(p, rs, ls)
 
 
-@pytest.mark.parametrize("lo", [0, -1], ids=["MatrixPoly", "LaurentPoly"])
+@pytest.mark.parametrize(
+    "lo, laurent_lo_zero",
+    [(0, False), (-1, False), (0, True)],
+    ids=["MatrixPoly", "LaurentPoly", "LaurentPoly_lo0"],
+)
 @pytest.mark.parametrize(
     "shift, sides",
     [
@@ -321,8 +325,10 @@ def test_double_shift_rejects_coincident():
         pytest.param(double_shift_laurent, "rl", id="double_shift_laurent"),
     ],
 )
-def test_shift_accepts_either_type_and_keeps_it(shift, sides, lo):
+def test_shift_accepts_either_type_and_keeps_it(shift, sides, lo, laurent_lo_zero):
     p, (l1, u), (l2, v) = _double_shift_instance(211, lo)
+    if laurent_lo_zero:
+        p = LaurentPoly(0, p.coeffs)
     specs = {"r": ShiftSpec(l1, 0.1 - 0.2j, u), "l": ShiftSpec(l2, 1.5j, v, side="left")}
     out = shift(p, *(specs[s] for s in sides))
     assert type(out) is type(p)
