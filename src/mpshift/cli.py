@@ -1,13 +1,36 @@
 """Batch command-line front end ``mpshift``.
 
-Subcommands: ``fixture`` (write a built-in example), ``eig`` (eigenvalues),
-``shift`` (all shift variants, always re-validated by the determinant-ratio
-oracle), ``factor`` (canonical factorizations), ``solve`` (unilateral matrix
-equations, optionally shift-accelerated), and ``check`` (standalone oracle).
+Each ``cmd_*`` returns one :class:`Report` and prints nothing; :func:`main`
+renders it as a table or, with ``--format json``, as one JSON object.  Every
+subcommand takes ``--format`` and only the other flags it reads, and a flag
+the chosen mode does not read is a usage error:
 
-Exit codes: 0 success, 1 numeric failure (including an oracle FAIL),
-2 usage or parse error.  All output is deterministic given the inputs and
-``--seed``; numbers print with shortest round-trip decimals.
+- ``fixture NAME [-o PATH]``; ``eig INPUT [--left --seed]``;
+- ``shift INPUT -o PATH [--seed]`` in one mode: single (``--lambda --mu
+  [--side --u --v]``), ``--double`` (``--lambda --mu --lambda2 --mu2 [--u
+  --v]``), ``--multi FILE``, ``--from-inf`` (``--mu [--u --v]``),
+  ``--to-inf`` (``--lambda [--u --v]``) or ``--palindromic`` (``--lambda
+  --mu [--u]``); the determinant-ratio oracle re-checks every result;
+- ``factor INPUT [--quad [--both]] [--maxit --tol --seed]``;
+- ``solve INPUT [--shift LAMBDA[,MU] [--u --v]] [--method cr|eigen] [--maxit
+  --tol --seed]``, where ``--shift`` runs cyclic reduction only;
+- ``check A B [--removed --added --samples --fit-constant --seed]``.
+
+Exit codes: 0 success; 2 usage or parse error (argparse's own,
+``UsageError``, ``ParseError``, ``DimensionMismatch``, ``UnknownFixture``,
+``FileNotFoundError``); 1 any other ``MpshiftError`` or a failed oracle.
+Errors print one ``error:`` line on stderr.
+
+JSON keys after ``"command"``: fixture ``name output``; eig ``eigenvalues``,
+each ``{value residual borderline right left}``; shift ``mode output oracle``
+(``{passed max_rel_err samples}``); factor --quad ``iterations residual rho_g
+rho_r gplus rplus kplus``, with --both also ``gminus rminus kminus w
+reversed_residual``; factor of a polynomial ``iterations residual g
+ucoeffs``; solve ``iterations residual sigma shifted g``, and ``recovery``
+(``{lambda mu}``) when shifted; check ``passed max_rel_err samples``.
+Matrices are nested lists of ``[re, im]`` pairs.  Output is deterministic
+given the inputs and ``--seed``; numbers print with shortest round-trip
+decimals.
 """
 
 from __future__ import annotations
@@ -17,6 +40,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +48,8 @@ from . import fixtures
 from .core import (
     INF,
     det_ratio_oracle,
-    evaluate,
     is_infinite,
     read_poly,
-    unit_vector,
     write_poly,
 )
 from .equations import shift_accelerated_solve, solve_unilateral
@@ -53,13 +75,37 @@ from .shifts import (
     shift_from_infinity,
     shift_to_infinity,
 )
-from .spectra import polyeig, refine_pair
+from .spectra import null_vectors, polyeig, refine_pair
 
 ORACLE_SAMPLES = 16
 
 
-class UsageError(Exception):
-    """Flag conflicts and malformed command-line values (exit code 2)."""
+class UsageError(MpshiftError, ValueError):
+    """Flag conflicts and malformed command-line values (exit code 2).
+
+    Being a ValueError, one raised by an argparse ``type=`` converter is
+    reported by argparse as an invalid value.
+    """
+
+
+USAGE_ERRORS = (UsageError, ParseError, DimensionMismatch, UnknownFixture, FileNotFoundError)
+
+
+@dataclass
+class Report:
+    """One subcommand's result as plain data; :func:`main` prints it.
+
+    ``fields`` are the JSON report's keys after ``"command"``, with numpy
+    arrays left as arrays.  ``lines`` are the table's lines; a ``(name,
+    matrix)`` pair prints as ``name =`` followed by the matrix.  ``warnings``
+    and ``error`` go to stderr.
+    """
+
+    fields: dict
+    lines: list
+    status: int = 0
+    error: str | None = None
+    warnings: tuple = ()
 
 
 _COMPLEX_RE = re.compile(
@@ -110,33 +156,35 @@ def fmt_matrix(mat, indent="  "):
 
 
 def matrix_json(mat):
-    """A complex array as nested lists with each entry a [re, im] pair of floats."""
+    """A complex array as nested lists with each entry a [re, im] pair of floats.
+
+    Also the ``default`` of the JSON report's encoder, so anything that is
+    not an array is a TypeError, as ``json`` requires.
+    """
+    if np.ndim(mat) == 0:
+        raise TypeError(f"{type(mat).__name__} is not a matrix")
     mat = np.ascontiguousarray(mat, dtype=complex)
     return mat.view(float).reshape(*mat.shape, 2).tolist()
 
 
-def _auto_right_vector(p, lam):
-    if is_infinite(lam):
-        mat = p.coeffs[-1]
-    else:
-        mat = evaluate(p, lam)
-    return unit_vector(np.linalg.svd(mat)[2][-1].conj())
-
-
-def _auto_left_vector(p, lam):
-    mat = evaluate(p, lam)
-    return unit_vector(np.linalg.svd(mat)[0][:, -1])
-
-
-def _vector_arg(text, p, lam, side="right"):
-    if text == "auto":
-        return _auto_right_vector(p, lam) if side == "right" else _auto_left_vector(p, lam)
-    return parse_vector(text, p.n)
+def _vector_arg(text, p, lam, left=False):
+    """A shift vector flag; unset or 'auto' takes it from the SVD of A(lam)."""
+    if text not in (None, "auto"):
+        return parse_vector(text, p.n)
+    u, y = null_vectors(p, lam, left)
+    return y if left else u
 
 
 def _dual_arg(text, n):
-    """A dual vector flag; 'auto' leaves it to the default (the shift vector itself)."""
-    return None if text == "auto" else parse_vector(text, n)
+    """A dual vector flag; unset or 'auto' leaves the default, the shift vector."""
+    return None if text in (None, "auto") else parse_vector(text, n)
+
+
+def _matrices(fields, lines, named):
+    """Add ``(key, label, matrix)`` triples to a report's fields and lines."""
+    for key, label, mat in named:
+        fields[key] = mat
+        lines.append((label, mat))
 
 
 # ---------------------------------------------------------------------------
@@ -147,89 +195,86 @@ def cmd_fixture(args):
     poly = fixtures.fixture(args.name)
     out = args.output or f"{args.name}.mp.json"
     write_poly(poly, out)
-    if args.format == "json":
-        print(json.dumps({"command": "fixture", "name": args.name, "output": out}))
-    else:
-        print(f"wrote fixture {args.name} (n={poly.n}, degree {poly.d}) to {out}")
-    return 0
+    return Report(
+        {"name": args.name, "output": out},
+        [f"wrote fixture {args.name} (n={poly.n}, degree {poly.d}) to {out}"],
+    )
 
 
 def cmd_eig(args):
     poly = read_poly(args.input)
     if poly.lo != 0:
         raise UsageError("eig expects a matrix polynomial file (lo == 0)")
-    spec = polyeig(poly, seed=args.seed, want_left=args.left)
-    if args.format == "json":
-        rows = []
-        for q in spec.pairs:
-            rows.append(
-                {
-                    "value": "inf" if q.is_infinite else [q.value.real, q.value.imag],
-                    "residual": q.residual,
-                    "borderline": q.borderline,
-                    "right": matrix_json(q.right),
-                    "left": None if q.left is None else matrix_json(q.left),
-                }
-            )
-        print(json.dumps({"command": "eig", "eigenvalues": rows}))
-    else:
-        print(f"{'value':<48} {'modulus':<24} residual")
-        for q in spec.pairs:
-            mod = "Inf" if q.is_infinite else fmt_float(abs(q.value))
-            flag = " (borderline)" if q.borderline else ""
-            print(f"{fmt_complex(q.value):<48} {mod:<24} {q.residual:.3e}{flag}")
-    return 0
+    pairs = polyeig(poly, seed=args.seed, want_left=args.left).pairs
+    rows = [
+        {
+            "value": "inf" if q.is_infinite else [q.value.real, q.value.imag],
+            "residual": q.residual,
+            "borderline": q.borderline,
+            "right": q.right,
+            "left": q.left,
+        }
+        for q in pairs
+    ]
+    lines = [f"{'value':<48} {'modulus':<24} residual"]
+    for q in pairs:
+        mod = "Inf" if q.is_infinite else fmt_float(abs(q.value))
+        flag = " (borderline)" if q.borderline else ""
+        lines.append(f"{fmt_complex(q.value):<48} {mod:<24} {q.residual:.3e}{flag}")
+    return Report({"eigenvalues": rows}, lines)
 
 
 def _shift_mode(args):
-    modes = [
-        ("double", args.double),
-        ("multi", args.multi is not None),
-        ("from-inf", args.from_inf),
-        ("to-inf", args.to_inf),
-        ("palindromic", args.palindromic),
-    ]
-    active = [name for name, on in modes if on]
+    """The SHIFT_MODES entry whose selector flag is set; none selects 'single'."""
+    active = [m for m in SHIFT_MODES if m != "single" and getattr(args, m.replace("-", "_"))]
     if len(active) > 1:
         raise UsageError(f"conflicting shift modes: {', '.join(active)}")
     return active[0] if active else "single"
 
 
-_FLAG_DEST = {"lambda": "lam", "lambda2": "lam2", "mu": "mu", "mu2": "mu2"}
+# shift flag -> its attribute on the parsed arguments (None when not given)
+_SHIFT_FLAGS = {
+    "lambda": "lam", "mu": "mu", "lambda2": "lam2", "mu2": "mu2",
+    "side": "side", "u": "u", "v": "v",
+}
 
 
-def _require(args, names, mode):
-    for name in names:
-        if getattr(args, _FLAG_DEST[name], None) is None:
+def _check_flags(args, mode, required, optional):
+    given = {name for name, dest in _SHIFT_FLAGS.items() if getattr(args, dest) is not None}
+    for name in required:
+        if name not in given:
             raise UsageError(f"--{name} is required for {mode} shifts")
+    for name in _SHIFT_FLAGS:
+        if name in given and name not in required + optional:
+            raise UsageError(f"--{name} does not apply to {mode} shifts")
 
 
 # Each shift handler returns (shifted, removed, added, fit_constant, mode note).
 
 def _shift_single(args, poly):
-    lam, mu = args.lam, args.mu
+    lam, mu, side = args.lam, args.mu, args.side or "right"
     if is_infinite(lam) or is_infinite(mu):
         if poly.lo != 0:
             raise UsageError("infinity shifts need a matrix polynomial input")
+        if side == "left":
+            raise UsageError("--side left does not apply to infinity shifts")
         handler = _shift_from_inf if is_infinite(lam) else _shift_to_inf
         shifted, removed, added, fit_constant, _ = handler(args, poly)
         return shifted, removed, added, fit_constant, "single (routed to infinity shift)"
-    if args.side == "right":
+    if side == "right":
         spec = ShiftSpec(lam, mu, _vector_arg(args.u, poly, lam), _dual_arg(args.v, poly.n))
         shifted = right_shift_poly(poly, spec)
     else:
-        v = _vector_arg(args.v, poly, lam, "left")
+        v = _vector_arg(args.v, poly, lam, left=True)
         spec = ShiftSpec(lam, mu, v, _dual_arg(args.u, poly.n), side="left")
         shifted = left_shift_poly(poly, spec)
-    if mu == lam:
-        print("warning: mu equals lambda; the shift is a no-op", file=sys.stderr)
-    return shifted, [lam], [mu], False, f"single {args.side}"
+    return shifted, [lam], [mu], False, f"single {side}"
 
 
 def _shift_double(args, poly):
     l1, m1, l2, m2 = args.lam, args.mu, args.lam2, args.mu2
-    rspec = ShiftSpec(l1, m1, _vector_arg(args.u, poly, l1, "right"), side="right")
-    lspec = ShiftSpec(l2, m2, _vector_arg(args.v, poly, l2, "left"), side="left")
+    rspec = ShiftSpec(l1, m1, _vector_arg(args.u, poly, l1), side="right")
+    lspec = ShiftSpec(l2, m2, _vector_arg(args.v, poly, l2, left=True), side="left")
     return double_shift_laurent(poly, rspec, lspec), [l1, l2], [m1, m2], False, "double"
 
 
@@ -246,7 +291,7 @@ def _shift_multi(args, poly):
         raise ParseError(f"{args.multi}: missing key {exc}") from exc
     if len(lams) != len(targets) or not lams:
         raise ParseError("lambdas and targets must be equal-length non-empty lists")
-    cols = [refine_pair(poly, lam, _auto_right_vector(poly, lam)).right for lam in lams]
+    cols = [refine_pair(poly, lam, null_vectors(poly, lam)[0]).right for lam in lams]
     ms = MultiShiftSpec(np.column_stack(cols), np.diag(lams), np.diag(targets))
     return multishift_poly(poly, ms), lams, targets, False, f"multishift m={len(lams)}"
 
@@ -271,145 +316,90 @@ def _shift_palindromic(args, poly):
     return shifted, removed, added, True, "palindromic"
 
 
-# mode -> (handler, required flags, matrix polynomial input only)
+# mode -> (handler, required flags, optional flags, matrix polynomial input only)
 SHIFT_MODES = {
-    "single": (_shift_single, ("lambda", "mu"), False),
-    "double": (_shift_double, ("lambda", "mu", "lambda2", "mu2"), False),
-    "multi": (_shift_multi, (), False),
-    "from-inf": (_shift_from_inf, ("mu",), True),
-    "to-inf": (_shift_to_inf, ("lambda",), True),
-    "palindromic": (_shift_palindromic, ("lambda", "mu"), True),
+    "single": (_shift_single, ("lambda", "mu"), ("side", "u", "v"), False),
+    "double": (_shift_double, ("lambda", "mu", "lambda2", "mu2"), ("u", "v"), False),
+    "multi": (_shift_multi, (), (), False),
+    "from-inf": (_shift_from_inf, ("mu",), ("u", "v"), True),
+    "to-inf": (_shift_to_inf, ("lambda",), ("u", "v"), True),
+    "palindromic": (_shift_palindromic, ("lambda", "mu"), ("u",), True),
 }
 
 
 def cmd_shift(args):
     poly = read_poly(args.input)
     mode = _shift_mode(args)
-    handler, required, poly_only = SHIFT_MODES[mode]
+    handler, required, optional, poly_only = SHIFT_MODES[mode]
     if poly_only and poly.lo != 0:
         raise UsageError(f"{mode} shifts need a matrix polynomial input")
-    _require(args, required, mode)
+    _check_flags(args, mode, required, optional)
     shifted, removed, added, fit_constant, mode_note = handler(args, poly)
     write_poly(shifted, args.output)
-    report = det_ratio_oracle(
-        poly,
-        shifted,
-        removed=removed,
-        added=added,
-        samples=ORACLE_SAMPLES,
-        seed=args.seed,
-        fit_constant=fit_constant,
+    oracle = _oracle_report(poly, shifted, removed, added, ORACLE_SAMPLES, args.seed, fit_constant)
+    report = Report(
+        {"mode": mode_note, "output": args.output, "oracle": oracle.fields},
+        [f"shift mode: {mode_note}", f"wrote {args.output}", *oracle.lines],
+        oracle.status,
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "shift",
-                    "mode": mode_note,
-                    "output": args.output,
-                    "oracle": {
-                        "passed": report.passed,
-                        "max_rel_err": report.max_rel_err,
-                        "samples": report.samples,
-                    },
-                }
-            )
-        )
-    else:
-        print(f"shift mode: {mode_note}")
-        print(f"wrote {args.output}")
-        print(f"oracle: {report}")
-    if not report.passed:
-        print(
-            f"error: determinant-ratio oracle FAILED (max rel err {report.max_rel_err:.3e})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    if mode == "single" and removed == added:
+        report.warnings = ("mu equals lambda; the shift is a no-op",)
+    if oracle.status:
+        err = oracle.fields["max_rel_err"]
+        report.error = f"determinant-ratio oracle FAILED (max rel err {err:.3e})"
+    return report
 
 
 def cmd_factor(args):
     poly = read_poly(args.input)
-    payload = {"command": "factor"}
     if args.quad:
         if (poly.lo, poly.hi) != (-1, 1):
             raise UsageError("--quad expects a Laurent polynomial with powers -1..1")
-        f = cr_quadratic(
-            poly.coeff(-1), poly.coeff(0), poly.coeff(1), tol=args.tol, maxit=args.maxit
-        )
-        payload.update(
-            {
-                "iterations": f.iterations,
-                "residual": f.residual,
-                "rho_g": f.rho_g,
-                "rho_r": f.rho_r,
-                "gplus": matrix_json(f.gplus),
-                "rplus": matrix_json(f.rplus),
-                "kplus": matrix_json(f.kplus),
-            }
-        )
-        if args.format != "json":
-            print(f"cyclic reduction: {f.iterations} iterations, residual {f.residual:.3e}")
-            print(f"rho(G+) = {fmt_float(f.rho_g)}, rho(R+) = {fmt_float(f.rho_r)}")
-            for name, mat in (("G+", f.gplus), ("R+", f.rplus), ("K+", f.kplus)):
-                print(f"{name} =")
-                print(fmt_matrix(mat))
+        f = cr_quadratic(*poly.coeffs, tol=args.tol, maxit=args.maxit)
+        fields = dict(iterations=f.iterations, residual=f.residual, rho_g=f.rho_g, rho_r=f.rho_r)
+        lines = [
+            f"cyclic reduction: {f.iterations} iterations, residual {f.residual:.3e}",
+            f"rho(G+) = {fmt_float(f.rho_g)}, rho(R+) = {fmt_float(f.rho_r)}",
+        ]
+        _matrices(fields, lines, [("gplus", "G+", f.gplus), ("rplus", "R+", f.rplus),
+                                  ("kplus", "K+", f.kplus)])
         if args.both:
-            rf = reversed_factorization(poly.coeff(-1), poly.coeff(0), poly.coeff(1), f)
-            payload.update(
-                {
-                    "gminus": matrix_json(rf.gminus),
-                    "rminus": matrix_json(rf.rminus),
-                    "kminus": matrix_json(rf.kminus),
-                    "w": matrix_json(rf.w),
-                    "reversed_residual": rf.residual,
-                }
-            )
-            if args.format != "json":
-                print(f"reversed factorization residual {rf.residual:.3e}")
-                for name, mat in (
-                    ("G-", rf.gminus),
-                    ("R-", rf.rminus),
-                    ("K-", rf.kminus),
-                    ("W", rf.w),
-                ):
-                    print(f"{name} =")
-                    print(fmt_matrix(mat))
-    else:
-        if poly.lo != 0:
-            raise UsageError("factoring a Laurent polynomial requires --quad")
-        if args.both:
-            raise UsageError("--both applies to --quad factorizations only")
-        rep = solve_unilateral(poly, tol=args.tol, maxit=args.maxit, seed=args.seed)
-        pf = poly_factorization(poly, rep.g)
-        payload.update(
-            {
-                "iterations": rep.iterations,
-                "residual": rep.residual,
-                "g": matrix_json(pf.g),
-                "ucoeffs": [matrix_json(c) for c in pf.ucoeffs],
-            }
-        )
-        if args.format != "json":
-            print(
-                f"minimal solvent via cyclic reduction: {rep.iterations} iterations, "
-                f"residual {rep.residual:.3e}"
-            )
-            print("G =")
-            print(fmt_matrix(pf.g))
-            for i, c in enumerate(pf.ucoeffs):
-                print(f"U{i} =")
-                print(fmt_matrix(c))
-    if args.format == "json":
-        print(json.dumps(payload))
-    return 0
+            rf = reversed_factorization(*poly.coeffs, f)
+            lines.append(f"reversed factorization residual {rf.residual:.3e}")
+            _matrices(fields, lines, [("gminus", "G-", rf.gminus), ("rminus", "R-", rf.rminus),
+                                      ("kminus", "K-", rf.kminus), ("w", "W", rf.w)])
+            fields["reversed_residual"] = rf.residual
+        return Report(fields, lines)
+    if poly.lo != 0:
+        raise UsageError("factoring a Laurent polynomial requires --quad")
+    if args.both:
+        raise UsageError("--both applies to --quad factorizations only")
+    rep = solve_unilateral(poly, tol=args.tol, maxit=args.maxit, seed=args.seed)
+    pf = poly_factorization(poly, rep.g)
+    return Report(
+        dict(iterations=rep.iterations, residual=rep.residual, g=pf.g, ucoeffs=pf.ucoeffs),
+        [
+            f"minimal solvent via cyclic reduction: {rep.iterations} iterations, "
+            f"residual {rep.residual:.3e}",
+            ("G", pf.g),
+            *((f"U{i}", c) for i, c in enumerate(pf.ucoeffs)),
+        ],
+    )
 
 
 def cmd_solve(args):
     poly = read_poly(args.input)
     if poly.lo != 0:
         raise UsageError("solve expects a matrix polynomial file (lo == 0)")
-    if args.shift is not None:
+    if args.shift is None:
+        if args.u is not None or args.v is not None:
+            raise UsageError("--u and --v apply only with --shift")
+        rep = solve_unilateral(
+            poly, method=args.method, tol=args.tol, maxit=args.maxit, seed=args.seed
+        )
+    else:
+        if args.method == "eigen":
+            raise UsageError("--shift runs cyclic reduction; --method eigen does not apply")
         parts = args.shift.split(",")
         if not 1 <= len(parts) <= 2:
             raise UsageError("--shift expects LAMBDA or LAMBDA,MU")
@@ -420,79 +410,69 @@ def cmd_solve(args):
         rep = shift_accelerated_solve(
             poly, lam, u, v, mu, tol=args.tol, maxit=args.maxit, seed=args.seed
         )
-    else:
-        rep = solve_unilateral(
-            poly, method=args.method, tol=args.tol, maxit=args.maxit, seed=args.seed
-        )
-    payload = {
-        "command": "solve",
+    sigma = None if math.isnan(rep.sigma) else rep.sigma
+    fields = {
         "iterations": rep.iterations,
         "residual": rep.residual,
-        "sigma": None if math.isnan(rep.sigma) else rep.sigma,
+        "sigma": sigma,
         "shifted": rep.shifted,
-        "g": matrix_json(rep.g),
+        "g": rep.g,
     }
+    lines = [
+        f"iterations: {rep.iterations}",
+        f"residual:   {rep.residual:.3e}",
+        f"sigma:      {'n/a' if sigma is None else fmt_float(sigma)}",
+        ("G", rep.g),
+    ]
     if rep.shifted:
         lam, mu, _ = rep.recovery
-        payload["recovery"] = {
-            "lambda": [lam.real, lam.imag],
-            "mu": [mu.real, mu.imag],
-        }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        sigma = "n/a" if math.isnan(rep.sigma) else fmt_float(rep.sigma)
-        print(f"iterations: {rep.iterations}")
-        print(f"residual:   {rep.residual:.3e}")
-        print(f"sigma:      {sigma}")
-        if rep.shifted:
-            lam, mu, _ = rep.recovery
-            print(
-                f"recovered from shifted equation ({fmt_complex(lam)} -> {fmt_complex(mu)}); "
-                f"original-equation residual verified"
-            )
-        print("G =")
-        print(fmt_matrix(rep.g))
-    return 0
+        fields["recovery"] = {"lambda": [lam.real, lam.imag], "mu": [mu.real, mu.imag]}
+        lines.insert(-1, (
+            f"recovered from shifted equation ({fmt_complex(lam)} -> {fmt_complex(mu)}); "
+            f"original-equation residual verified"
+        ))
+    return Report(fields, lines)
+
+
+def _finite_values(text, flag):
+    values = [parse_complex(s) for s in text.split(",") if s.strip()]
+    if any(is_infinite(w) for w in values):
+        raise UsageError(
+            f"{flag} takes finite values; for a shift at infinity leave the value out "
+            "and pass --fit-constant"
+        )
+    return values
+
+
+def _oracle_report(a, b, removed, added, samples, seed, fit_constant):
+    """The determinant-ratio oracle on ``a`` and ``b``; exit status 1 when it fails."""
+    r = det_ratio_oracle(
+        a, b, removed=removed, added=added, samples=samples, seed=seed, fit_constant=fit_constant
+    )
+    fields = {"passed": r.passed, "max_rel_err": r.max_rel_err, "samples": r.samples}
+    return Report(fields, [f"oracle: {r}"], 0 if r.passed else 1)
 
 
 def cmd_check(args):
     a = read_poly(args.a)
     b = read_poly(args.b)
-    removed = [parse_complex(s) for s in args.removed.split(",") if s.strip()]
-    added = [parse_complex(s) for s in args.added.split(",") if s.strip()]
-    report = det_ratio_oracle(
-        a,
-        b,
-        removed=removed,
-        added=added,
-        samples=args.samples,
-        seed=args.seed,
-        fit_constant=args.fit_constant,
-    )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "check",
-                    "passed": report.passed,
-                    "max_rel_err": report.max_rel_err,
-                    "samples": report.samples,
-                }
-            )
-        )
-    else:
-        print(f"oracle: {report}")
-    return 0 if report.passed else 1
+    removed = _finite_values(args.removed, "--removed")
+    added = _finite_values(args.added, "--added")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    return _oracle_report(a, b, removed, added, args.samples, args.seed, args.fit_constant)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-    sub.add_argument("--tol", type=float, default=1e-14, help="iteration tolerance")
+def _add_common(sub, seed=True, tol=False):
+    """``--format`` for every subcommand; ``--seed`` and ``--tol`` where they are read."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-14, help="iteration tolerance")
     sub.add_argument(
         "--format", choices=("table", "json"), default="table", help="report format"
     )
@@ -509,7 +489,7 @@ def build_parser():
     sp = subs.add_parser("fixture", help="write a built-in example polynomial")
     sp.add_argument("name", choices=sorted(fixtures.FIXTURES), help="fixture name")
     sp.add_argument("-o", "--output", default=None, help="output path (default NAME.mp.json)")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_fixture)
 
     sp = subs.add_parser("eig", help="eigenvalues sorted by modulus, infinity last")
@@ -524,11 +504,12 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", type=parse_complex, default=None,
                     help="eigenvalue to move (complex literal, or 'inf')")
     sp.add_argument("--mu", type=parse_complex, default=None, help="target value")
-    sp.add_argument("--side", choices=("right", "left"), default="right")
-    sp.add_argument("--u", default="auto",
-                    help="right vector / dual as comma-separated complex, or 'auto'")
-    sp.add_argument("--v", default="auto",
-                    help="left vector / dual as comma-separated complex, or 'auto'")
+    sp.add_argument("--side", choices=("right", "left"), default=None,
+                    help="single shift side (default right)")
+    sp.add_argument("--u", default=None,
+                    help="right vector / dual as comma-separated complex, or 'auto' (default)")
+    sp.add_argument("--v", default=None,
+                    help="left vector / dual as comma-separated complex, or 'auto' (default)")
     sp.add_argument("--double", action="store_true", help="double shift (right then left)")
     sp.add_argument("--lambda2", dest="lam2", type=parse_complex, default=None,
                     help="left-shift eigenvalue for --double")
@@ -552,7 +533,7 @@ def build_parser():
     sp.add_argument("--both", action="store_true",
                     help="also factor A(1/z) (requires --quad)")
     sp.add_argument("--maxit", type=int, default=64)
-    _add_common(sp)
+    _add_common(sp, tol=True)
     sp.set_defaults(func=cmd_factor)
 
     sp = subs.add_parser("solve", help="minimal solvent of sum_i A_i X^i = 0")
@@ -561,9 +542,9 @@ def build_parser():
                     help="accelerate by shifting LAMBDA to MU (default MU=0) first")
     sp.add_argument("--method", choices=("cr", "eigen"), default="cr")
     sp.add_argument("--maxit", type=int, default=64)
-    sp.add_argument("--u", default="auto", help="shift eigenvector (with --shift)")
-    sp.add_argument("--v", default="auto", help="shift dual vector (with --shift)")
-    _add_common(sp)
+    sp.add_argument("--u", default=None, help="shift eigenvector (with --shift; default auto)")
+    sp.add_argument("--v", default=None, help="shift dual vector (with --shift; default auto)")
+    _add_common(sp, tol=True)
     sp.set_defaults(func=cmd_solve)
 
     sp = subs.add_parser("check", help="standalone determinant-ratio oracle")
@@ -587,16 +568,20 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (UsageError, ParseError, DimensionMismatch, UnknownFixture) as exc:
+        report = args.func(args)
+    except (MpshiftError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MpshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
+    if args.format == "json":
+        print(json.dumps({"command": args.command, **report.fields}, default=matrix_json))
+    else:
+        for line in report.lines:
+            print(line if isinstance(line, str) else f"{line[0]} =\n{fmt_matrix(line[1])}")
+    for text in report.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    if report.error:
+        print(f"error: {report.error}", file=sys.stderr)
+    return report.status
 
 
 def entry():

@@ -330,6 +330,8 @@ def det_ratio_oracle(
     """
     if a.n != a_tilde.n:
         raise DimensionMismatch("operands have different dimensions")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     removed = [complex(w) for w in removed]
     added = [complex(w) for w in added]
     for w in removed + added:

@@ -52,6 +52,7 @@ from .core import (
 )
 from .errors import (
     CoincidentEigenvalues,
+    DegenerateShift,
     DimensionMismatch,
     NotAnEigenpair,
     NotInKernel,
@@ -85,16 +86,16 @@ class ShiftSpec:
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
+            raise DegenerateShift(f"side must be 'right' or 'left', got {self.side!r}")
         vec = np.asarray(self.vector, dtype=complex).reshape(-1)
         if np.linalg.norm(vec) == 0:
-            raise ValueError("shift vector must be nonzero")
+            raise DegenerateShift("shift vector must be nonzero")
         dual = vec if self.dual is None else np.asarray(self.dual, dtype=complex).reshape(-1)
         if dual.shape != vec.shape:
             raise DimensionMismatch("dual vector has a different length")
         ip = np.vdot(vec, dual)
         if abs(ip) <= 1e-14 * np.linalg.norm(vec) * np.linalg.norm(dual):
-            raise ValueError("dual vector is orthogonal to the shift vector")
+            raise DegenerateShift("dual vector is orthogonal to the shift vector")
         dual = dual / ip
         vec = vec.copy()
         vec.setflags(write=False)

@@ -110,20 +110,16 @@ def _check_not_degenerate(p, rng):
     raise DegeneratePolynomial("det A(z) vanishes at all probe points")
 
 
-def _finite_pair(p, z, want_left):
-    m = evaluate(p, z)
+def null_vectors(p, z, left=False):
+    """Unit right (and, with ``left``, left) singular vectors of A(z)'s smallest
+    singular value; at infinite z those of the leading coefficient.
+
+    Returns ``(u, y)`` with ``A(z) u ~ 0`` and ``y* A(z) ~ 0``; ``y`` is None
+    unless ``left``.
+    """
+    m = p.coeffs[-1] if is_infinite(z) else evaluate(p, z)
     lu, _, vh = np.linalg.svd(m)
-    u = unit_vector(vh[-1].conj())
-    left = unit_vector(lu[:, -1]) if want_left else None
-    return u, left, right_residual(p, z, u)
-
-
-def _infinite_pair(p, want_left):
-    lead = p.coeffs[-1]
-    lu, _, vh = np.linalg.svd(lead)
-    u = unit_vector(vh[-1].conj())
-    left = unit_vector(lu[:, -1]) if want_left else None
-    return u, left, kernel_residual(lead, u)
+    return unit_vector(vh[-1].conj()), unit_vector(lu[:, -1]) if left else None
 
 
 def polyeig(p, seed=0, want_left=False):
@@ -190,15 +186,10 @@ def polyeig(p, seed=0, want_left=False):
             if lead_singular:
                 infinite = True
                 borderline = True
-        if infinite:
-            u, left, res = _infinite_pair(p, want_left)
-            pairs.append(
-                EigenPair(complex(math.inf, 0.0), u, left, res, borderline)
-            )
-        else:
-            z = c + 1.0 / theta
-            u, left, res = _finite_pair(p, z, want_left)
-            pairs.append(EigenPair(z, u, left, res, borderline))
+        z = complex(math.inf, 0.0) if infinite else c + 1.0 / theta
+        u, left = null_vectors(p, z, want_left)
+        res = kernel_residual(lead, u) if infinite else right_residual(p, z, u)
+        pairs.append(EigenPair(z, u, left, res, borderline))
 
     pairs.sort(key=lambda q: (q.is_infinite, abs(q.value), q.value.real, q.value.imag))
     return Spectrum(tuple(pairs), complex(c))
@@ -232,8 +223,7 @@ def refine_pair(p, lam, u, steps=4):
         if abs(slope) <= FLOOR:
             break
         cur = cur - (vleft.conj() @ m @ cand) / slope
-    m = evaluate(p, cur)
-    cand = unit_vector(np.linalg.svd(m)[2][-1].conj())
+    cand = null_vectors(p, cur)[0]
     res = right_residual(p, cur, cand)
     if res < best[2]:
         best = (cur, cand, res)

@@ -611,3 +611,123 @@ def test_json_reports_match_per_entry_encoding(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "matrix_json", _per_entry_json)
     for argv, out in zip(_report_commands(tmp_path), reports):
         assert run(capsys, *argv, "--format", "json")[1] == out
+
+
+# --- usage errors and error exits ---
+
+def _inputs(tmp_path):
+    from mpshift.fixtures import p2, p3
+
+    paths = {"out": tmp_path / "out.mp.json", "packet": tmp_path / "packet.json"}
+    for name, poly in (("p1", fixture_p1()), ("p2", p2()), ("p3", p3())):
+        paths[name] = tmp_path / f"{name}.mp.json"
+        write_poly(poly, paths[name])
+    paths["packet"].write_text(json.dumps({"lambdas": ["1"], "targets": ["0"]}), encoding="utf-8")
+    return paths
+
+
+def _run_template(tmp_path, capsys, argv):
+    paths = _inputs(tmp_path)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    return code, out, err, paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "1,0", "--v", "0,1", "-o", "{out}"),
+        ("solve", "{p3}", "--shift", "1,0", "--u", "1,1,1,1,1", "--v", "1,-1,0,0,0"),
+    ],
+    ids=["shift", "solve_shift"],
+)
+def test_orthogonal_dual_vector_exits_1(tmp_path, capsys, argv):
+    code, out, err, _ = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: dual vector is orthogonal to the shift vector\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--removed", "1,inf"], "--removed takes finite values"),
+        (["--added", "inf"], "--added takes finite values"),
+        (["--samples=-3"], "--samples must be at least 1, got -3"),
+        (["--samples", "0"], "--samples must be at least 1, got 0"),
+    ],
+    ids=["removed_inf", "added_inf", "samples_negative", "samples_zero"],
+)
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_check_rejects_bad_values(tmp_path, capsys, flags, message, fmt):
+    argv = ["check", "{p1}", "{p1}", *flags, "--format", fmt]
+    code, out, err, _ = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "{p3}", "--u", "1,1,1,1,1"), "--u and --v apply only with --shift"),
+        (("solve", "{p3}", "--v", "auto"), "--u and --v apply only with --shift"),
+        (("solve", "{p3}", "--method", "eigen", "--shift", "1,0"),
+         "--shift runs cyclic reduction; --method eigen does not apply"),
+        (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--lambda2", "0.5"),
+         "--lambda2 does not apply to single shifts"),
+        (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--mu2", "2"),
+         "--mu2 does not apply to single shifts"),
+        (("shift", "{p1}", "--to-inf", "--lambda", "0.5", "--mu", "0"),
+         "--mu does not apply to to-inf shifts"),
+        (("shift", "{p2}", "--from-inf", "--lambda", "1", "--mu", "1"),
+         "--lambda does not apply to from-inf shifts"),
+        (("shift", "{p1}", "--multi", "{packet}", "--u", "1,0"), "--u does not apply to multi shifts"),
+        (("shift", "{p1}", "--palindromic", "--lambda", "1", "--mu", "0", "--v", "1,0"),
+         "--v does not apply to palindromic shifts"),
+        (("shift", "{p1}", "--double", "--lambda", "1", "--mu", "0", "--lambda2", "0.5",
+          "--mu2", "2", "--side", "left"), "--side does not apply to double shifts"),
+        (("shift", "{p2}", "--lambda", "inf", "--mu", "1", "--side", "left"),
+         "--side left does not apply to infinity shifts"),
+    ],
+    ids=[
+        "solve_u", "solve_v", "solve_eigen_shift", "shift_lambda2", "shift_mu2", "to_inf_mu",
+        "from_inf_lambda", "multi_u", "palindromic_v", "double_side", "infinity_side_left",
+    ],
+)
+def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, message):
+    if argv[0] == "shift":
+        argv += ("-o", "{out}")
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixture", "p1", "-o", "{out}", "--seed", "1"),
+        ("fixture", "p1", "-o", "{out}", "--tol", "5"),
+        ("eig", "{p1}", "--tol", "5"),
+        ("shift", "{p1}", "--lambda", "1", "--mu", "0", "-o", "{out}", "--tol", "5"),
+        ("check", "{p1}", "{p1}", "--tol", "5"),
+    ],
+    ids=["fixture_seed", "fixture_tol", "eig_tol", "shift_tol", "check_tol"],
+)
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+    assert not paths["out"].exists()
+
+
+def test_bad_complex_literal_is_a_usage_error(tmp_path, capsys):
+    argv = ("shift", "{p1}", "--lambda", "1+", "--mu", "0", "-o", "{out}")
+    code, out, err, _ = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (2, "")
+    assert "argument --lambda: invalid parse_complex value: '1+'" in err
+
+
+def test_matrix_json_rejects_non_arrays():
+    # the JSON report's encoder falls back to matrix_json, which must not turn
+    # a stray scalar into a [re, im] pair
+    for value in (np.int64(3), np.bool_(True), object()):
+        with pytest.raises(TypeError):
+            cli.matrix_json(value)

@@ -391,3 +391,10 @@ def test_oracle_rejects_samples_near_shift_values(p1):
     shifted = right_shift_poly(p1, spec)
     rep = det_ratio_oracle(p1, shifted, removed=[1.0], added=[0.7], samples=24)
     assert rep.passed
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_oracle_rejects_nonpositive_samples(p1, samples):
+    # zero samples used to report "det a(z) vanishes at every sample point"
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        det_ratio_oracle(p1, p1, samples=samples)

@@ -29,6 +29,7 @@ from mpshift import (
 )
 from mpshift.errors import (
     CoincidentEigenvalues,
+    DegenerateShift,
     NotAnEigenpair,
     NotInKernel,
     NotPalindromic,
@@ -53,6 +54,20 @@ from conftest import (
 
 def coeffs_equal(p, q):
     return all(np.array_equal(a, b) for a, b in zip(p.coeffs, q.coeffs))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(vector=[1, 0], dual=[0, 1]), "orthogonal"),
+        (dict(vector=[0, 0]), "nonzero"),
+        (dict(vector=[1, 0], side="up"), "side must be"),
+    ],
+    ids=["orthogonal_dual", "zero_vector", "bad_side"],
+)
+def test_shift_spec_rejects_degenerate_parameters(kwargs, message):
+    with pytest.raises(DegenerateShift, match=message):
+        ShiftSpec(1.0, 0.0, **kwargs)
 
 
 # --- right shift: pencil ---

@@ -11,6 +11,7 @@ from mpshift import (
     evaluate,
     invariant_pair,
     multishift_poly,
+    unit_vector,
     polyeig,
     refine_pair,
 )
@@ -19,6 +20,8 @@ from mpshift.errors import (
     DependentEigenvectors,
     DistinctnessViolated,
 )
+
+from mpshift.spectra import null_vectors
 
 from conftest import crandn, match_moduli, rand_poly
 
@@ -207,3 +210,16 @@ def test_invariant_pair_then_identity_multishift_is_exact():
     back = multishift_poly(p, ms)
     for a, b in zip(p.coeffs, back.coeffs):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.2j, complex(np.inf, 0.0)], ids=["finite", "infinite"])
+def test_null_vectors_are_the_svd_idiom(p2, z):
+    # at infinity A(z) means the leading coefficient; the vectors are bit-for-bit
+    # those of unit_vector(Vh[-1]^*) and unit_vector(U[:, -1])
+    m = p2.coeffs[-1] if np.isinf(z.real) else evaluate(p2, z)
+    lu, _, vh = np.linalg.svd(m)
+    u, y = null_vectors(p2, z, left=True)
+    assert np.array_equal(u, unit_vector(vh[-1].conj()))
+    assert np.array_equal(y, unit_vector(lu[:, -1]))
+    assert null_vectors(p2, z)[1] is None
+    assert np.array_equal(null_vectors(p2, z)[0], u)
