@@ -11,14 +11,16 @@ the chosen mode does not read is a usage error:
   --v]``), ``--multi FILE``, ``--from-inf`` (``--mu [--u --v]``),
   ``--to-inf`` (``--lambda [--u --v]``) or ``--palindromic`` (``--lambda
   --mu [--u]``); the determinant-ratio oracle re-checks every result;
-- ``factor INPUT [--quad [--both]] [--maxit --tol --seed]``;
-- ``solve INPUT [--shift LAMBDA[,MU] [--u --v]] [--method cr|eigen] [--maxit
-  --tol --seed]``, where ``--shift`` runs cyclic reduction only;
+- ``factor INPUT [--quad [--both]] [--maxit --tol]``;
+- ``solve INPUT [--shift LAMBDA[,MU] [--u --v]] [--method cr|eigen [--seed]]
+  [--maxit --tol]``, where ``--shift`` runs cyclic reduction only and
+  ``--seed`` is read by ``--method eigen`` only;
 - ``check A B [--removed --added --samples --fit-constant --seed]``.
 
-Exit codes: 0 success; 2 usage or parse error (argparse's own,
+Exit codes: 0 success; 2 usage, parse or file error (argparse's own,
 ``UsageError``, ``ParseError``, ``DimensionMismatch``, ``UnknownFixture``,
-``FileNotFoundError``); 1 any other ``MpshiftError`` or a failed oracle.
+any ``OSError`` such as a missing file or a directory given as a file); 1
+any other ``MpshiftError`` or a failed oracle.
 Errors print one ``error:`` line on stderr.
 
 JSON keys after ``"command"``: fixture ``name output``; eig ``eigenvalues``,
@@ -78,6 +80,7 @@ from .shifts import (
 from .spectra import null_vectors, polyeig, refine_pair
 
 ORACLE_SAMPLES = 16
+DEFAULT_SEED = 42
 
 
 class UsageError(MpshiftError, ValueError):
@@ -88,7 +91,7 @@ class UsageError(MpshiftError, ValueError):
     """
 
 
-USAGE_ERRORS = (UsageError, ParseError, DimensionMismatch, UnknownFixture, FileNotFoundError)
+USAGE_ERRORS = (UsageError, ParseError, DimensionMismatch, UnknownFixture, OSError)
 
 
 @dataclass
@@ -374,7 +377,7 @@ def cmd_factor(args):
         raise UsageError("factoring a Laurent polynomial requires --quad")
     if args.both:
         raise UsageError("--both applies to --quad factorizations only")
-    rep = solve_unilateral(poly, tol=args.tol, maxit=args.maxit, seed=args.seed)
+    rep = solve_unilateral(poly, tol=args.tol, maxit=args.maxit)
     pf = poly_factorization(poly, rep.g)
     return Report(
         dict(iterations=rep.iterations, residual=rep.residual, g=pf.g, ucoeffs=pf.ucoeffs),
@@ -391,11 +394,14 @@ def cmd_solve(args):
     poly = read_poly(args.input)
     if poly.lo != 0:
         raise UsageError("solve expects a matrix polynomial file (lo == 0)")
+    if args.seed is not None and args.method != "eigen":
+        raise UsageError("--seed applies only with --method eigen")
     if args.shift is None:
         if args.u is not None or args.v is not None:
             raise UsageError("--u and --v apply only with --shift")
         rep = solve_unilateral(
-            poly, method=args.method, tol=args.tol, maxit=args.maxit, seed=args.seed
+            poly, method=args.method, tol=args.tol, maxit=args.maxit,
+            seed=DEFAULT_SEED if args.seed is None else args.seed,
         )
     else:
         if args.method == "eigen":
@@ -407,9 +413,7 @@ def cmd_solve(args):
         mu = parse_complex(parts[1]) if len(parts) == 2 else 0.0 + 0.0j
         u = _vector_arg(args.u, poly, lam)
         v = _dual_arg(args.v, poly.n)
-        rep = shift_accelerated_solve(
-            poly, lam, u, v, mu, tol=args.tol, maxit=args.maxit, seed=args.seed
-        )
+        rep = shift_accelerated_solve(poly, lam, u, v, mu, tol=args.tol, maxit=args.maxit)
     sigma = None if math.isnan(rep.sigma) else rep.sigma
     fields = {
         "iterations": rep.iterations,
@@ -470,7 +474,7 @@ def cmd_check(args):
 def _add_common(sub, seed=True, tol=False):
     """``--format`` for every subcommand; ``--seed`` and ``--tol`` where they are read."""
     if seed:
-        sub.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default 42)")
     if tol:
         sub.add_argument("--tol", type=float, default=1e-14, help="iteration tolerance")
     sub.add_argument(
@@ -533,7 +537,7 @@ def build_parser():
     sp.add_argument("--both", action="store_true",
                     help="also factor A(1/z) (requires --quad)")
     sp.add_argument("--maxit", type=int, default=64)
-    _add_common(sp, tol=True)
+    _add_common(sp, seed=False, tol=True)
     sp.set_defaults(func=cmd_factor)
 
     sp = subs.add_parser("solve", help="minimal solvent of sum_i A_i X^i = 0")
@@ -544,7 +548,9 @@ def build_parser():
     sp.add_argument("--maxit", type=int, default=64)
     sp.add_argument("--u", default=None, help="shift eigenvector (with --shift; default auto)")
     sp.add_argument("--v", default=None, help="shift dual vector (with --shift; default auto)")
-    _add_common(sp, tol=True)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="random seed for --method eigen (default 42)")
+    _add_common(sp, seed=False, tol=True)
     sp.set_defaults(func=cmd_solve)
 
     sp = subs.add_parser("check", help="standalone determinant-ratio oracle")
@@ -569,7 +575,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         report = args.func(args)
-    except (MpshiftError, FileNotFoundError) as exc:
+    except (MpshiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, USAGE_ERRORS) else 1
     if args.format == "json":

@@ -3,12 +3,15 @@
 The minimal solvent G carries the n smallest-modulus eigenvalues of A(z).
 Degree-d equations are reduced to block quadratics (degree-2 embedding that
 adds only eigenvalues at the origin), solved by cyclic reduction, whose
-error decays like sigma^(2^k) with sigma the ratio between the largest
-eigenvalue modulus inside the unit disk and the smallest outside.  When an
-eigenvalue sits on or near the circle, sigma -> 1 and convergence crawls;
-shifting that eigenvalue away (e.g. 1 -> 0) shrinks sigma, and the solvent
-of the original equation is recovered in closed form from the shifted one:
-G = G~ + (lambda - mu) Q.
+error decays like sigma^(2^k) with sigma = |lambda_n| / |lambda_{n+1}| for
+the eigenvalues ordered by modulus.  Each solve reads sigma off its own
+cyclic reduction as rho(G+) rho(R+) (the embedding's extra zeros do not
+change it); it equals :func:`convergence_ratio` whenever exactly n
+eigenvalues lie in the closed unit disk.  Degree-1 equations need no
+iteration and report sigma = NaN.  When an eigenvalue sits on or near the
+circle, sigma -> 1 and convergence crawls; shifting that eigenvalue away
+(e.g. 1 -> 0) shrinks sigma, and the solvent of the original equation is
+recovered in closed form from the shifted one: G = G~ + (lambda - mu) Q.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
     DegenerateShift,
     DimensionMismatch,
     IllConditionedEigenbasis,
-    MpshiftError,
     NoConvergence,
     NoSplitting,
     SplittingFailure,
@@ -41,7 +43,9 @@ class SolveReport:
     """Result of a unilateral solve.
 
     ``residual`` is ||sum_i A_i G^i||_F / sum_i ||A_i||_F.  ``sigma`` is the
-    convergence-ratio estimate (NaN when the spectrum gives no ratio).  For
+    convergence ratio |lambda_n| / |lambda_{n+1}| of the solved equation
+    (the shifted one for shift-accelerated runs); it is NaN for degree-1
+    equations only, which need no iteration.  For
     shift-accelerated runs ``shifted`` is True and ``recovery`` holds the
     (lambda, mu, Q) triple used to map the shifted solvent back.
     """
@@ -120,27 +124,21 @@ def convergence_ratio(p, seed=0):
     return float(max(inside) / min(outside))
 
 
-def _sigma_or_nan(p, seed):
-    try:
-        return convergence_ratio(p, seed=seed)
-    except MpshiftError:
-        return math.nan
-
-
 def _solve_cr(p, tol, maxit):
+    """Minimal solvent, CR steps and sigma = rho(G+) rho(R+) (NaN at degree 1)."""
     n = p.n
     if p.d == 1:
         try:
             g = -np.linalg.solve(p.coeffs[1], p.coeffs[0])
         except np.linalg.LinAlgError as exc:
             raise SplittingFailure("leading coefficient of the pencil is singular") from exc
-        return g, 1
+        return g, 1, math.nan
     rq = reblock(p)
     try:
         f = cr_quadratic(rq.bm1, rq.b0, rq.b1, tol=tol, maxit=maxit, strict_radius=False)
     except NoConvergence as exc:
         raise SplittingFailure(str(exc)) from exc
-    return np.array(f.gplus[:n, :n]), f.iterations
+    return np.array(f.gplus[:n, :n]), f.iterations, f.rho_g * f.rho_r
 
 
 def _solve_eigen(p, seed):
@@ -157,7 +155,7 @@ def _solve_eigen(p, seed):
         raise SplittingFailure("infinite eigenvalue among the smallest n")
     gap_lo = abs(chosen[-1].value)
     gap_hi = abs(pairs[n].value) if len(pairs) > n else math.inf
-    if gap_hi - gap_lo <= BOUNDARY_TOL * max(gap_hi, 1.0):
+    if math.isfinite(gap_hi) and gap_hi - gap_lo <= BOUNDARY_TOL * max(gap_hi, 1.0):
         raise SplittingFailure(
             f"no circle separates moduli {gap_lo:.6f} and {gap_hi:.6f}"
         )
@@ -173,7 +171,7 @@ def _solve_eigen(p, seed):
     if not np.isfinite(cond) or cond > 1e8:
         raise IllConditionedEigenbasis(f"eigenvector basis condition {cond:.2e} exceeds 1e8")
     g = np.linalg.solve(vmat.T, (vmat @ np.diag(vals)).T).T
-    return g, 1
+    return g, 1, gap_lo / gap_hi if p.d > 1 else math.nan
 
 
 def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):
@@ -186,25 +184,29 @@ def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):
         "cr": reblock to a quadratic and run cyclic reduction (handles
         eigenvalues on the circle, if slowly).  "eigen": diagonalization from
         the n smallest eigenpairs (requires distinct eigenvalues and a
-        well-conditioned eigenvector basis).
+        well-conditioned eigenvector basis).  Each reports the sigma of the
+        spectrum it already computed: rho(G+) rho(R+) from cyclic reduction,
+        or the ratio of the nth and (n+1)th sorted moduli.
+    seed : int
+        Seed of the eigensolver's random probe points ("eigen" only).
     """
     if p.lo != 0:
         raise DimensionMismatch("solve_unilateral expects a matrix polynomial")
     if p.d < 1:
         raise DimensionMismatch("the equation needs degree >= 1")
     if method == "cr":
-        g, iterations = _solve_cr(p, tol, maxit)
+        g, iterations, sigma = _solve_cr(p, tol, maxit)
     elif method == "eigen":
-        g, iterations = _solve_eigen(p, seed)
+        g, iterations, sigma = _solve_eigen(p, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     res = equation_residual(p, g)
     if res > 1e-10:
         raise NoConvergence(f"solvent residual {res:.2e} exceeds 1e-10")
-    return SolveReport(g, iterations, res, _sigma_or_nan(p, seed))
+    return SolveReport(g, iterations, res, sigma)
 
 
-def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64, seed=0):
+def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64):
     """Solve sum_i A_i X^i = 0 by shifting a unit-circle eigenvalue away first.
 
     Shifts the eigenpair (lam, u) to mu (default 0), solves the shifted
@@ -226,7 +228,7 @@ def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64, seed
         )
     spec = ShiftSpec(lam, mu, u, v)
     shifted = right_shift_poly(p, spec)  # gates the eigenpair (lam, u)
-    g_shift, iterations = _solve_cr(shifted, tol, maxit)
+    g_shift, iterations, sigma = _solve_cr(shifted, tol, maxit)
     res_shift = equation_residual(shifted, g_shift)
     if res_shift > 1e-10:
         raise NoConvergence(f"shifted solvent residual {res_shift:.2e} exceeds 1e-10")
@@ -237,11 +239,4 @@ def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64, seed
         raise NoConvergence(
             f"recovered solvent fails the original equation: residual {res_orig:.2e}"
         )
-    return SolveReport(
-        g,
-        iterations,
-        res_orig,
-        _sigma_or_nan(shifted, seed),
-        shifted=True,
-        recovery=(lam, mu, q),
-    )
+    return SolveReport(g, iterations, res_orig, sigma, shifted=True, recovery=(lam, mu, q))

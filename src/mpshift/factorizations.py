@@ -102,13 +102,18 @@ def _quad_value(am1, a0, a1, z):
 
 
 def _quad_fact_residual(am1, a0, a1, g, r, k):
-    """Max relative factorization residual over 8 unit-circle points."""
+    """Max relative factorization residual over 8 unit-circle points.
+
+    For real data the residual at conj(z) is the conjugate of the one at z,
+    so only the 5 points with Im z >= 0 are evaluated.
+    """
+    am1, a0, a1, g, r, k = as_working(am1, a0, a1, g, r, k)
     eye = np.eye(a0.shape[0], dtype=complex)
     scale = max(
         np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR
     )
     worst = 0.0
-    for z in UNIT_CIRCLE:
+    for z in UNIT_CIRCLE if np.iscomplexobj(a0) else UNIT_CIRCLE[:5]:
         lhs = _quad_value(am1, a0, a1, z)
         rhs = (eye - z * r) @ k @ (eye - g / z)
         worst = max(worst, np.linalg.norm(lhs - rhs) / scale)

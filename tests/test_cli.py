@@ -356,6 +356,25 @@ def test_solve_degree_one(tmp_path, capsys):
     assert json.loads(out)["iterations"] == 1
 
 
+@pytest.mark.parametrize("method", ["cr", "eigen"])
+def test_solve_degree_one_has_no_sigma(tmp_path, capsys, method):
+    path = tmp_path / "pencil.mp.json"
+    write_poly(MatrixPoly([-np.diag([0.3, 0.5]), np.eye(2)]), path)
+    code, out, _ = run(capsys, "solve", str(path), "--method", method, "--format", "json")
+    assert code == 0 and json.loads(out)["sigma"] is None
+    code, out, _ = run(capsys, "solve", str(path), "--method", method)
+    assert code == 0 and "sigma:      n/a" in out.splitlines()
+
+
+def test_solve_p3_reports_sigma(tmp_path, capsys):
+    from mpshift.fixtures import p3
+
+    path = tmp_path / "p3.mp.json"
+    write_poly(p3(), path)
+    payload = json.loads(run(capsys, "solve", str(path), "--format", "json")[1])
+    assert abs(payload["sigma"] - 0.98758) <= 1e-4 and payload["iterations"] == 12
+
+
 def test_solve_splitting_failure_exits_1(tmp_path, capsys):
     path = tmp_path / "circle.mp.json"
     write_poly(
@@ -618,7 +637,7 @@ def test_json_reports_match_per_entry_encoding(tmp_path, capsys, monkeypatch):
 def _inputs(tmp_path):
     from mpshift.fixtures import p2, p3
 
-    paths = {"out": tmp_path / "out.mp.json", "packet": tmp_path / "packet.json"}
+    paths = {"out": tmp_path / "out.mp.json", "packet": tmp_path / "packet.json", "dir": tmp_path}
     for name, poly in (("p1", fixture_p1()), ("p2", p2()), ("p3", p3())):
         paths[name] = tmp_path / f"{name}.mp.json"
         write_poly(poly, paths[name])
@@ -686,10 +705,14 @@ def test_check_rejects_bad_values(tmp_path, capsys, flags, message, fmt):
           "--mu2", "2", "--side", "left"), "--side does not apply to double shifts"),
         (("shift", "{p2}", "--lambda", "inf", "--mu", "1", "--side", "left"),
          "--side left does not apply to infinity shifts"),
+        (("solve", "{p3}", "--seed", "1"), "--seed applies only with --method eigen"),
+        (("solve", "{p3}", "--shift", "1,0", "--seed", "1"),
+         "--seed applies only with --method eigen"),
     ],
     ids=[
         "solve_u", "solve_v", "solve_eigen_shift", "shift_lambda2", "shift_mu2", "to_inf_mu",
         "from_inf_lambda", "multi_u", "palindromic_v", "double_side", "infinity_side_left",
+        "solve_seed", "solve_shift_seed",
     ],
 )
 def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, message):
@@ -708,14 +731,38 @@ def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, message
         ("eig", "{p1}", "--tol", "5"),
         ("shift", "{p1}", "--lambda", "1", "--mu", "0", "-o", "{out}", "--tol", "5"),
         ("check", "{p1}", "{p1}", "--tol", "5"),
+        ("factor", "{p3}", "--seed", "1"),
     ],
-    ids=["fixture_seed", "fixture_tol", "eig_tol", "shift_tol", "check_tol"],
+    ids=["fixture_seed", "fixture_tol", "eig_tol", "shift_tol", "check_tol", "factor_seed"],
 )
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     code, out, err, paths = _run_template(tmp_path, capsys, argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eig", "{dir}"),
+        ("shift", "{p1}", "--lambda", "1", "--mu", "0", "-o", "{dir}"),
+        ("shift", "{p1}", "--multi", "{dir}", "-o", "{out}"),
+    ],
+    ids=["eig_input", "shift_output", "multi_packet"],
+)
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not paths["out"].exists()
+
+
+def test_solve_eigen_reads_seed(tmp_path, capsys):
+    code, out, _, _ = _run_template(
+        tmp_path, capsys, ("solve", "{p3}", "--method", "eigen", "--seed", "7", "--format", "json")
+    )
+    assert code == 0 and json.loads(out)["residual"] <= 1e-10
 
 
 def test_bad_complex_literal_is_a_usage_error(tmp_path, capsys):

@@ -7,9 +7,11 @@ import pytest
 
 from mpshift import (
     MatrixPoly,
+    ShiftSpec,
     convergence_ratio,
     equation_residual,
     reblock,
+    right_shift_poly,
     shift_accelerated_solve,
     solve_unilateral,
 )
@@ -247,3 +249,79 @@ def test_convergence_ratio_no_splitting():
     p = MatrixPoly([-np.diag([0.1, 0.2]), np.eye(2)])
     with pytest.raises(NoSplitting):
         convergence_ratio(p)
+
+
+# --- sigma read off cyclic reduction ---
+
+def _predicted_steps(sigma, tol=1e-14):
+    return math.ceil(math.log2(math.log(tol) / math.log(sigma)))
+
+
+def test_cr_sigma_matches_convergence_ratio_p3(p3):
+    rep = solve_unilateral(p3)
+    assert abs(rep.sigma - convergence_ratio(p3)) <= 1e-10 * rep.sigma
+    e = np.ones(5)
+    fast = shift_accelerated_solve(p3, 1.0, e, e / 5, 0.0)
+    ref = convergence_ratio(right_shift_poly(p3, ShiftSpec(1.0, 0.0, e, e / 5)))
+    assert abs(fast.sigma - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("n", [4, 9, 14])
+@pytest.mark.parametrize("drift", [5e-4, 0.05])
+def test_cr_sigma_matches_convergence_ratio_qbd(n, drift):
+    p = MatrixPoly(critical_qbd(n, n, drift=drift))
+    rep = solve_unilateral(p)
+    ref = convergence_ratio(p)
+    assert abs(rep.sigma - ref) <= 1e-10 * ref
+
+
+def test_cr_sigma_matches_convergence_ratio_through_reblock():
+    rng = np.random.default_rng(71)
+    n = 4
+    coeffs = [0.5 * rng.standard_normal((n, n)) for _ in range(4)]
+    coeffs[1] += 4 * np.eye(n)
+    p = MatrixPoly(coeffs)
+    assert reblock(p).b0.shape == (2 * n, 2 * n)
+    rep = solve_unilateral(p)
+    ref = convergence_ratio(p)
+    assert abs(rep.sigma - ref) <= 1e-10 * ref
+
+
+def test_sigma_predicts_cr_steps(p1, p3):
+    plain = solve_unilateral(p1)
+    # p1's minimal solvent holds 1/3 and 1/2, and its defective eigenvalue 1
+    # comes next: sigma = 1/2, though all four eigenvalues lie in the closed
+    # unit disk and convergence_ratio's split cuts through 1 -+ 1e-8
+    assert abs(plain.sigma - 0.5) <= 1e-6
+    fast = shift_accelerated_solve(p3, 1.0, np.ones(5), np.ones(5) / 5, 0.0)
+    for rep in (plain, solve_unilateral(p3), fast):
+        assert _predicted_steps(rep.sigma) == rep.iterations
+
+
+def test_sigma_finite_at_n50():
+    n = 50
+    rep = solve_unilateral(MatrixPoly(critical_qbd(5, n, drift=5e-4)))
+    assert 0 < rep.sigma < 1
+    assert abs(_predicted_steps(rep.sigma) - rep.iterations) <= 1
+
+
+@pytest.mark.parametrize("method", ["cr", "eigen"])
+def test_degree_one_sigma_is_nan(method):
+    p = MatrixPoly([-np.array([[0.5, 0.2], [0.1, 0.3]]), np.eye(2)])
+    rep = solve_unilateral(p, method=method)
+    assert math.isnan(rep.sigma)
+    assert np.allclose(rep.g, [[0.5, 0.2], [0.1, 0.3]], atol=1e-14)
+
+
+def test_eigensolves_per_solve(p3, monkeypatch):
+    # method "eigen" runs one eigensolve; cyclic reduction runs none
+    from mpshift import equations
+
+    calls = []
+    polyeig = equations.polyeig
+    monkeypatch.setattr(equations, "polyeig", lambda *a, **k: calls.append(a) or polyeig(*a, **k))
+    rep = solve_unilateral(p3, method="eigen")
+    assert len(calls) == 1
+    assert abs(rep.sigma - solve_unilateral(p3).sigma) <= 1e-10 * rep.sigma
+    shift_accelerated_solve(p3, 1.0, np.ones(5), np.ones(5) / 5, 0.0)
+    assert len(calls) == 1

@@ -226,6 +226,53 @@ def test_real_input_results_are_complex128():
     assert all(a.dtype == np.complex128 for a in arrays)
 
 
+def _residual_8_points(am1, a0, a1, g, r, k):
+    eye = np.eye(a0.shape[0])
+    scale = np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1)
+    return max(
+        np.linalg.norm(am1 / z + a0 + z * a1 - (eye - z * r) @ k @ (eye - g / z)) / scale
+        for z in factorizations.UNIT_CIRCLE
+    )
+
+
+def _count_points(monkeypatch):
+    points = []
+
+    def value(am1, a0, a1, z):
+        points.append(z)
+        return am1 / z + a0 + z * a1
+
+    monkeypatch.setattr(factorizations, "_quad_value", value)
+    return points
+
+
+def test_real_factorization_residual_uses_five_points(monkeypatch):
+    rng = np.random.default_rng(61)
+    am1, a0, a1 = qbd_quadratic(rng, 50)
+    f = cr_quadratic(am1, a0, a1)
+    gplus, rplus, kplus = (m.real for m in (f.gplus, f.rplus, f.kplus))
+    # a converged factorization (residual at rounding level) and a perturbed
+    # one, whose residual is large enough to compare in relative terms
+    off = gplus + 1e-3 * rng.standard_normal(gplus.shape)
+    points = _count_points(monkeypatch)
+    at_five = factorizations._quad_fact_residual(am1, a0, a1, gplus, rplus, kplus)
+    assert len(points) == 5 and all(z.imag >= 0 for z in points)
+    assert abs(at_five - _residual_8_points(am1, a0, a1, gplus, rplus, kplus)) <= 1e-15
+    worst = _residual_8_points(am1, a0, a1, off, rplus, kplus)
+    at_five = factorizations._quad_fact_residual(am1, a0, a1, off, rplus, kplus)
+    assert abs(at_five - worst) <= 1e-15 * worst
+
+
+def test_complex_factorization_residual_uses_eight_points(monkeypatch):
+    c = cmath.exp(0.7j)
+    am1, a0, a1 = (c * m for m in qbd_quadratic(np.random.default_rng(67), 6))
+    f = cr_quadratic(am1, a0, a1)
+    points = _count_points(monkeypatch)
+    res = factorizations._quad_fact_residual(am1, a0, a1, f.gplus, f.rplus, f.kplus)
+    assert len(points) == 8
+    assert res <= 1e-10
+
+
 # --- reversed factorization ---
 
 def test_reversed_scalar_commutes():
