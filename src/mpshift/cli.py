@@ -21,7 +21,11 @@ Exit codes: 0 success; 2 usage, parse or file error (argparse's own,
 ``UsageError``, ``ParseError``, ``DimensionMismatch``, ``UnknownFixture``,
 any ``OSError`` such as a missing file or a directory given as a file); 1
 any other ``MpshiftError`` or a failed oracle.
-Errors print one ``error:`` line on stderr.
+Errors print one ``error:`` line on stderr.  Warnings, the library's
+``warnings.warn`` calls included, print as ``warning:`` lines on stderr on
+every call: after the report on success, before the ``error:`` line on
+failure.  ``main(argv)`` returns the exit code and can be called repeatedly
+in one process; it builds the parser on its first call and reuses it.
 
 JSON keys after ``"command"``: fixture ``name output``; eig ``eigenvalues``,
 each ``{value residual borderline right left}``; shift ``mode output oracle``
@@ -38,10 +42,12 @@ decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -567,23 +573,35 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every :func:`main` call reuses, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        report = args.func(args)
-    except (MpshiftError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, USAGE_ERRORS) else 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report, error = args.func(args), None
+        except (MpshiftError, OSError) as exc:
+            report, error = None, exc
+    raised = [str(w.message) for w in caught]
+    if error is not None:
+        for text in raised:
+            print(f"warning: {text}", file=sys.stderr)
+        print(f"error: {error}", file=sys.stderr)
+        return 2 if isinstance(error, USAGE_ERRORS) else 1
     if args.format == "json":
         print(json.dumps({"command": args.command, **report.fields}, default=matrix_json))
     else:
         for line in report.lines:
             print(line if isinstance(line, str) else f"{line[0]} =\n{fmt_matrix(line[1])}")
-    for text in report.warnings:
+    for text in (*raised, *report.warnings):
         print(f"warning: {text}", file=sys.stderr)
     if report.error:
         print(f"error: {report.error}", file=sys.stderr)

@@ -10,7 +10,10 @@ code: ``PYTHONPATH=src python tests/test_cli_layout.py``.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +88,7 @@ FAILURES = {
     "shift_not_an_eigenpair": ["shift", "{p1}", "--lambda", "0.5", "--mu", "0", "--u", "1,0", "-o", "{out}"],
     "solve_no_splitting": ["solve", "{circle}"],
     "solve_shift_not_an_eigenpair": ["solve", "{p3}", "--shift", "0.5", "--u", "1,0,0,0,0"],
+    "solve_shift_mu_outside": ["solve", "{p3}", "--shift", "1,2"],
     "factor_unfactorable": ["factor", "{p3}"],
 }
 
@@ -191,6 +195,87 @@ def test_each_format_renders_matrices_one_way(inputs, capsys, monkeypatch):
             m.setattr(cli, other, forbidden)
             for case in ("factor_both", "factor_poly", "solve_shift", "eig_left"):
                 assert run_case(argv_for(case, fmt, paths), capsys)[0] == 0
+
+
+# --- repeated calls in one process ---
+
+def test_main_builds_the_parser_once(inputs, capsys, monkeypatch):
+    _, paths = inputs
+    calls = []
+    build = cli.build_parser
+
+    def spy():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for case in ("solve", "eig", "solve_bad_method", "check_pass", "solve"):
+            run_case(argv_for(case, "json", paths), capsys)
+        assert run_case(["--help"], capsys)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import mpshift.cli as cli\n"
+        "assert not built and cli._parser.cache_info().currsize == 0, built\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_case_repeats(case, inputs, capsys):
+    _, paths = inputs
+    for fmt in FORMATS:
+        argv = argv_for(case, fmt, paths)
+        assert run_case(argv, capsys) == run_case(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "before, status",
+    [(["solve", "{p3}", "--method", "bogus"], 2), (["--help"], 0), (["solve", "--help"], 0)],
+)
+def test_a_case_repeats_after_an_early_exit(before, status, inputs, capsys):
+    _, paths = inputs
+    argv = argv_for("solve_shift", "json", paths)
+    first = run_case(argv, capsys)
+    assert run_case([a.format(**paths) for a in before], capsys)[0] == status
+    assert run_case(argv, capsys) == first
+
+
+def test_no_value_carries_over_between_calls(inputs, capsys):
+    _, paths = inputs
+    plain = run_case(argv_for("solve", "json", paths), capsys)
+    assert run_case(argv_for("solve_shift", "json", paths), capsys)[0] == 0
+    again = run_case(argv_for("solve", "json", paths), capsys)
+    assert again == plain
+    report = json.loads(again[1])
+    assert report["shifted"] is False and "recovery" not in report and report["iterations"] == 12
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_library_warnings_print_on_every_call(fmt, inputs, capsys):
+    _, paths = inputs
+    for _ in range(2):
+        code, out, err = run_case(argv_for("solve_shift_mu_outside", fmt, paths), capsys)
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (1, "", 2), err
+        assert lines[0] == "warning: acceleration expects |mu| < |lambda|; convergence may not improve"
+        assert lines[1].startswith("error: ")
 
 
 def _capture(argv):
