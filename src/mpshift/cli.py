@@ -37,6 +37,12 @@ ucoeffs``; solve ``iterations residual sigma shifted g``, and ``recovery``
 Matrices are nested lists of ``[re, im]`` pairs.  Output is deterministic
 given the inputs and ``--seed``; numbers print with shortest round-trip
 decimals.
+
+Rendering costs little more than the float conversions and keeps the bytes:
+:func:`report_json` is ``json.dumps(fields, default=matrix_json)`` with each
+top-level array filled in as one ``%r`` template for its shape
+(:func:`array_json`), and :func:`fmt_matrix` fills in one template per table
+matrix, the bytes of one :func:`fmt_complex` per entry.
 """
 
 from __future__ import annotations
@@ -125,13 +131,20 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text):
-    """Parse ``RE`` or ``RE+IMi`` / ``RE-IMi`` literals (also ``inf``)."""
+    """Parse ``RE`` or ``RE+IMi`` / ``RE-IMi`` literals (also ``inf``).
+
+    Only the spelled-out ``inf`` is infinite; a literal beyond double range
+    is a UsageError, not a silent infinity.
+    """
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return complex(math.inf, 0.0)
     m = _COMPLEX_RE.match(text)
     if not m:
         raise UsageError(f"cannot parse complex literal {text!r}")
-    return complex(float(m.group("re")), float(m.group("im") or 0.0))
+    z = complex(float(m.group("re")), float(m.group("im") or 0.0))
+    if is_infinite(z):
+        raise UsageError(f"complex literal {text!r} is out of double range")
+    return z
 
 
 def parse_vector(text, n):
@@ -139,6 +152,8 @@ def parse_vector(text, n):
     if len(parts) != n:
         raise UsageError(f"vector {text!r} has {len(parts)} components, expected {n}")
     vec = np.array([parse_complex(s) for s in parts], dtype=complex)
+    if not np.isfinite(vec).all():
+        raise UsageError(f"vector {text!r} has a non-finite component")
     if not vec.any():
         raise UsageError(f"vector {text!r} is zero")
     return vec
@@ -158,10 +173,16 @@ def fmt_complex(z):
 
 
 def fmt_matrix(mat, indent="  "):
-    lines = []
-    for row in np.asarray(mat):
-        lines.append(indent + "  ".join(fmt_complex(v) for v in row))
-    return "\n".join(lines)
+    """A matrix as table rows of ``fmt_complex`` entries, filled in as one template."""
+    mat = np.asarray(mat, dtype=complex)
+    if not np.isfinite(mat).all():
+        return "\n".join(indent + "  ".join(fmt_complex(v) for v in row) for row in mat)
+    values = [None] * (3 * mat.size)
+    values[::3] = mat.real.ravel().tolist()
+    values[1::3] = np.where(np.signbit(mat.imag), "-", "+").ravel().tolist()
+    values[2::3] = np.abs(mat.imag).ravel().tolist()
+    row = indent + "  ".join(["%r%s%ri"] * mat.shape[1])
+    return "\n".join([row] * mat.shape[0]) % tuple(values)
 
 
 def matrix_json(mat):
@@ -174,6 +195,52 @@ def matrix_json(mat):
         raise TypeError(f"{type(mat).__name__} is not a matrix")
     mat = np.ascontiguousarray(mat, dtype=complex)
     return mat.view(float).reshape(*mat.shape, 2).tolist()
+
+
+_MINUS_ZERO = np.float64(-0.0).tobytes()
+
+
+def array_json(mat):
+    """``json.dumps(matrix_json(mat))``, filled in as one ``%r`` template.
+
+    When every imaginary part is a zero of one sign, as for results computed
+    from real data, the pair is ``[%r, 0.0]`` (or ``-0.0``) and only the real
+    parts are formatted.  A finite float's repr has no ``n``, so an ``n`` in
+    the text means an ``inf`` or ``nan`` entry, which goes through
+    ``json.dumps`` for its ``Infinity`` and ``NaN`` spellings.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    imag = mat.imag.tobytes()
+    if imag == bytes(len(imag)):
+        leaf, floats = "[%r, 0.0]", mat.real
+    elif imag == _MINUS_ZERO * mat.size:
+        leaf, floats = "[%r, -0.0]", mat.real
+    else:
+        leaf, floats = "[%r, %r]", np.ascontiguousarray(mat).view(float)
+    for width in reversed(mat.shape):
+        leaf = "[" + ", ".join([leaf] * width) + "]"
+    text = leaf % tuple(floats.ravel().tolist())
+    return json.dumps(matrix_json(mat)) if "n" in text else text
+
+
+def report_json(fields):
+    """``json.dumps(fields, default=matrix_json)`` for a dict with string keys.
+
+    Each top-level array goes through :func:`array_json`; each run of other
+    keys, arrays nested in their values included, through one ``json.dumps``.
+    """
+    parts, run = [], {}
+    for key, value in fields.items():
+        if isinstance(value, np.ndarray) and value.ndim:
+            if run:
+                parts.append(json.dumps(run, default=matrix_json)[1:-1])
+                run = {}
+            parts.append(f"{json.dumps(key)}: {array_json(value)}")
+        else:
+            run[key] = value
+    if run:
+        parts.append(json.dumps(run, default=matrix_json)[1:-1])
+    return "{" + ", ".join(parts) + "}"
 
 
 def _vector_arg(text, p, lam, left=False):
@@ -300,6 +367,8 @@ def _shift_multi(args, poly):
         raise ParseError(f"{args.multi}: missing key {exc}") from exc
     if len(lams) != len(targets) or not lams:
         raise ParseError("lambdas and targets must be equal-length non-empty lists")
+    if any(map(is_infinite, lams + targets)):
+        raise ParseError(f"{args.multi}: lambdas and targets must be finite")
     cols = [refine_pair(poly, lam, null_vectors(poly, lam)[0]).right for lam in lams]
     ms = MultiShiftSpec(np.column_stack(cols), np.diag(lams), np.diag(targets))
     return multishift_poly(poly, ms), lams, targets, False, f"multishift m={len(lams)}"
@@ -597,7 +666,7 @@ def main(argv=None):
         print(f"error: {error}", file=sys.stderr)
         return 2 if isinstance(error, USAGE_ERRORS) else 1
     if args.format == "json":
-        print(json.dumps({"command": args.command, **report.fields}, default=matrix_json))
+        print(report_json({"command": args.command, **report.fields}))
     else:
         for line in report.lines:
             print(line if isinstance(line, str) else f"{line[0]} =\n{fmt_matrix(line[1])}")

@@ -427,18 +427,27 @@ _NUMBER_TYPES = frozenset((int, float))
 def _coeff_array(raw, n):
     """The coefficients as one (len(raw), n, n) complex array, or None.
 
-    None means some check failed: a leaf that is not a JSON number (bools
-    included), a shape other than len(raw) x n x n x 2, or an entry that is
-    non-finite or out of double range.
+    None means some check failed: a shape other than len(raw) x n x n x 2, a
+    leaf that is not a JSON number (bools included), or an entry that is
+    non-finite or out of double range.  The tree is flattened one level at a
+    time, each level's lengths checked as one set; a string or object in
+    place of an array fails the same checks, because its items are strings.
     """
+    nodes = raw
     try:
-        leaves = chain.from_iterable(chain.from_iterable(chain.from_iterable(raw)))
-        if not set(map(type, leaves)) <= _NUMBER_TYPES:
-            return None
-        arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        for width in (n, n, 2):
+            if set(map(len, nodes)) != {width}:
+                return None
+            nodes = list(chain.from_iterable(nodes))
+    except TypeError:  # a number, bool or null in place of an array
         return None
-    if arr.shape != (len(raw), n, n, 2) or not np.isfinite(arr).all():
+    if not set(map(type, nodes)) <= _NUMBER_TYPES:
+        return None
+    try:
+        arr = np.array(nodes, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(arr).all():
         return None
     return arr.view(complex).reshape(len(raw), n, n)
 

@@ -778,3 +778,75 @@ def test_matrix_json_rejects_non_arrays():
     for value in (np.int64(3), np.bool_(True), object()):
         with pytest.raises(TypeError):
             cli.matrix_json(value)
+
+
+# --- literals beyond double range ---
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1+1e400i", "2e308-1i", "1e400+1e400i"])
+def test_parse_complex_rejects_overflow(text):
+    with pytest.raises(cli.UsageError, match="out of double range"):
+        parse_complex(text)
+
+
+def test_parse_complex_keeps_the_largest_double():
+    assert parse_complex("1.7976931348623157e308-1e-320i") == complex(1.7976931348623157e308, -1e-320)
+
+
+@pytest.mark.parametrize("text", ["inf,0", "0,inf", "Infinity,1"])
+def test_parse_vector_rejects_non_finite_components(text):
+    with pytest.raises(cli.UsageError, match="non-finite component"):
+        cli.parse_vector(text, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "{p3}", "--shift", "1,1e400"), "complex literal '1e400' is out of double range"),
+        (("solve", "{p3}", "--shift", "1e400"), "complex literal '1e400' is out of double range"),
+        (("solve", "{p3}", "--shift", "1,0", "--u", "inf,0,0,0,0"),
+         "vector 'inf,0,0,0,0' has a non-finite component"),
+        (("solve", "{p3}", "--shift", "1,0", "--u", "1e400,0,0,0,0"),
+         "complex literal '1e400' is out of double range"),
+        (("solve", "{p3}", "--shift", "1,0", "--v", "inf,1,1,1,1"),
+         "vector 'inf,1,1,1,1' has a non-finite component"),
+        (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "inf,0", "-o", "{out}"),
+         "vector 'inf,0' has a non-finite component"),
+        (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--v", "1,1e400", "-o", "{out}"),
+         "complex literal '1e400' is out of double range"),
+        (("check", "{p1}", "{p1}", "--removed", "1e400"),
+         "complex literal '1e400' is out of double range"),
+    ],
+    ids=["solve_mu", "solve_lambda", "solve_u_inf", "solve_u_overflow", "solve_v_inf",
+         "shift_u_inf", "shift_v_overflow", "check_removed"],
+)
+def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv, message):
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+def test_overflowing_shift_flag_is_an_argparse_error(tmp_path, capsys, flag):
+    values = {"--lambda": "1", "--mu": "1"}
+    values[flag] = "1e400"
+    argv = ("shift", "{p1}", *(x for f, v in values.items() for x in (f, v)), "-o", "{out}")
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: invalid parse_complex value: '1e400'" in err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "packet",
+    [{"lambdas": ["1"], "targets": ["inf"]}, {"lambdas": [1], "targets": [float("inf")]},
+     {"lambdas": ["inf"], "targets": ["0"]}],
+    ids=["target_inf", "target_json_infinity", "lambda_inf"],
+)
+def test_multi_packet_with_an_infinite_value_exits_2(tmp_path, capsys, packet):
+    paths = _inputs(tmp_path)
+    paths["packet"].write_text(json.dumps(packet), encoding="utf-8")
+    code, out, err = run(capsys, "shift", str(paths["p1"]), "--multi", str(paths["packet"]),
+                         "-o", str(paths["out"]))
+    assert (code, out) == (2, "")
+    assert err == f"error: {paths['packet']}: lambdas and targets must be finite\n"
+    assert not paths["out"].exists()

@@ -82,6 +82,11 @@ FAILURES = {
     "factor_laurent_without_quad": ["factor", "{quad}"],
     "solve_bad_method": ["solve", "{p3}", "--method", "bogus"],
     "solve_bad_shift": ["solve", "{p3}", "--shift", "1,2,3"],
+    "shift_mu_overflow": ["shift", "{p1}", "--lambda", "1", "--mu", "1e400", "-o", "{out}"],
+    "shift_u_overflow": ["shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "1e400,0", "-o", "{out}"],
+    "solve_shift_overflow": ["solve", "{p3}", "--shift", "1,1e400"],
+    "solve_shift_u_inf": ["solve", "{p3}", "--shift", "1,0", "--u", "inf,0,0,0,0"],
+    "solve_shift_v_inf": ["solve", "{p3}", *P3_SHIFT[:4], "--v", "inf,0,0,0,0"],
     "check_missing_file": ["check", "{p1}", "{dir}/nope.mp.json"],
     # numeric failures: exit 1
     "eig_degenerate": ["eig", "{degenerate}"],
