@@ -41,8 +41,7 @@ decimals.
 Rendering costs little more than the float conversions and keeps the bytes:
 :func:`report_json` is ``json.dumps(fields, default=matrix_json)`` with each
 top-level array filled in as one ``%r`` template for its shape
-(:func:`array_json`), and :func:`fmt_matrix` fills in one template per table
-matrix, the bytes of one :func:`fmt_complex` per entry.
+(:func:`array_json`).  Table matrices print one :func:`fmt_complex` per entry.
 """
 
 from __future__ import annotations
@@ -173,16 +172,10 @@ def fmt_complex(z):
 
 
 def fmt_matrix(mat, indent="  "):
-    """A matrix as table rows of ``fmt_complex`` entries, filled in as one template."""
-    mat = np.asarray(mat, dtype=complex)
-    if not np.isfinite(mat).all():
-        return "\n".join(indent + "  ".join(fmt_complex(v) for v in row) for row in mat)
-    values = [None] * (3 * mat.size)
-    values[::3] = mat.real.ravel().tolist()
-    values[1::3] = np.where(np.signbit(mat.imag), "-", "+").ravel().tolist()
-    values[2::3] = np.abs(mat.imag).ravel().tolist()
-    row = indent + "  ".join(["%r%s%ri"] * mat.shape[1])
-    return "\n".join([row] * mat.shape[0]) % tuple(values)
+    lines = []
+    for row in np.asarray(mat):
+        lines.append(indent + "  ".join(fmt_complex(v) for v in row))
+    return "\n".join(lines)
 
 
 def matrix_json(mat):
@@ -226,21 +219,15 @@ def array_json(mat):
 def report_json(fields):
     """``json.dumps(fields, default=matrix_json)`` for a dict with string keys.
 
-    Each top-level array goes through :func:`array_json`; each run of other
-    keys, arrays nested in their values included, through one ``json.dumps``.
+    Each top-level array goes through :func:`array_json`, every other value,
+    arrays nested in it included, through ``json.dumps``.
     """
-    parts, run = [], {}
-    for key, value in fields.items():
-        if isinstance(value, np.ndarray) and value.ndim:
-            if run:
-                parts.append(json.dumps(run, default=matrix_json)[1:-1])
-                run = {}
-            parts.append(f"{json.dumps(key)}: {array_json(value)}")
-        else:
-            run[key] = value
-    if run:
-        parts.append(json.dumps(run, default=matrix_json)[1:-1])
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: "
+        + (array_json(value) if isinstance(value, np.ndarray) and value.ndim
+           else json.dumps(value, default=matrix_json))
+        for key, value in fields.items()
+    ) + "}"
 
 
 def _vector_arg(text, p, lam, left=False):

@@ -628,6 +628,7 @@ def test_json_reports_match_per_entry_encoding(tmp_path, capsys, monkeypatch):
         reports.append(out)
     assert "-0.0" in reports[0]  # G of p3 has signed-zero entries
     monkeypatch.setattr(cli, "matrix_json", _per_entry_json)
+    monkeypatch.setattr(cli, "array_json", lambda m: json.dumps(_per_entry_json(m)))
     for argv, out in zip(_report_commands(tmp_path), reports):
         assert run(capsys, *argv, "--format", "json")[1] == out
 

@@ -1,8 +1,7 @@
 """The template renderers and the one-pass reader against their references.
 
-``cli.report_json`` and ``cli.fmt_matrix`` must give the bytes of
-``json.dumps(fields, default=matrix_json)`` and of the per-entry
-``fmt_complex`` table; ``core._coeff_array`` must accept, return and refuse
+``cli.report_json`` must give the bytes of
+``json.dumps(fields, default=matrix_json)``; ``core._coeff_array`` must accept, return and refuse
 exactly what the nested-sequence version kept here as the oracle does.
 """
 
@@ -29,11 +28,6 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
 
 def reference_json(fields):
     return json.dumps(fields, default=cli.matrix_json)
-
-
-def reference_fmt_matrix(mat, indent="  "):
-    """The table's matrix, one ``fmt_complex`` call per entry."""
-    return "\n".join(indent + "  ".join(cli.fmt_complex(v) for v in row) for row in np.asarray(mat))
 
 
 @st.composite
@@ -77,13 +71,6 @@ def test_report_json_matches_json_dumps(fields):
     assert cli.report_json(fields) == reference_json(fields)
 
 
-@settings(max_examples=100, deadline=None)
-@given(arrays(max_dims=2).filter(lambda m: m.ndim == 2))
-def test_fmt_matrix_matches_per_entry_table(mat):
-    assert cli.fmt_matrix(mat) == reference_fmt_matrix(mat)
-    assert cli.fmt_matrix(mat, indent="") == reference_fmt_matrix(mat, indent="")
-
-
 def test_real_data_pairs_keep_the_sign_of_zero():
     mat = np.array([[1.0, -2.5], [1e16, 5e-324]])
     assert cli.array_json(mat) == "[[[1.0, 0.0], [-2.5, 0.0]], [[1e+16, 0.0], [5e-324, 0.0]]]"
@@ -102,13 +89,10 @@ def layout_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(layout.CASES))
 def test_layout_cases_match_reference_bytes(case, layout_inputs, capsys, monkeypatch):
-    runs = [layout.run_case(layout.argv_for(case, fmt, layout_inputs), capsys)
-            for fmt in layout.FORMATS]
+    argv = layout.argv_for(case, "json", layout_inputs)
+    run = layout.run_case(argv, capsys)
     monkeypatch.setattr(cli, "report_json", reference_json)
-    monkeypatch.setattr(cli, "fmt_matrix", reference_fmt_matrix)
-    reference = [layout.run_case(layout.argv_for(case, fmt, layout_inputs), capsys)
-                 for fmt in layout.FORMATS]
-    assert runs == reference
+    assert run == layout.run_case(argv, capsys)
 
 
 # --- reader ---
