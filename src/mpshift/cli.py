@@ -14,7 +14,8 @@ the chosen mode does not read is a usage error:
 - ``factor INPUT [--quad [--both]] [--maxit --tol]``;
 - ``solve INPUT [--shift LAMBDA[,MU] [--u --v]] [--method cr|eigen [--seed]]
   [--maxit --tol]``, where ``--shift`` runs cyclic reduction only and
-  ``--seed`` is read by ``--method eigen`` only;
+  ``--seed`` is read by ``--method eigen`` only; ``factor`` and ``solve``
+  require a finite ``--tol`` of at least 0 and a ``--maxit`` of at least 1;
 - ``check A B [--removed --added --samples --fit-constant --seed]``.
 
 Exit codes: 0 success; 2 usage, parse or file error (argparse's own,
@@ -415,7 +416,16 @@ def cmd_shift(args):
     return report
 
 
+def _check_iteration_args(args):
+    """``--tol`` must be finite and nonnegative, ``--maxit`` at least 1."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and at least 0, got {args.tol!r}")
+    if args.maxit < 1:
+        raise UsageError(f"--maxit must be at least 1, got {args.maxit}")
+
+
 def cmd_factor(args):
+    _check_iteration_args(args)
     poly = read_poly(args.input)
     if args.quad:
         if (poly.lo, poly.hi) != (-1, 1):
@@ -453,6 +463,7 @@ def cmd_factor(args):
 
 
 def cmd_solve(args):
+    _check_iteration_args(args)
     poly = read_poly(args.input)
     if poly.lo != 0:
         raise UsageError("solve expects a matrix polynomial file (lo == 0)")

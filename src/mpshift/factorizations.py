@@ -19,11 +19,15 @@ recomputed from scratch.
 Cyclic reduction, the H_0 series and the reversed factorization compute in
 real arithmetic when their inputs have no imaginary part (QBD blocks are
 real); every factor they return is complex128 either way.
+
+Every gate is written as ``not value <= tolerance`` (or ``not value >=``
+for lower bounds), so a NaN measurement fails it instead of passing.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,15 +77,25 @@ class QuadFactorization:
 
 @dataclass(frozen=True, eq=False)
 class ReversedFactorization:
-    """Factors of A(z^{-1}) = (I - z rminus) kminus (I - z^{-1} gminus); w is H_0."""
+    """Factors of A(z^{-1}) = (I - z rminus) kminus (I - z^{-1} gminus); w is H_0.
+
+    ``rho_g`` and ``rho_r``, the spectral radii of G- and R-, are computed
+    on first read (in the working dtype) and cached.
+    """
 
     gminus: np.ndarray
     rminus: np.ndarray
     kminus: np.ndarray
     w: np.ndarray
     residual: float
-    rho_g: float
-    rho_r: float
+
+    @functools.cached_property
+    def rho_g(self):
+        return spectral_radius(as_working(self.gminus)[0])
+
+    @functools.cached_property
+    def rho_r(self):
+        return spectral_radius(as_working(self.rminus)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,20 +118,23 @@ def _quad_value(am1, a0, a1, z):
 def _quad_fact_residual(am1, a0, a1, g, r, k):
     """Max relative factorization residual over 8 unit-circle points.
 
-    For real data the residual at conj(z) is the conjugate of the one at z,
-    so only the 5 points with Im z >= 0 are evaluated.
+    The residual A(z) - (I - z R) K (I - z^{-1} G) is itself a quadratic
+    Laurent polynomial, E_{-1}/z + E_0 + z E_1 with E_{-1} = A_{-1} + K G,
+    E_0 = A_0 - K - R K G and E_1 = A_1 + R K.  Its three coefficients take
+    three products, formed once (in real arithmetic for real data), and each
+    point costs one evaluation.  For real data the residual at conj(z) is
+    the conjugate of the one at z, so only the 5 points with Im z >= 0 are
+    evaluated.  A non-finite coefficient makes the result NaN or inf.
     """
     am1, a0, a1, g, r, k = as_working(am1, a0, a1, g, r, k)
-    eye = np.eye(a0.shape[0], dtype=complex)
     scale = max(
         np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR
     )
-    worst = 0.0
-    for z in UNIT_CIRCLE if np.iscomplexobj(a0) else UNIT_CIRCLE[:5]:
-        lhs = _quad_value(am1, a0, a1, z)
-        rhs = (eye - z * r) @ k @ (eye - g / z)
-        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
-    return worst
+    kg = k @ g
+    em1, e0, e1 = am1 + kg, a0 - k - r @ kg, a1 + r @ k
+    points = UNIT_CIRCLE if np.iscomplexobj(e0) else UNIT_CIRCLE[:5]
+    # np.max, unlike max, keeps a NaN at any point
+    return np.max([np.linalg.norm(_quad_value(em1, e0, e1, z)) for z in points]) / scale
 
 
 def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
@@ -128,11 +145,14 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
         B_0 <- B_0 - B_{-1} S B_1 - B_1 S B_{-1},
         Hhat <- Hhat - B_1 S B_{-1},
     with S = B_0^{-1}, stopping when min(||B_{-1}||_inf, ||B_1||_inf) drops
-    below tol times the input scale.  The limit of the Hhat sequence is the
-    middle factor K+ itself, and both solvents come from it:
+    below tol times the input scale.  A block norm that is not finite (the
+    blocks overflowed, e.g. with a negative tol) raises NoConvergence naming
+    the step, as does reaching maxit steps.  The limit of the Hhat sequence
+    is the middle factor K+ itself, and both solvents come from it:
     G+ = -Hhat^{-1} A_{-1} and R+ = -A_1 Hhat^{-1}.  Residuals of both
-    one-sided quadratic equations and of the factorization itself are
-    verified to 1e-10 relative.
+    one-sided quadratic equations are verified to 1e-10 relative, and so is
+    the factorization residual, from its three Laurent coefficients at 5
+    (real data) or 8 unit-circle points; a NaN residual fails every gate.
 
     With ``strict_radius`` the spectral radii of G+ and R+ must be below one
     with margin 1e-8 (a genuine canonical factorization); pass False when
@@ -153,23 +173,32 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     bm1, b0, b1 = am1.copy(), a0.copy(), a1.copy()
     hhat = a0.copy()
     k = 0
-    while min(inorm(bm1), inorm(b1)) > tol * denom:
-        if k >= maxit:
-            raise NoConvergence(
-                f"cyclic reduction did not converge in {maxit} iterations "
-                "(eigenvalues on the unit circle without a gap?)"
-            )
-        try:
-            xy = np.linalg.solve(b0, np.hstack((bm1, b1)))
-        except np.linalg.LinAlgError as exc:
-            raise SingularPivot(k) from exc
-        x, y = xy[:, :n], xy[:, n:]
-        bm1_next = -bm1 @ x
-        b1_next = -b1 @ y
-        b0 = b0 - bm1 @ y - b1 @ x
-        hhat = hhat - b1 @ x
-        bm1, b1 = bm1_next, b1_next
-        k += 1
+    norms = inorm(bm1), inorm(b1)
+    # blocks that overflow (a negative tol never stops) raise NoConvergence below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not min(norms) <= tol * denom:
+            if k >= maxit:
+                raise NoConvergence(
+                    f"cyclic reduction did not converge in {maxit} iterations "
+                    "(eigenvalues on the unit circle without a gap?)"
+                )
+            try:
+                xy = np.linalg.solve(b0, np.hstack((bm1, b1)))
+            except np.linalg.LinAlgError as exc:
+                raise SingularPivot(k) from exc
+            x, y = xy[:, :n], xy[:, n:]
+            bm1_next = -bm1 @ x
+            b1_next = -b1 @ y
+            b0 = b0 - bm1 @ y - b1 @ x
+            hhat = hhat - b1 @ x
+            bm1, b1 = bm1_next, b1_next
+            norms = inorm(bm1), inorm(b1)
+            if not all(map(math.isfinite, norms)):
+                raise NoConvergence(
+                    f"cyclic reduction blocks are not finite at step {k} "
+                    f"(||B_-1||: {norms[0]:.2e}, ||B_1||: {norms[1]:.2e})"
+                )
+            k += 1
 
     try:
         gplus = -np.linalg.solve(hhat, am1)
@@ -181,20 +210,20 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     res_g = np.linalg.norm(am1 + a0 @ gplus + a1 @ gplus @ gplus) / scale
     res_r = np.linalg.norm(rplus @ rplus @ am1 + rplus @ a0 + a1) / scale
     res_k = np.linalg.norm(a0 - (kplus + rplus @ kplus @ gplus)) / scale
-    if max(res_g, res_r, res_k) > 1e-10:
+    if not all(res <= 1e-10 for res in (res_g, res_r, res_k)):
         raise NoConvergence(
             f"cyclic reduction limit fails its residual checks "
             f"(G: {res_g:.2e}, R: {res_r:.2e}, K: {res_k:.2e})"
         )
     rho_g = spectral_radius(gplus)
     rho_r = spectral_radius(rplus)
-    if strict_radius and max(rho_g, rho_r) >= 1.0 - RADIUS_MARGIN:
+    if strict_radius and not (rho_g < 1.0 - RADIUS_MARGIN and rho_r < 1.0 - RADIUS_MARGIN):
         raise NoConvergence(
             f"computed factors are not contractive (rho(G+)={rho_g:.6f}, "
             f"rho(R+)={rho_r:.6f}); no canonical factorization"
         )
     fact_res = _quad_fact_residual(am1, a0, a1, gplus, rplus, kplus)
-    if fact_res > 1e-10:
+    if not fact_res <= 1e-10:
         raise NoConvergence(f"factorization residual {fact_res:.2e} exceeds 1e-10")
     # G+ and R+ are minus a solve: promoting before the negation gives real
     # data the -0.0 imaginary parts that complex arithmetic writes to reports.
@@ -255,22 +284,25 @@ def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
     G- = H R+ H^{-1}, R- = H^{-1} G+ H, and K- = A_0 + A_{-1} G-
     (= A_0 + R- A_1; both expressions are computed and must agree).  Raises
     ``error`` when H, named ``h_name`` in the message, is numerically
-    singular or the two K- disagree; the caller gates the returned 8-point
-    residual.
+    singular (or not finite) or the two K- disagree; the caller gates the
+    returned factorization residual.
     """
-    rcond = 1.0 / np.linalg.cond(h)
-    if rcond < 1e-12:
+    try:
+        rcond = 1.0 / np.linalg.cond(h)
+    except np.linalg.LinAlgError:  # the SVD of a non-finite H
+        rcond = math.nan
+    if not rcond >= 1e-12:
         raise error(f"reciprocal condition of {h_name} is {rcond:.2e}")
     gminus = np.linalg.solve(h.T, (h @ rplus).T).T
     rminus = np.linalg.solve(h, gplus @ h)
     k_a = a0 + am1 @ gminus
     k_b = a0 + rminus @ a1
     scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
-    if np.linalg.norm(k_a - k_b) > 1e-10 * scale:
-        raise error(f"the two K- expressions disagree by {np.linalg.norm(k_a - k_b):.2e}")
+    disagreement = np.linalg.norm(k_a - k_b)
+    if not disagreement <= 1e-10 * scale:
+        raise error(f"the two K- expressions disagree by {disagreement:.2e}")
     fact_res = _quad_fact_residual(a1, a0, am1, gminus, rminus, k_a)
-    rho_g, rho_r = spectral_radius(gminus), spectral_radius(rminus)
-    return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res, rho_g, rho_r)
+    return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res)
 
 
 def reversed_factorization(am1, a0, a1, f):
@@ -281,7 +313,7 @@ def reversed_factorization(am1, a0, a1, f):
     """
     am1, a0, a1, gplus, rplus = as_working(am1, a0, a1, f.gplus, f.rplus)
     rf = _similar_factors(am1, a0, a1, gplus, rplus, _h0(f), SingularH0, "H_0")
-    if rf.residual > 1e-10:
+    if not rf.residual <= 1e-10:
         raise SingularH0(f"reversed factorization residual {rf.residual:.2e} exceeds 1e-10")
     return rf
 
@@ -360,7 +392,7 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
         + sum(np.linalg.norm(c) for c in lcoeffs),
         FLOOR,
     )
-    worst = 0.0
+    errors = []
     for z in UNIT_CIRCLE:
         ref = horner(ucoeffs, z) @ horner(lcoeffs, 1.0 / z)
         for lam, mu, vec, dual, side in shifts_applied:
@@ -368,8 +400,9 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
                 ref = ref @ (eye + (lam - mu) / (z - lam) * np.outer(vec, dual.conj()))
             else:
                 ref = (eye + (lam - mu) / (z - lam) * np.outer(dual, vec.conj())) @ ref
-        worst = max(worst, np.linalg.norm(factors.value(z) - ref) / scale)
-    if worst > 1e-10:
+        errors.append(np.linalg.norm(factors.value(z) - ref))
+    worst = np.max(errors) / scale
+    if not worst <= 1e-10:
         raise NoConvergence(f"updated factors disagree with the shifted function: {worst:.2e}")
 
 
@@ -381,7 +414,7 @@ def _check_l_outside_disk(lcoeffs):
         return
     spec = polyeig(lpoly)
     finite = [abs(q.value) for q in spec.finite()]
-    if finite and min(finite) <= 1.0 + RADIUS_MARGIN:
+    if finite and not min(finite) > 1.0 + RADIUS_MARGIN:
         raise NoConvergence(
             f"det L~ has a root of modulus {min(finite):.6f} inside the closed unit disk"
         )
@@ -419,7 +452,7 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     eye = np.eye(shifted.n, dtype=complex)
     resolvent_g = np.linalg.solve(eye - mu * rf.gminus, rf.gminus @ spec.vector)
     cond_val = (lam - mu) * (spec.dual.conj() @ resolvent_g)
-    if abs(cond_val - 1.0) < 1e-10:
+    if not abs(cond_val - 1.0) >= 1e-10:
         raise DegenerateShift(
             f"(lam-mu) v* (I - mu G-)^-1 G- u = {cond_val:.6e} is too close to 1"
         )
@@ -429,7 +462,7 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     w_t = rf.w + (mu - lam) * q @ rf.w @ np.linalg.solve(eye - mu * f.rplus, f.rplus)
     rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t, SingularWtilde, "W~")
     fact_res = _quad_fact_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
-    if max(fact_res, rev.residual) > 1e-10:
+    if not (fact_res <= 1e-10 and rev.residual <= 1e-10):
         raise NoConvergence(
             f"shifted factorization residuals {fact_res:.2e}/{rev.residual:.2e} exceed 1e-10"
         )
@@ -486,10 +519,10 @@ def poly_factorization(p, g):
     if g.shape != (p.n, p.n):
         raise DimensionMismatch(f"solvent must be {p.n}x{p.n}")
     rho = spectral_radius(g)
-    if rho >= 1.0 - RADIUS_MARGIN:
+    if not rho < 1.0 - RADIUS_MARGIN:
         raise NotASolvent(f"rho(g) = {rho:.8f} is not below one")
     res = equation_residual(p, g)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise NotASolvent(f"relative ||sum A_i g^i|| = {res:.2e} exceeds 1e-10")
     scale = max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR)
     ucoeffs = [None] * p.d
@@ -497,15 +530,14 @@ def poly_factorization(p, g):
     for i in range(p.d - 1, 0, -1):
         ucoeffs[i - 1] = p.coeffs[i] + ucoeffs[i] @ g
     consistency = np.linalg.norm(p.coeffs[0] + ucoeffs[0] @ g)
-    if consistency > 1e-8 * scale:
+    if not consistency <= 1e-8 * scale:
         raise NotASolvent(f"division consistency ||A_0 + U_0 g|| = {consistency:.2e}")
     # sample-point reconstruction check
-    worst = 0.0
     eye = np.eye(p.n, dtype=complex)
-    for z in UNIT_CIRCLE:
-        rhs = horner(ucoeffs, z) @ (z * eye - g)
-        worst = max(worst, np.linalg.norm(evaluate(p, z) - rhs) / scale)
-    if worst > 1e-10:
+    worst = np.max([
+        np.linalg.norm(evaluate(p, z) - horner(ucoeffs, z) @ (z * eye - g)) for z in UNIT_CIRCLE
+    ]) / scale
+    if not worst <= 1e-10:
         raise NotASolvent(f"reconstruction residual {worst:.2e} exceeds 1e-10")
     return PolyFactorization(g, tuple(ucoeffs))
 

@@ -88,6 +88,12 @@ FAILURES = {
     "solve_shift_u_inf": ["solve", "{p3}", "--shift", "1,0", "--u", "inf,0,0,0,0"],
     "solve_shift_v_inf": ["solve", "{p3}", *P3_SHIFT[:4], "--v", "inf,0,0,0,0"],
     "check_missing_file": ["check", "{p1}", "{dir}/nope.mp.json"],
+    "solve_tol_negative": ["solve", "{p3}", "--tol", "-1"],
+    "solve_tol_nan": ["solve", "{p3}", "--tol", "nan"],
+    "solve_tol_inf": ["solve", "{p3}", "--tol", "inf"],
+    "solve_maxit_negative": ["solve", "{p3}", "--maxit", "-3"],
+    "factor_tol_nan": ["factor", "{quad}", "--quad", "--tol", "nan"],
+    "factor_maxit_zero": ["factor", "{quad}", "--quad", "--both", "--maxit", "0"],
     # numeric failures: exit 1
     "eig_degenerate": ["eig", "{degenerate}"],
     "shift_not_an_eigenpair": ["shift", "{p1}", "--lambda", "0.5", "--mu", "0", "--u", "1,0", "-o", "{out}"],

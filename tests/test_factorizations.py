@@ -10,6 +10,7 @@ from mpshift import (
     LaurentPoly,
     MatrixPoly,
     ShiftSpec,
+    cli,
     cr_quadratic,
     double_shift_laurent,
     double_shift_factorization,
@@ -17,23 +18,29 @@ from mpshift import (
     inverse_coefficients,
     poly_factorization,
     polyeig,
+    reblock,
     reversed_factorization,
     right_shift_laurent,
     shift_accelerated_solve,
     shifted_factorization_both,
     shifted_factorization_right,
+    solve_unilateral,
     spectral_radius,
     unit_vector,
+    write_poly,
 )
 from mpshift.errors import (
     DegenerateShift,
     ModulusConstraintViolated,
+    MpshiftError,
     NoConvergence,
     NotAnEigenpair,
     NotASolvent,
     ShiftOutsideDisk,
+    SingularH0,
     SingularPivot,
 )
+from mpshift.fixtures import p3
 
 from mpshift import factorizations
 from mpshift.factorizations import QuadFactorization, _h0
@@ -102,6 +109,44 @@ def test_cr_singular_pivot():
     # B0 = 0 makes the first pivot singular
     with pytest.raises(SingularPivot):
         cr_quadratic(np.eye(2), np.zeros((2, 2)), np.eye(2))
+
+
+def test_cr_overflow_raises_a_typed_error():
+    # a negative tol never stops CR; on p3 (an eigenvalue on the unit circle)
+    # B_-1 overflows, and the non-finite block norm ends the run
+    rq = reblock(p3())
+    with pytest.raises(NoConvergence, match="not finite at step"):
+        cr_quadratic(rq.bm1, rq.b0, rq.b1, tol=-1, strict_radius=False)
+    with pytest.raises(MpshiftError, match="not finite at step"):
+        solve_unilateral(p3(), tol=-1)
+
+
+def test_cr_nan_input_raises_at_step_zero():
+    am1, a0, a1 = scalar_fixture()
+    with pytest.raises(NoConvergence, match="not finite at step 0"):
+        cr_quadratic(np.array([[math.nan]]), a0, a1)
+
+
+def test_nan_factorization_residual_fails_every_gate(monkeypatch):
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(71), 4)
+    f = cr_quadratic(am1, a0, a1)
+    rf = reversed_factorization(am1, a0, a1, f)
+    lam, u = _inside_eigenpair(f)
+    monkeypatch.setattr(factorizations, "_quad_fact_residual", lambda *_: math.nan)
+    with pytest.raises(NoConvergence, match="factorization residual nan"):
+        cr_quadratic(am1, a0, a1)
+    with pytest.raises(SingularH0, match="residual nan"):
+        reversed_factorization(am1, a0, a1, f)
+    with pytest.raises(NoConvergence, match="nan"):
+        shifted_factorization_both(am1, a0, a1, f, rf, lam, 0.0, u)
+
+
+def test_nan_h0_fails_the_condition_gate(monkeypatch):
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(73), 4)
+    f = cr_quadratic(am1, a0, a1)
+    monkeypatch.setattr(factorizations, "_h0", lambda f: np.full((4, 4), math.nan))
+    with pytest.raises(SingularH0, match="reciprocal condition of H_0 is nan"):
+        reversed_factorization(am1, a0, a1, f)
 
 
 def test_cr_no_unit_circle_gap_detected():
@@ -273,6 +318,48 @@ def test_complex_factorization_residual_uses_eight_points(monkeypatch):
     assert res <= 1e-10
 
 
+def _factored_qbd(seed, n, complex_data):
+    """(A_-1, A_0, A_1) and the factors of a QBD quadratic, rotated into the
+    complex plane when complex_data (real factors keep their real dtype)."""
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(seed), n)
+    if complex_data:
+        c = cmath.exp(0.7j)
+        am1, a0, a1 = c * am1, c * a0, c * a1
+    f = cr_quadratic(am1, a0, a1)
+    factors = (f.gplus, f.rplus, f.kplus)
+    if not complex_data:
+        factors = tuple(m.real for m in factors)
+    return (am1, a0, a1), factors
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("n", [6, 50])
+def test_coefficient_residual_matches_product_form(n, complex_data):
+    # both forms are relative to the same scale, so they agree to rounding
+    # in absolute terms, at a converged and at a perturbed factorization
+    coeffs, (g, r, k) = _factored_qbd(79, n, complex_data)
+    at_rounding = factorizations._quad_fact_residual(*coeffs, g, r, k)
+    assert at_rounding <= 1e-14
+    assert abs(at_rounding - _residual_8_points(*coeffs, g, r, k)) <= 1e-15
+    off = g + 1e-3 * np.random.default_rng(83).standard_normal(g.shape)
+    worst = _residual_8_points(*coeffs, off, r, k)
+    assert worst > 1e-4
+    assert abs(factorizations._quad_fact_residual(*coeffs, off, r, k) - worst) <= 1e-15
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("which", range(3))
+def test_coefficient_residual_rejects_each_perturbed_factor(which, complex_data):
+    coeffs, factors = _factored_qbd(89, 8, complex_data)
+    assert factorizations._quad_fact_residual(*coeffs, *factors) <= 1e-10
+    perturbed = list(factors)
+    m = perturbed[which]
+    perturbed[which] = m + 1e-8 * np.linalg.norm(m) * np.random.default_rng(97).standard_normal(m.shape)
+    res = factorizations._quad_fact_residual(*coeffs, *perturbed)
+    assert res > 1e-10
+    assert abs(res - _residual_8_points(*coeffs, *perturbed)) <= 1e-15
+
+
 # --- reversed factorization ---
 
 def test_reversed_scalar_commutes():
@@ -291,6 +378,49 @@ def test_reversed_similarity_preserves_spectrum():
     rf = reversed_factorization(am1, a0, a1, f)
     assert abs(rf.rho_g - f.rho_r) <= 1e-10
     assert abs(rf.rho_r - f.rho_g) <= 1e-10
+
+
+def test_reversed_factorization_rejects_a_perturbed_h0(monkeypatch):
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(101), 5)
+    f = cr_quadratic(am1, a0, a1)
+    h0 = _h0(f)
+    bump = 1e-6 * np.linalg.norm(h0) * np.random.default_rng(103).standard_normal(h0.shape)
+    monkeypatch.setattr(factorizations, "_h0", lambda f: h0 + bump)
+    with pytest.raises(SingularH0):
+        reversed_factorization(am1, a0, a1, f)
+
+
+def _count_radii(monkeypatch):
+    calls = []
+
+    def radius(a):
+        calls.append(a)
+        return spectral_radius(a)
+
+    monkeypatch.setattr(factorizations, "spectral_radius", radius)
+    return calls
+
+
+def test_reversed_radii_are_computed_when_read(monkeypatch):
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(107), 5)
+    f = cr_quadratic(am1, a0, a1)
+    calls = _count_radii(monkeypatch)
+    rf = reversed_factorization(am1, a0, a1, f)
+    assert calls == []
+    # real data: the radius of the factor in its working (real) dtype
+    assert rf.rho_g == spectral_radius(rf.gminus.real)
+    assert len(calls) == 1
+    assert rf.rho_g == rf.rho_g and len(calls) == 1
+    assert rf.rho_r == spectral_radius(rf.rminus.real) and len(calls) == 2
+
+
+def test_factor_quad_both_runs_two_eigensolves(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "qbd.mp.json"
+    write_poly(LaurentPoly(-1, qbd_quadratic(np.random.default_rng(109), 6)), path)
+    calls = _count_radii(monkeypatch)
+    assert cli.main(["factor", str(path), "--quad", "--both", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_reversed_seeded_residual():
