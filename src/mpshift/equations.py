@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import equation_residual, is_infinite
+from .core import as_working, equation_residual, is_infinite
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
@@ -62,12 +62,18 @@ class SolveReport:
 class ReblockedQuadratic:
     """Degree-2 block embedding of a degree-d unilateral equation.
 
-    With k = d-1 and N = n k: B_{-1} holds A_0 in block (1,1); B_0 has first
-    block row [A_1 ... A_{d-1}] and -I on the remaining diagonal; B_1 has
-    A_d in block (1,k) and I on the subdiagonal.  If G solves the original
-    equation, the block column (G, G^2, ..., G^k) padded with zeros solves
-    the quadratic, and det(B_{-1} + z B_0 + z^2 B_1) has the roots of
-    det A(z) plus (d-2) n zeros at the origin.
+    With k = d-1, N = n k and s = max_i ||A_i||_inf: B_{-1} holds A_0 in
+    block (1,1); B_0 has first block row [A_1 ... A_{d-1}] and -s I on the
+    remaining diagonal; B_1 has A_d in block (1,k) and s I on the
+    subdiagonal.  The factor s makes the embedding of alpha A(z) alpha times
+    the embedding of A(z), so cyclic reduction on it does not depend on the
+    scale of the input (the inf-norm, a row sum, stays finite where a
+    Frobenius norm of entries above 1e154 overflows).  The blocks are real
+    for real coefficients.  If G
+    solves the original equation, the block column (G, G^2, ..., G^k)
+    padded with zeros solves the quadratic, and
+    det(B_{-1} + z B_0 + z^2 B_1) has the roots of det A(z) plus (d-2) n
+    zeros at the origin.
     """
 
     bm1: np.ndarray
@@ -82,23 +88,20 @@ def reblock(p):
     n, d = p.n, p.d
     if d < 2:
         raise DimensionMismatch("reblock needs degree >= 2")
+    (coeffs,) = as_working(np.array(p.coeffs))  # A_0, ..., A_d stacked
     if d == 2:
-        return ReblockedQuadratic(
-            np.array(p.coeffs[0]), np.array(p.coeffs[1]), np.array(p.coeffs[2])
-        )
+        return ReblockedQuadratic(*coeffs)
     k = d - 1
     big = n * k
-    bm1 = np.zeros((big, big), dtype=complex)
-    b0 = np.zeros((big, big), dtype=complex)
-    b1 = np.zeros((big, big), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    bm1[:n, :n] = p.coeffs[0]
+    bm1, b0, b1 = np.zeros((3, big, big), dtype=coeffs.dtype)
+    s_eye = np.abs(coeffs).sum(axis=2).max() * np.eye(n)  # s = max_i ||A_i||_inf
+    bm1[:n, :n] = coeffs[0]
     for j in range(k):
-        b0[:n, j * n : (j + 1) * n] = p.coeffs[j + 1]
+        b0[:n, j * n : (j + 1) * n] = coeffs[j + 1]
     for i in range(1, k):
-        b0[i * n : (i + 1) * n, i * n : (i + 1) * n] = -eye
-        b1[i * n : (i + 1) * n, (i - 1) * n : i * n] = eye
-    b1[:n, (k - 1) * n :] = p.coeffs[d]
+        b0[i * n : (i + 1) * n, i * n : (i + 1) * n] = -s_eye
+        b1[i * n : (i + 1) * n, (i - 1) * n : i * n] = s_eye
+    b1[:n, (k - 1) * n :] = coeffs[d]
     return ReblockedQuadratic(bm1, b0, b1)
 
 
@@ -137,6 +140,8 @@ def _solve_cr(p, tol, maxit):
     try:
         f = cr_quadratic(rq.bm1, rq.b0, rq.b1, tol=tol, maxit=maxit, strict_radius=False)
     except NoConvergence as exc:
+        if exc.step is not None:  # non-finite blocks say nothing about the splitting
+            raise
         raise SplittingFailure(str(exc)) from exc
     return np.array(f.gplus[:n, :n]), f.iterations, f.rho_g * f.rho_r
 

@@ -108,7 +108,15 @@ class SingularPivot(MpshiftError):
 
 
 class NoConvergence(MpshiftError):
-    """Iteration did not meet its stopping or residual criterion."""
+    """Iteration did not meet its stopping or residual criterion.
+
+    ``step`` is the step at which the iterates stopped being finite; it is
+    None for every other failure (the step limit, a residual or radius check).
+    """
+
+    def __init__(self, message, step=None):
+        self.step = step
+        super().__init__(message)
 
 
 class SingularH0(MpshiftError):

@@ -111,30 +111,39 @@ def _promote(*arrays):
     return tuple(np.asarray(a, dtype=complex) for a in arrays)
 
 
-def _quad_value(am1, a0, a1, z):
-    return am1 / z + a0 + z * a1
-
-
-def _quad_fact_residual(am1, a0, a1, g, r, k):
-    """Max relative factorization residual over 8 unit-circle points.
-
-    The residual A(z) - (I - z R) K (I - z^{-1} G) is itself a quadratic
-    Laurent polynomial, E_{-1}/z + E_0 + z E_1 with E_{-1} = A_{-1} + K G,
-    E_0 = A_0 - K - R K G and E_1 = A_1 + R K.  Its three coefficients take
-    three products, formed once (in real arithmetic for real data), and each
-    point costs one evaluation.  For real data the residual at conj(z) is
-    the conjugate of the one at z, so only the 5 points with Im z >= 0 are
-    evaluated.  A non-finite coefficient makes the result NaN or inf.
-    """
-    am1, a0, a1, g, r, k = as_working(am1, a0, a1, g, r, k)
-    scale = max(
-        np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR
-    )
+def _residual_coeffs(am1, a0, a1, g, r, k):
+    """Coefficients E_{-1}, E_0, E_1 of A(z) - (I - z R) K (I - z^{-1} G)."""
     kg = k @ g
-    em1, e0, e1 = am1 + kg, a0 - k - r @ kg, a1 + r @ k
+    return am1 + kg, a0 - k - r @ kg, a1 + r @ k
+
+
+def _point_norms(em1, e0, e1, points):
+    """||E_{-1}/z + E_0 + z E_1||_F at each unit-circle point z.
+
+    Real E's stay real: sqrt(||E_0 + c (E_{-1} + E_1)||^2 + s^2 ||E_1 - E_{-1}||^2) at z = c + is.
+    """
+    if np.iscomplexobj(e0):
+        return [np.linalg.norm(em1 / z + e0 + z * e1) for z in points]
+    esum, dnorm = em1 + e1, np.linalg.norm(e1 - em1)
+    return [math.hypot(np.linalg.norm(e0 + z.real * esum), z.imag * dnorm) for z in points]
+
+
+def _quad_fact_residual(em1, e0, e1, scale):
+    """Max of ||E_{-1}/z + E_0 + z E_1||_F / scale over 8 unit-circle points.
+
+    Real data need only the 5 with Im z >= 0: the residual at conj(z) is the
+    conjugate of the one at z.  A non-finite E gives NaN or inf.
+    """
     points = UNIT_CIRCLE if np.iscomplexobj(e0) else UNIT_CIRCLE[:5]
     # np.max, unlike max, keeps a NaN at any point
-    return np.max([np.linalg.norm(_quad_value(em1, e0, e1, z)) for z in points]) / scale
+    return np.max(_point_norms(em1, e0, e1, points)) / scale
+
+
+def _factor_residual(am1, a0, a1, g, r, k):
+    """:func:`_quad_fact_residual` of the factors G, R, K, in the working dtype."""
+    am1, a0, a1, g, r, k = as_working(am1, a0, a1, g, r, k)
+    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
+    return _quad_fact_residual(*_residual_coeffs(am1, a0, a1, g, r, k), scale)
 
 
 def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
@@ -144,59 +153,57 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
         B_{-1} <- -B_{-1} S B_{-1},  B_1 <- -B_1 S B_1,
         B_0 <- B_0 - B_{-1} S B_1 - B_1 S B_{-1},
         Hhat <- Hhat - B_1 S B_{-1},
-    with S = B_0^{-1}, stopping when min(||B_{-1}||_inf, ||B_1||_inf) drops
-    below tol times the input scale.  A block norm that is not finite (the
-    blocks overflowed, e.g. with a negative tol) raises NoConvergence naming
-    the step, as does reaching maxit steps.  The limit of the Hhat sequence
-    is the middle factor K+ itself, and both solvents come from it:
-    G+ = -Hhat^{-1} A_{-1} and R+ = -A_1 Hhat^{-1}.  Residuals of both
-    one-sided quadratic equations are verified to 1e-10 relative, and so is
-    the factorization residual, from its three Laurent coefficients at 5
-    (real data) or 8 unit-circle points; a NaN residual fails every gate.
+    with S = B_0^{-1} formed once per step; [X Y] = S [B_{-1} B_1] and
+    [B_{-1}; B_1] [X Y] give all four block products.  It stops when
+    min(||B_{-1}||_inf, ||B_1||_inf) drops below tol (finite, >= 0) times the
+    input scale; a norm that is not finite raises NoConvergence naming the
+    step, as does reaching maxit (>= 1) steps.  Hhat tends to K+, and
+    G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  The factorization
+    residual's coefficients E_i (:func:`_residual_coeffs`) are formed once;
+    ||E_{-1}||, ||E_0|| and R+'s equation residual must be below 1e-10
+    relative, and so must the residual from the same E's at 5 (real data,
+    in real arithmetic) or 8 unit-circle points; NaN fails every gate.
 
     With ``strict_radius`` the spectral radii of G+ and R+ must be below one
     with margin 1e-8 (a genuine canonical factorization); pass False when
     eigenvalues may sit on the unit circle and only the minimal solvent is
     wanted (convergence is then linear instead of quadratic).
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
+    if not maxit >= 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit!r}")
     am1, a0, a1 = as_working(am1, a0, a1)
     if not (am1.shape == a0.shape == a1.shape) or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch("coefficients must be square and equally sized")
-
-    def inorm(x):
-        return np.linalg.norm(x, np.inf)
-
     n = a0.shape[0]
-    denom = max(inorm(am1) + inorm(a0) + inorm(a1), FLOOR)
+    bs, b0, hhat = np.stack((am1, a1)), a0.copy(), a0.copy()  # bs = (B_-1, B_1)
+    norms = np.abs(bs).sum(axis=2).max(axis=1)  # ||B_-1||_inf, ||B_1||_inf
+    denom = max(norms[0] + np.linalg.norm(a0, np.inf) + norms[1], FLOOR)
     scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
-
-    bm1, b0, b1 = am1.copy(), a0.copy(), a1.copy()
-    hhat = a0.copy()
     k = 0
-    norms = inorm(bm1), inorm(b1)
-    # blocks that overflow (a negative tol never stops) raise NoConvergence below
-    with np.errstate(over="ignore", invalid="ignore"):
-        while not min(norms) <= tol * denom:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises NoConvergence below
+        while not norms.min() <= tol * denom:
             if k >= maxit:
                 raise NoConvergence(
                     f"cyclic reduction did not converge in {maxit} iterations "
                     "(eigenvalues on the unit circle without a gap?)"
                 )
             try:
-                xy = np.linalg.solve(b0, np.hstack((bm1, b1)))
+                s = np.linalg.inv(b0)
             except np.linalg.LinAlgError as exc:
                 raise SingularPivot(k) from exc
-            x, y = xy[:, :n], xy[:, n:]
-            bm1_next = -bm1 @ x
-            b1_next = -b1 @ y
-            b0 = b0 - bm1 @ y - b1 @ x
-            hhat = hhat - b1 @ x
-            bm1, b1 = bm1_next, b1_next
-            norms = inorm(bm1), inorm(b1)
-            if not all(map(math.isfinite, norms)):
+            # [B_-1; B_1] [X Y] = [[B_-1 X, B_-1 Y], [B_1 X, B_1 Y]]
+            p = bs.reshape(2 * n, n) @ (s @ np.concatenate(bs, axis=1))
+            b0 -= p[:n, n:] + p[n:, :n]
+            hhat -= p[n:, :n]
+            np.negative(p[:n, :n], out=bs[0])
+            np.negative(p[n:, n:], out=bs[1])
+            norms = np.abs(bs).sum(axis=2).max(axis=1)
+            if not norms.max() < math.inf:  # NaN fails too
                 raise NoConvergence(
                     f"cyclic reduction blocks are not finite at step {k} "
-                    f"(||B_-1||: {norms[0]:.2e}, ||B_1||: {norms[1]:.2e})"
+                    f"(||B_-1||: {norms[0]:.2e}, ||B_1||: {norms[1]:.2e})", step=k
                 )
             k += 1
 
@@ -207,22 +214,21 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
         raise SingularPivot(k) from exc
     kplus = a0 + a1 @ gplus
 
-    res_g = np.linalg.norm(am1 + a0 @ gplus + a1 @ gplus @ gplus) / scale
-    res_r = np.linalg.norm(rplus @ rplus @ am1 + rplus @ a0 + a1) / scale
-    res_k = np.linalg.norm(a0 - (kplus + rplus @ kplus @ gplus)) / scale
+    em1, e0, e1 = _residual_coeffs(am1, a0, a1, gplus, rplus, kplus)
+    res_g, res_k = np.linalg.norm(em1) / scale, np.linalg.norm(e0) / scale
+    res_r = np.linalg.norm(rplus @ (rplus @ am1 + a0) + a1) / scale
     if not all(res <= 1e-10 for res in (res_g, res_r, res_k)):
         raise NoConvergence(
             f"cyclic reduction limit fails its residual checks "
             f"(G: {res_g:.2e}, R: {res_r:.2e}, K: {res_k:.2e})"
         )
-    rho_g = spectral_radius(gplus)
-    rho_r = spectral_radius(rplus)
+    rho_g, rho_r = spectral_radius(gplus), spectral_radius(rplus)
     if strict_radius and not (rho_g < 1.0 - RADIUS_MARGIN and rho_r < 1.0 - RADIUS_MARGIN):
         raise NoConvergence(
             f"computed factors are not contractive (rho(G+)={rho_g:.6f}, "
             f"rho(R+)={rho_r:.6f}); no canonical factorization"
         )
-    fact_res = _quad_fact_residual(am1, a0, a1, gplus, rplus, kplus)
+    fact_res = _quad_fact_residual(em1, e0, e1, scale)
     if not fact_res <= 1e-10:
         raise NoConvergence(f"factorization residual {fact_res:.2e} exceeds 1e-10")
     # G+ and R+ are minus a solve: promoting before the negation gives real
@@ -265,17 +271,11 @@ def inverse_coefficients(f, m):
     if m < 0:
         raise ValueError("m must be nonnegative")
     (h0,) = _promote(_h0(f))
-    neg = []
-    cur = h0
+    neg, pos = [h0], [h0]
     for _ in range(m):
-        cur = f.gplus @ cur
-        neg.append(cur)
-    pos = []
-    cur = h0
-    for _ in range(m):
-        cur = cur @ f.rplus
-        pos.append(cur)
-    return list(reversed(neg)) + [h0] + pos
+        neg.append(f.gplus @ neg[-1])
+        pos.append(pos[-1] @ f.rplus)
+    return neg[:0:-1] + pos
 
 
 def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
@@ -301,7 +301,7 @@ def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
     disagreement = np.linalg.norm(k_a - k_b)
     if not disagreement <= 1e-10 * scale:
         raise error(f"the two K- expressions disagree by {disagreement:.2e}")
-    fact_res = _quad_fact_residual(a1, a0, am1, gminus, rminus, k_a)
+    fact_res = _factor_residual(a1, a0, am1, gminus, rminus, k_a)
     return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res)
 
 
@@ -461,7 +461,7 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     gplus_t = f.gplus + (mu - lam) * q
     w_t = rf.w + (mu - lam) * q @ rf.w @ np.linalg.solve(eye - mu * f.rplus, f.rplus)
     rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t, SingularWtilde, "W~")
-    fact_res = _quad_fact_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
+    fact_res = _factor_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
     if not (fact_res <= 1e-10 and rev.residual <= 1e-10):
         raise NoConvergence(
             f"shifted factorization residuals {fact_res:.2e}/{rev.residual:.2e} exceed 1e-10"

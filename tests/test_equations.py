@@ -23,6 +23,8 @@ from mpshift.errors import (
     SplittingFailure,
 )
 
+from mpshift import fixtures as fx
+
 from conftest import critical_qbd, crandn, qbd_quadratic, rand_poly
 
 
@@ -68,13 +70,43 @@ def test_reblock_p3_structure(p3):
     for j in range(k):
         assert np.array_equal(rq.b0[:n, j * n : (j + 1) * n], p3.coeffs[j + 1])
     assert np.array_equal(rq.b1[:n, 2 * n :], p3.coeffs[4])
+    # the identity blocks carry s = max ||A_i||_inf; p3 is real, so are the blocks
+    s = max(np.linalg.norm(c.real, np.inf) for c in p3.coeffs)
+    assert all(b.dtype == np.float64 for b in (rq.bm1, rq.b0, rq.b1))
     for i in range(1, k):
-        assert np.array_equal(
-            rq.b0[i * n : (i + 1) * n, i * n : (i + 1) * n], -np.eye(n, dtype=complex)
-        )
-        assert np.array_equal(
-            rq.b1[i * n : (i + 1) * n, (i - 1) * n : i * n], np.eye(n, dtype=complex)
-        )
+        assert np.array_equal(rq.b0[i * n : (i + 1) * n, i * n : (i + 1) * n], -s * np.eye(n))
+        assert np.array_equal(rq.b1[i * n : (i + 1) * n, (i - 1) * n : i * n], s * np.eye(n))
+
+
+def _p3_solves(alpha):
+    p = MatrixPoly([alpha * c for c in fx.p3().coeffs])
+    e = np.ones(5)
+    return p, solve_unilateral(p), shift_accelerated_solve(p, 1.0, e, e / 5)
+
+
+@pytest.mark.parametrize("alpha", [1e-150, 1e160, 1e300])
+def test_reblock_scales_with_its_input(alpha, p3):
+    # the embedding of alpha A(z) is alpha times that of A(z), and stays
+    # finite where a Frobenius norm of the coefficients would overflow
+    rq, rq_alpha = reblock(p3), reblock(MatrixPoly([alpha * c for c in p3.coeffs]))
+    for b, b_alpha in zip((rq.bm1, rq.b0, rq.b1), (rq_alpha.bm1, rq_alpha.b0, rq_alpha.b1)):
+        assert np.isfinite(b_alpha).all()
+        assert np.abs(b_alpha - alpha * b).max() <= 1e-15 * alpha * np.abs(b).max()
+
+
+@pytest.mark.parametrize("alpha", [1e-20, 1e-12, 1e8, 1e20])
+def test_scaled_p3_solves_like_p3(alpha):
+    # alpha A(z) has the minimal solvent of A(z): the step counts, sigma and
+    # G do not depend on alpha, and a perturbed solvent fails at every alpha
+    _, plain_1, shifted_1 = _p3_solves(1.0)
+    p, plain, shifted = _p3_solves(alpha)
+    assert (plain.iterations, shifted.iterations) == (12, 5)
+    for r, r_1 in ((plain, plain_1), (shifted, shifted_1)):
+        assert abs(r.sigma - r_1.sigma) <= 1e-12 * r_1.sigma
+        assert np.linalg.norm(r.g - r_1.g) <= 1e-12 * np.linalg.norm(r_1.g)
+        assert r.residual <= 1e-15
+    off = plain.g + 1e-6 * np.linalg.norm(plain.g) * np.eye(5)
+    assert equation_residual(p, off) > 1e-10
 
 
 def test_reblock_determinant_has_extra_origin_zeros():

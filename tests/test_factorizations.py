@@ -32,17 +32,18 @@ from mpshift import (
 from mpshift.errors import (
     DegenerateShift,
     ModulusConstraintViolated,
-    MpshiftError,
     NoConvergence,
     NotAnEigenpair,
     NotASolvent,
     ShiftOutsideDisk,
     SingularH0,
     SingularPivot,
+    SplittingFailure,
 )
+from mpshift.equations import ReblockedQuadratic
 from mpshift.fixtures import p3
 
-from mpshift import factorizations
+from mpshift import equations, factorizations
 from mpshift.factorizations import QuadFactorization, _h0
 
 from conftest import critical_qbd, crandn, qbd_quadratic
@@ -105,20 +106,113 @@ def test_cr_iteration_count_tracks_sigma():
         assert abs(f.iterations - predicted) <= 2
 
 
+def _reference_cr(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
+    """Cyclic reduction as first written: a 2n-column solve per step, block
+    norms one by one, and the residual gates in product form (the 8-point
+    factorization residual included).  Returns G+, R+, K+, steps, residual."""
+    def inorm(x):
+        return np.linalg.norm(x, np.inf)
+
+    n = a0.shape[0]
+    denom = max(inorm(am1) + inorm(a0) + inorm(a1), 1e-300)
+    scale = np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1)
+    bm1, b0, b1, hhat = am1.copy(), a0.copy(), a1.copy(), a0.copy()
+    k = 0
+    while not min(inorm(bm1), inorm(b1)) <= tol * denom:
+        assert k < maxit
+        xy = np.linalg.solve(b0, np.hstack((bm1, b1)))
+        x, y = xy[:, :n], xy[:, n:]
+        bm1, b1, b0, hhat = -bm1 @ x, -b1 @ y, b0 - bm1 @ y - b1 @ x, hhat - b1 @ x
+        k += 1
+    gplus = -np.linalg.solve(hhat, am1)
+    rplus = -np.linalg.solve(hhat.T, a1.T).T
+    kplus = a0 + a1 @ gplus
+    assert np.linalg.norm(am1 + a0 @ gplus + a1 @ gplus @ gplus) <= 1e-10 * scale
+    assert np.linalg.norm(rplus @ rplus @ am1 + rplus @ a0 + a1) <= 1e-10 * scale
+    assert np.linalg.norm(a0 - (kplus + rplus @ kplus @ gplus)) <= 1e-10 * scale
+    if strict_radius:
+        assert max(spectral_radius(gplus), spectral_radius(rplus)) < 1 - 1e-8
+    residual = _residual_8_points(am1, a0, a1, gplus, rplus, kplus)
+    assert residual <= 1e-10
+    return gplus, rplus, kplus, k, residual
+
+
+def _cr_case(name):
+    """(A_-1, A_0, A_1) and strict_radius: reblocked p3, or a QBD of size n."""
+    if name == "p3":
+        rq = reblock(p3())
+        return (rq.bm1, rq.b0, rq.b1), False
+    return critical_qbd(5, int(name[3:]), drift=5e-3, scale=0.99), True
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["real", "rotated"])
+@pytest.mark.parametrize("case", ["p3", "qbd1", "qbd8", "qbd50", "qbd200"])
+def test_cr_matches_the_reference_recurrences(case, rotate):
+    coeffs, strict = _cr_case(case)
+    if rotate:  # complex data: the same G+ and R+, and K+ rotated with A
+        coeffs = tuple(cmath.exp(0.7j) * c for c in coeffs)
+    g, r, k, steps, residual = _reference_cr(*coeffs, strict_radius=strict)
+    f = cr_quadratic(*coeffs, strict_radius=strict)
+    assert f.iterations == steps
+    assert _rel(f.gplus, g) <= 1e-12 and _rel(f.rplus, r) <= 1e-12 and _rel(f.kplus, k) <= 1e-12
+    assert abs(f.residual - residual) <= 1e-14
+
+
 def test_cr_singular_pivot():
     # B0 = 0 makes the first pivot singular
     with pytest.raises(SingularPivot):
         cr_quadratic(np.eye(2), np.zeros((2, 2)), np.eye(2))
 
 
-def test_cr_overflow_raises_a_typed_error():
-    # a negative tol never stops CR; on p3 (an eigenvalue on the unit circle)
-    # B_-1 overflows, and the non-finite block norm ends the run
+def test_cr_overflow_raises_a_typed_error(monkeypatch):
+    # a negative tol would never stop CR (on p3 the blocks overflow); it is
+    # rejected before the first step
     rq = reblock(p3())
-    with pytest.raises(NoConvergence, match="not finite at step"):
+    with pytest.raises(ValueError, match="tol must be finite and at least 0, got -1"):
         cr_quadratic(rq.bm1, rq.b0, rq.b1, tol=-1, strict_radius=False)
-    with pytest.raises(MpshiftError, match="not finite at step"):
+    with pytest.raises(ValueError, match="tol must be finite and at least 0, got -1"):
         solve_unilateral(p3(), tol=-1)
+    # non-finite blocks, here from a NaN coefficient, end the run naming the
+    # step, and solve_unilateral passes that error on as it is
+    bm1 = rq.bm1.copy()
+    bm1[0, 0] = math.nan
+    with pytest.raises(NoConvergence, match="not finite at step 0") as info:
+        cr_quadratic(bm1, rq.b0, rq.b1, strict_radius=False)
+    assert info.value.step == 0
+    monkeypatch.setattr(equations, "reblock", lambda p: ReblockedQuadratic(bm1, rq.b0, rq.b1))
+    with pytest.raises(NoConvergence, match="not finite at step 0") as info:
+        solve_unilateral(p3())
+    assert type(info.value) is NoConvergence and info.value.step == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": math.nan}, "tol must be finite and at least 0, got nan"),
+        ({"tol": math.inf}, "tol must be finite and at least 0, got inf"),
+        ({"tol": -1e-300}, "tol must be finite and at least 0"),
+        ({"maxit": 0}, "maxit must be at least 1, got 0"),
+        ({"maxit": -3}, "maxit must be at least 1, got -3"),
+    ],
+)
+def test_cr_rejects_bad_tol_and_maxit(kwargs, message):
+    rq = reblock(p3())
+    e = np.ones(5)
+    calls = [
+        lambda: cr_quadratic(rq.bm1, rq.b0, rq.b1, strict_radius=False, **kwargs),
+        lambda: solve_unilateral(p3(), **kwargs),
+        lambda: shift_accelerated_solve(p3(), 1.0, e, e / 5, **kwargs),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_cr_step_limit_is_still_a_splitting_failure():
+    # the step limit and the residual gates keep their SplittingFailure
+    with pytest.raises(SplittingFailure, match="did not converge in 3 iterations"):
+        solve_unilateral(p3(), maxit=3)
+    assert solve_unilateral(p3(), tol=0.0).iterations > 12
 
 
 def test_cr_nan_input_raises_at_step_zero():
@@ -282,12 +376,13 @@ def _residual_8_points(am1, a0, a1, g, r, k):
 
 def _count_points(monkeypatch):
     points = []
+    point_norms = factorizations._point_norms
 
-    def value(am1, a0, a1, z):
-        points.append(z)
-        return am1 / z + a0 + z * a1
+    def norms(em1, e0, e1, at):
+        points.extend(at)
+        return point_norms(em1, e0, e1, at)
 
-    monkeypatch.setattr(factorizations, "_quad_value", value)
+    monkeypatch.setattr(factorizations, "_point_norms", norms)
     return points
 
 
@@ -300,12 +395,23 @@ def test_real_factorization_residual_uses_five_points(monkeypatch):
     # one, whose residual is large enough to compare in relative terms
     off = gplus + 1e-3 * rng.standard_normal(gplus.shape)
     points = _count_points(monkeypatch)
-    at_five = factorizations._quad_fact_residual(am1, a0, a1, gplus, rplus, kplus)
+    at_five = factorizations._factor_residual(am1, a0, a1, gplus, rplus, kplus)
     assert len(points) == 5 and all(z.imag >= 0 for z in points)
     assert abs(at_five - _residual_8_points(am1, a0, a1, gplus, rplus, kplus)) <= 1e-15
     worst = _residual_8_points(am1, a0, a1, off, rplus, kplus)
-    at_five = factorizations._quad_fact_residual(am1, a0, a1, off, rplus, kplus)
+    at_five = factorizations._factor_residual(am1, a0, a1, off, rplus, kplus)
     assert abs(at_five - worst) <= 1e-15 * worst
+
+
+def test_real_point_norms_match_complex_evaluation():
+    # point by point, not only at the maximum: with E_1 = -E_{-1} the real
+    # part vanishes at z = +-1 and the imaginary part carries the residual
+    em1, e0, e1 = (np.random.default_rng(101).standard_normal((6, 6)) for _ in range(3))
+    points = factorizations.UNIT_CIRCLE[:5]
+    for em1, e1 in ((em1, e1), (em1, -em1)):
+        got = factorizations._point_norms(em1, e0, e1, points)
+        want = [np.linalg.norm(em1 / z + e0 + z * e1) for z in points]
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_complex_factorization_residual_uses_eight_points(monkeypatch):
@@ -313,7 +419,7 @@ def test_complex_factorization_residual_uses_eight_points(monkeypatch):
     am1, a0, a1 = (c * m for m in qbd_quadratic(np.random.default_rng(67), 6))
     f = cr_quadratic(am1, a0, a1)
     points = _count_points(monkeypatch)
-    res = factorizations._quad_fact_residual(am1, a0, a1, f.gplus, f.rplus, f.kplus)
+    res = factorizations._factor_residual(am1, a0, a1, f.gplus, f.rplus, f.kplus)
     assert len(points) == 8
     assert res <= 1e-10
 
@@ -338,24 +444,24 @@ def test_coefficient_residual_matches_product_form(n, complex_data):
     # both forms are relative to the same scale, so they agree to rounding
     # in absolute terms, at a converged and at a perturbed factorization
     coeffs, (g, r, k) = _factored_qbd(79, n, complex_data)
-    at_rounding = factorizations._quad_fact_residual(*coeffs, g, r, k)
+    at_rounding = factorizations._factor_residual(*coeffs, g, r, k)
     assert at_rounding <= 1e-14
     assert abs(at_rounding - _residual_8_points(*coeffs, g, r, k)) <= 1e-15
     off = g + 1e-3 * np.random.default_rng(83).standard_normal(g.shape)
     worst = _residual_8_points(*coeffs, off, r, k)
     assert worst > 1e-4
-    assert abs(factorizations._quad_fact_residual(*coeffs, off, r, k) - worst) <= 1e-15
+    assert abs(factorizations._factor_residual(*coeffs, off, r, k) - worst) <= 1e-15
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("which", range(3))
 def test_coefficient_residual_rejects_each_perturbed_factor(which, complex_data):
     coeffs, factors = _factored_qbd(89, 8, complex_data)
-    assert factorizations._quad_fact_residual(*coeffs, *factors) <= 1e-10
+    assert factorizations._factor_residual(*coeffs, *factors) <= 1e-10
     perturbed = list(factors)
     m = perturbed[which]
     perturbed[which] = m + 1e-8 * np.linalg.norm(m) * np.random.default_rng(97).standard_normal(m.shape)
-    res = factorizations._quad_fact_residual(*coeffs, *perturbed)
+    res = factorizations._factor_residual(*coeffs, *perturbed)
     assert res > 1e-10
     assert abs(res - _residual_8_points(*coeffs, *perturbed)) <= 1e-15
 
