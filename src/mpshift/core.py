@@ -34,6 +34,9 @@ from .errors import (
 # Absolute floor protecting relative tolerances from division by zero.
 FLOOR = 1e-300
 
+# rcond(A(z)) at or below RANK_TOL counts as "A(z) is singular".
+RANK_TOL = 1e-13
+
 
 def _freeze(arr):
     arr = np.array(arr, dtype=complex)
@@ -216,6 +219,15 @@ def det_at(p, z):
     return complex(np.linalg.det(evaluate(p, z)))
 
 
+def rcond(m):
+    """sigma_min / sigma_max of m (NaN if m is not finite, 0 if zero): the one rank test."""
+    m = np.asarray(m)
+    if not np.isfinite(m).all():
+        return math.nan
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[-1] / s[0]) if s[0] > 0 else 0.0
+
+
 def reverse(p):
     """Reverse polynomial z^d A(1/z); eigenvalues become reciprocals (1/0 = inf)."""
     if p.lo != 0:
@@ -268,8 +280,15 @@ def matrix_horner(coeffs, x):
 
 
 def equation_residual(p, g):
-    """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F."""
+    """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F.
+
+    The A_i are first divided (exactly) by a power of two near their largest
+    entry, so the norms neither under- nor overflow at extreme scales.
+    """
     *coeffs, g = as_working(*p.coeffs, g)
+    exponent = math.frexp(max(float(np.abs(c).max()) for c in coeffs))[1]
+    step = 2.0 ** -max(exponent, -1021)
+    coeffs = [c * step for c in coeffs]
     acc = matrix_horner(coeffs, g)
     return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in coeffs), FLOOR))
 
@@ -320,13 +339,14 @@ def det_ratio_oracle(
 
     Sample points are drawn uniformly on circles of the given radii
     (straddling the unit circle), rejecting points within 1e-3 of any removed
-    or added value.  With ``fit_constant`` the constant C is fitted at the
-    best-conditioned sample and verified at the rest; otherwise C = 1.  The
-    determinants come from pivoted LU on the evaluated matrices, so the check
-    is independent of any shift formula.
+    or added value.  Each sample's ratio, sign * exp(log|det a_tilde| -
+    log|det a|) * prod(z - removed) / prod(z - added), comes from pivoted-LU
+    ``slogdet`` (phase and log magnitude, so no power of a norm overflows) and
+    is independent of any shift formula.  C is 1, or with ``fit_constant``
+    the ratio at the sample with the largest log|det a(z) prod(z - added)|.
 
-    Returns an :class:`OracleReport`; ``passed`` means the maximum relative
-    error over all samples is at most ``tol``.
+    Raises DegeneratePolynomial when rcond(a(z)) <= RANK_TOL at every sample.
+    Returns an :class:`OracleReport`; ``passed`` means max |ratio / C - 1| <= tol.
     """
     if a.n != a_tilde.n:
         raise DimensionMismatch("operands have different dimensions")
@@ -352,32 +372,24 @@ def det_ratio_oracle(
             continue
         pts.append(z)
 
-    n = a.n
-    lhs = np.empty(samples, dtype=complex)
-    rhs = np.empty(samples, dtype=complex)
+    sign_a, sign_t = np.empty(samples, dtype=complex), np.empty(samples, dtype=complex)
+    log_a, log_t = np.empty(samples), np.empty(samples)
     degenerate = True
     for j, z in enumerate(pts):
         ma = evaluate(a, z)
-        da = complex(np.linalg.det(ma))
-        dt = det_at(a_tilde, z)
-        if abs(da) > 1e-12 * max(np.linalg.norm(ma), FLOOR) ** n:
-            degenerate = False
-        lhs[j] = dt * np.prod([z - w for w in removed]) if removed else dt
-        rhs[j] = da * np.prod([z - w for w in added]) if added else da
+        degenerate = degenerate and not rcond(ma) > RANK_TOL
+        sign_a[j], log_a[j] = np.linalg.slogdet(ma)
+        sign_t[j], log_t[j] = np.linalg.slogdet(evaluate(a_tilde, z))
     if degenerate:
         raise DegeneratePolynomial("det a(z) vanishes at every sample point")
 
-    if fit_constant:
-        k = int(np.argmax(np.abs(rhs)))
-        if abs(rhs[k]) <= FLOOR:
-            raise DegeneratePolynomial("no sample with usable determinant magnitude")
-        constant = lhs[k] / rhs[k]
-    else:
-        constant = 1.0 + 0.0j
-
-    scaled = constant * rhs
-    errs = np.abs(lhs - scaled) / np.maximum(np.abs(scaled), FLOOR)
-    max_err = float(np.max(errs))
+    num = np.prod(np.subtract.outer(pts, removed), axis=1)
+    den = np.prod(np.subtract.outer(pts, added), axis=1)
+    # a ratio that overflows, or is 0/0 at an exactly singular sample, fails as inf or NaN
+    with np.errstate(all="ignore"):
+        ratio = sign_t / sign_a * np.exp(log_t - log_a) * num / den
+        constant = ratio[np.argmax(log_a + np.log(np.abs(den)))] if fit_constant else 1.0 + 0.0j
+        max_err = float(np.max(np.abs(ratio / constant - 1.0)))
     return OracleReport(max_err <= tol, max_err, samples, complex(constant), tol)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_working, equation_residual, is_infinite
+from .core import as_working, equation_residual, is_infinite, rcond
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
@@ -172,9 +172,9 @@ def _solve_eigen(p, seed):
                     f"selected eigenvalues {vals[i]} and {vals[j]} coincide"
                 )
     vmat = np.column_stack([q.right for q in chosen])
-    cond = np.linalg.cond(vmat)
-    if not np.isfinite(cond) or cond > 1e8:
-        raise IllConditionedEigenbasis(f"eigenvector basis condition {cond:.2e} exceeds 1e8")
+    rc = rcond(vmat)
+    if not rc >= 1e-8:
+        raise IllConditionedEigenbasis(f"reciprocal condition of the eigenvector basis is {rc:.2e}")
     g = np.linalg.solve(vmat.T, (vmat @ np.diag(vals)).T).T
     return g, 1, gap_lo / gap_hi if p.d > 1 else math.nan
 

@@ -41,6 +41,7 @@ from .core import (
     equation_residual,
     evaluate,
     horner,
+    rcond,
 )
 from .errors import (
     DegenerateShift,
@@ -287,12 +288,9 @@ def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
     singular (or not finite) or the two K- disagree; the caller gates the
     returned factorization residual.
     """
-    try:
-        rcond = 1.0 / np.linalg.cond(h)
-    except np.linalg.LinAlgError:  # the SVD of a non-finite H
-        rcond = math.nan
-    if not rcond >= 1e-12:
-        raise error(f"reciprocal condition of {h_name} is {rcond:.2e}")
+    rc = rcond(h)
+    if not rc >= 1e-12:
+        raise error(f"reciprocal condition of {h_name} is {rc:.2e}")
     gminus = np.linalg.solve(h.T, (h @ rplus).T).T
     rminus = np.linalg.solve(h, gplus @ h)
     k_a = a0 + am1 @ gminus

@@ -46,6 +46,7 @@ from .core import (
     is_infinite,
     kernel_residual,
     left_residual,
+    rcond,
     reverse,
     right_residual,
     unit_vector,
@@ -311,8 +312,7 @@ def multishift_laurent(p, ms):
     from .spectra import invariant_pair_residual
 
     if p.lo < 0:
-        svals = np.linalg.svd(ms.lam, compute_uv=False)
-        if svals[-1] <= 1e-14 * max(svals[0], FLOOR):
+        if not rcond(ms.lam) > 1e-14:
             raise SingularLambda("Lambda is singular; negative powers cannot be shifted")
     res = invariant_pair_residual(p, ms.u, ms.lam)
     if res > EIGENPAIR_TOL:

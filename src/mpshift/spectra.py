@@ -8,6 +8,10 @@ dense eigensolver recovers every z, with theta = 0 corresponding to
 eigenvalues at infinity (singular leading coefficient).  Eigenvectors are
 recomputed from the SVD of A(z), decoupling their accuracy from the
 conditioning of the linearization.
+
+The Cayley point c is redrawn on |c| = 0.9 until rcond(A(c)) = sigma_min /
+sigma_max exceeds RANK_TOL = 1e-13, a test invariant to scale and dimension;
+after 10 failed draws det A(z) vanishes identically (DegeneratePolynomial).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from .core import (
     FLOOR,
+    RANK_TOL,
     EigenPair,
     coeff_scale,
     derivative_at,
@@ -27,6 +32,7 @@ from .core import (
     is_infinite,
     kernel_residual,
     matrix_horner,
+    rcond,
     right_residual,
     unit_vector,
 )
@@ -100,16 +106,6 @@ class Spectrum:
         return [p for p in self.pairs if p.is_infinite]
 
 
-def _check_not_degenerate(p, rng):
-    n = p.n
-    for _ in range(3):
-        z = rng.uniform(0.6, 1.4) * cmath.exp(2j * math.pi * rng.random())
-        m = evaluate(p, z)
-        if abs(np.linalg.det(m)) > 1e-12 * max(np.linalg.norm(m), FLOOR) ** n:
-            return
-    raise DegeneratePolynomial("det A(z) vanishes at all probe points")
-
-
 def null_vectors(p, z, left=False):
     """Unit right (and, with ``left``, left) singular vectors of A(z)'s smallest
     singular value; at infinite z those of the leading coefficient.
@@ -144,26 +140,23 @@ def polyeig(p, seed=0, want_left=False):
     if p.lo != 0:
         raise DimensionMismatch("polyeig expects a matrix polynomial")
     rng = np.random.default_rng(seed)
-    _check_not_degenerate(p, rng)
-    if p.d == 0:
-        return Spectrum((), 0.0 + 0.0j)
-
-    pencil = companion_pencil(p)
-    n = p.n
-    c = None
-    m = None
+    pencil = companion_pencil(p) if p.d else None
+    nonsingular = False
     for _ in range(10):
-        cand = 0.9 * cmath.exp(2j * math.pi * rng.random())
-        mz = evaluate(p, cand)
-        if abs(np.linalg.det(mz)) <= 1e-12 * max(np.linalg.norm(mz), FLOOR) ** n:
+        c = 0.9 * cmath.exp(2j * math.pi * rng.random())
+        if not rcond(evaluate(p, c)) > RANK_TOL:
             continue
+        if pencil is None:
+            return Spectrum((), 0.0 + 0.0j)
+        nonsingular = True
         try:
-            m = np.linalg.solve(pencil.c1 - cand * pencil.c2, pencil.c2)
+            m = np.linalg.solve(pencil.c1 - c * pencil.c2, pencil.c2)
         except np.linalg.LinAlgError:
             continue
-        c = cand
         break
-    if c is None:
+    else:
+        if not nonsingular:
+            raise DegeneratePolynomial("det A(z) vanishes at all probe points")
         raise EigensolverFailure("no usable Cayley point after 10 attempts")
 
     try:

@@ -64,6 +64,13 @@ def plant_right_pairs(p, pairs):
     return _sub_at_zero(p, corr)
 
 
+def shared_kernel_poly(rng, n, d):
+    """A degree-d polynomial whose coefficients share a kernel vector: det A(z) == 0."""
+    w = crandn(rng, n)
+    proj = np.eye(n) - np.outer(w, w.conj()) / np.vdot(w, w)
+    return MatrixPoly([crandn(rng, n, n) @ proj for _ in range(d + 1)])
+
+
 def plant_kernel_lead(p, u):
     """Make u an exact kernel vector of the leading coefficient."""
     u = np.asarray(u, dtype=complex)

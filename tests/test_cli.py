@@ -91,6 +91,23 @@ def test_eig_json_format(tmp_path, capsys):
     assert len(payload["eigenvalues"]) == 4
 
 
+@pytest.mark.parametrize("n", [16, 32, 100])
+def test_eig_and_shift_random_complex_quadratic_at_size(tmp_path, capsys, n):
+    # determinant-power rank gates would exit 1 with "det ... vanishes" from n = 16 on
+    rng = np.random.default_rng(n)
+    src, dst = tmp_path / "a.mp.json", tmp_path / "b.mp.json"
+    write_poly(MatrixPoly([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                           for _ in range(3)]), src)
+    code, out, err = run(capsys, "eig", str(src), "--format", "json")
+    assert code == 0, err
+    eigenvalues = json.loads(out)["eigenvalues"]
+    assert len(eigenvalues) == 2 * n
+    lam = eigenvalues[0]["value"]
+    code, out, err = run(capsys, "shift", str(src), f"--lambda={lam[0]!r}{lam[1]:+.17g}i",
+                         "--mu", "0", "-o", str(dst), "--format", "json")
+    assert code == 0 and json.loads(out)["oracle"]["passed"] is True, err
+
+
 def test_eig_empty_file_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.mp.json"
     path.write_text("", encoding="utf-8")

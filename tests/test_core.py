@@ -28,7 +28,7 @@ from mpshift.errors import (
 )
 from mpshift import core
 
-from conftest import crandn, mp_json_reference, plant_right, rand_poly
+from conftest import crandn, mp_json_reference, plant_right, rand_poly, shared_kernel_poly
 
 
 # --- evaluation ---
@@ -104,6 +104,42 @@ def test_equation_residual_same_on_real_and_complex_paths(p3):
     real = core.equation_residual(p3, g)
     assert real > 1e-4
     assert abs(core.equation_residual(rotated, g) - real) <= 1e-13 * real
+
+
+@pytest.mark.parametrize("alpha", [1e-160, 1e160, 1e300])
+def test_equation_residual_sees_a_perturbed_solvent_at_every_scale(p3, alpha):
+    # unscaled Frobenius norms would read 0.0 (1e-160, 1e160) or NaN (1e300) here
+    g = solve_unilateral(p3).g
+    scaled = MatrixPoly([alpha * c for c in p3.coeffs])
+    assert core.equation_residual(scaled, g) <= 1e-10
+    assert core.equation_residual(scaled, g * (1 + 1e-6)) > 1e-10
+
+
+def test_equation_residual_keeps_its_bits_at_ordinary_scales(p3):
+    g = solve_unilateral(p3).g * (1 + 1e-6)
+    for alpha in (1.0, 3e-7, 5e4):
+        coeffs = [alpha * c.real for c in p3.coeffs]
+        unscaled = np.linalg.norm(core.matrix_horner(coeffs, g.real)) / sum(
+            np.linalg.norm(c) for c in coeffs
+        )
+        assert core.equation_residual(MatrixPoly(coeffs), g) == unscaled
+
+
+# --- rank test ---
+
+def test_rcond_is_a_scale_invariant_singular_value_ratio():
+    m = crandn(np.random.default_rng(3), 6, 6)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert core.rcond(m) == s[-1] / s[0]
+    for alpha in (1e-300, 1e-150, 1e150, 1e300):
+        assert core.rcond(alpha * m) == pytest.approx(s[-1] / s[0], rel=1e-12)
+    assert core.rcond(np.diag([1.0, 1e-20])) == 1e-20
+
+
+def test_rcond_of_zero_and_nonfinite_matrices():
+    assert core.rcond(np.zeros((3, 3))) == 0.0
+    assert np.isnan(core.rcond(np.array([[1.0, np.inf], [0.0, 1.0]])))
+    assert np.isnan(core.rcond(np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex)))
 
 
 # --- determinants ---
@@ -391,6 +427,44 @@ def test_oracle_rejects_samples_near_shift_values(p1):
     shifted = right_shift_poly(p1, spec)
     rep = det_ratio_oracle(p1, shifted, removed=[1.0], added=[0.7], samples=24)
     assert rep.passed
+
+
+def _planted_quadratic_shift(n, lam=0.5 + 0.2j, mu=-0.3 + 0.1j):
+    rng = np.random.default_rng(n)
+    u = unit_vector(crandn(rng, n))
+    p = plant_right(rand_poly(rng, n, 2), lam, u)
+    return p, right_shift_poly(p, ShiftSpec(lam, mu, u))
+
+
+@pytest.mark.parametrize("n", [16, 32, 100])
+def test_oracle_passes_a_valid_shift_at_size(n):
+    # a gate of the form |det A(z)| > 1e-12 ||A(z)||_F^n calls these degenerate from n = 16 on
+    p, shifted = _planted_quadratic_shift(n)
+    assert det_ratio_oracle(p, shifted, removed=[0.5 + 0.2j], added=[-0.3 + 0.1j]).passed
+
+
+def test_oracle_fails_a_wrong_target_at_size():
+    p, shifted = _planted_quadratic_shift(32)
+    rep = det_ratio_oracle(p, shifted, removed=[0.5 + 0.2j], added=[-0.2 + 0.1j])
+    assert not rep.passed and rep.max_rel_err > 1e-2
+
+
+@pytest.mark.parametrize("alpha", [1e-150, 1e150])
+def test_oracle_at_extreme_scales(alpha):
+    # det A(z) ~ alpha^32 is out of double range; its logarithm is not
+    p, shifted = _planted_quadratic_shift(32)
+    a, a_tilde = (MatrixPoly([alpha * c for c in q.coeffs]) for q in (p, shifted))
+    for fit in (False, True):
+        rep = det_ratio_oracle(a, a_tilde, removed=[0.5 + 0.2j], added=[-0.3 + 0.1j],
+                               fit_constant=fit)
+        assert rep.passed and abs(rep.constant - 1) <= 1e-10
+
+
+def test_oracle_shared_kernel_vector_is_degenerate():
+    rng = np.random.default_rng(5)
+    p = shared_kernel_poly(rng, 8, 2)
+    with pytest.raises(DegeneratePolynomial, match="det a\\(z\\) vanishes at every sample point"):
+        det_ratio_oracle(p, rand_poly(rng, 8, 2))
 
 
 @pytest.mark.parametrize("samples", [0, -3])

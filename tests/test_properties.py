@@ -1,14 +1,18 @@
 """Property-based checks of the structural invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mpshift import (
     LaurentPoly,
     MatrixPoly,
     ShiftSpec,
     evaluate,
+    fixtures,
+    polyeig,
     read_poly,
     reverse,
     right_shift_laurent,
@@ -120,3 +124,21 @@ def test_shift_preserves_support_and_lead(seed):
     q = plant_right(rand_laurent(rng, 3, -2, 1), lam, u)
     out_l = right_shift_laurent(q, ShiftSpec(lam, mu, u))
     assert (out_l.lo, out_l.hi) == (q.lo, q.hi)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e-150, 1e150])
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_scaled_fixture_has_the_same_eigenvalues(name, alpha):
+    # a determinant-power rank gate would raise DegeneratePolynomial at
+    # 1e-150 and overflow at 1e150
+    p = getattr(fixtures, name)()
+    base = polyeig(p).values()
+    got = polyeig(MatrixPoly([alpha * c for c in p.coeffs])).values()
+    assert np.isinf(got).sum() == np.isinf(base).sum()
+    base, got = base[np.isfinite(base)], got[np.isfinite(got)]
+    rel = np.abs(np.subtract.outer(got, base)) / np.abs(base)
+    rows, cols = linear_sum_assignment(rel)
+    # p1's double root 1 is defective, resolved only to about 1e-8
+    loose = (name == "p1") & (np.abs(base[cols] - 1) < 1e-6)
+    assert np.all(rel[rows, cols] <= np.where(loose, 1e-7, 1e-12))

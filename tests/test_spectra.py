@@ -19,11 +19,12 @@ from mpshift.errors import (
     DegeneratePolynomial,
     DependentEigenvectors,
     DistinctnessViolated,
+    EigensolverFailure,
 )
 
 from mpshift.spectra import null_vectors
 
-from conftest import crandn, match_moduli, rand_poly
+from conftest import crandn, match_moduli, rand_poly, shared_kernel_poly
 
 
 def test_polyeig_p1(p1):
@@ -74,6 +75,37 @@ def test_polyeig_degenerate_rejected():
     )
     with pytest.raises(DegeneratePolynomial):
         polyeig(p)
+
+
+@pytest.mark.parametrize("n", [16, 32, 100])
+def test_polyeig_random_complex_quadratic_at_size(n):
+    # a gate of the form |det A(c)| > 1e-12 ||A(c)||_F^n rejects these from n = 16 on
+    spec = polyeig(rand_poly(np.random.default_rng(n), n, 2))
+    assert len(spec.finite()) == 2 * n
+    assert max(q.residual for q in spec.pairs) <= 1e-12
+
+
+def test_polyeig_shared_kernel_vector_is_degenerate():
+    p = shared_kernel_poly(np.random.default_rng(5), 8, 2)
+    with pytest.raises(DegeneratePolynomial, match="det A\\(z\\) vanishes at all probe points"):
+        polyeig(p)
+
+
+def test_polyeig_reports_failed_cayley_solves(p1, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(EigensolverFailure, match="no usable Cayley point after 10 attempts"):
+        polyeig(p1)
+
+
+def test_polyeig_degree_zero():
+    rng = np.random.default_rng(6)
+    spec = polyeig(MatrixPoly([crandn(rng, 3, 3)]))
+    assert spec.pairs == () and spec.cayley_point == 0
+    with pytest.raises(DegeneratePolynomial, match="det A\\(z\\) vanishes at all probe points"):
+        polyeig(MatrixPoly([np.diag([1.0, 2.0, 0.0])]))
 
 
 def test_polyeig_matches_scalarized_determinant_roots():
