@@ -145,8 +145,8 @@ class EigenPair:
 
     ``value`` may be the point at infinity (any non-finite complex).  The
     right vector has unit 2-norm with its first significant entry real
-    positive.  ``residual`` is ||A(value) right|| / scale for finite values
-    and ||A_d right|| / ||A_d||_F for infinite ones.  ``borderline`` marks
+    positive.  ``residual`` is :func:`pair_residual` of (value, right), which
+    is ||A_d right|| / ||A_d||_F for infinite values.  ``borderline`` marks
     finite/infinite classifications that were decided near the threshold.
     """
 
@@ -235,40 +235,40 @@ def reverse(p):
     return replace(p, coeffs=p.coeffs[::-1])
 
 
-def coeff_scale(p, radius):
-    """sum_i ||A_i||_F radius^i, the natural scale for residuals at |z| = radius."""
-    radius = float(radius)
-    if radius == 0.0 and p.lo < 0:
-        raise ZeroAtNegativePower("scale undefined at radius 0 with negative powers")
-    return float(
-        sum(np.linalg.norm(c) * radius ** (p.lo + k) for k, c in enumerate(p.coeffs))
-    )
+def _pow2_scaled(arrays):
+    """The arrays times 2^-e, e >= -1021 the binary exponent of their largest
+    entry, and 2^-e: an exact division after which no norm under- or overflows."""
+    exponent = math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
+    step = 2.0 ** -max(exponent, -1021)
+    return [a * step for a in arrays], step
 
 
-def right_residual(p, lam, u):
-    """Relative residual ||A(lam) u|| / (||u|| * scale); leading-coefficient form at infinity."""
+def pair_residual(p, lam, u, side="right"):
+    """Normwise backward error of an eigenpair (Tisseur 2000).
+
+    ||A(lam) u|| / (||u|| sum_i ||A_i||_F |lam|^i) for ``side="right"``,
+    ||u* A(lam)|| / (the same) for ``side="left"``.  Both sums are divided by
+    |lam|^lo when |lam| <= 1, and by |lam|^hi otherwise, so one Horner sweep
+    runs over the vectors A_i u (u* A_i) at z = lam, or over them reversed at
+    z = 1/lam; with |z| <= 1 nothing overflows.  Infinite lam is z = 0:
+    ||A_hi u|| / (||A_hi||_F ||u||).  The coefficients are first divided by
+    a power of two near their largest entry.  A zero u gives inf.
+    """
     u = np.asarray(u, dtype=complex).reshape(-1)
     nu = np.linalg.norm(u)
     if nu == 0:
         return math.inf
-    if is_infinite(lam):
-        lead = p.coeffs[-1]
-        return kernel_residual(lead, u)
-    scale = max(coeff_scale(p, abs(complex(lam))), FLOOR)
-    return float(np.linalg.norm(evaluate(p, lam) @ u) / (nu * scale))
-
-
-def left_residual(p, lam, v):
-    """Relative residual ||v* A(lam)|| / (||v|| * scale)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return math.inf
-    if is_infinite(lam):
-        lead = p.coeffs[-1]
-        return float(np.linalg.norm(v.conj() @ lead) / (nv * max(np.linalg.norm(lead), FLOOR)))
-    scale = max(coeff_scale(p, abs(complex(lam))), FLOOR)
-    return float(np.linalg.norm(v.conj() @ evaluate(p, lam)) / (nv * scale))
+    lam = complex(lam)
+    if lam == 0 and p.lo < 0:
+        raise ZeroAtNegativePower("scale undefined at radius 0 with negative powers")
+    (coeffs,), _ = _pow2_scaled([np.array(p.coeffs)])  # stacked, (d + 1, n, n)
+    vecs = coeffs @ u if side == "right" else coeffs.transpose(0, 2, 1) @ u.conj()
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    z = lam
+    if not abs(lam) <= 1.0:  # NaN lam gives z = NaN, so a NaN residual
+        z = 0.0 if cmath.isinf(lam) else 1.0 / lam
+        vecs, norms = vecs[::-1], norms[::-1]
+    return float(np.linalg.norm(horner(vecs, z)) / (nu * max(horner(norms, abs(z)).real, FLOOR)))
 
 
 def matrix_horner(coeffs, x):
@@ -286,20 +286,9 @@ def equation_residual(p, g):
     entry, so the norms neither under- nor overflow at extreme scales.
     """
     *coeffs, g = as_working(*p.coeffs, g)
-    exponent = math.frexp(max(float(np.abs(c).max()) for c in coeffs))[1]
-    step = 2.0 ** -max(exponent, -1021)
-    coeffs = [c * step for c in coeffs]
+    coeffs, _ = _pow2_scaled(coeffs)
     acc = matrix_horner(coeffs, g)
     return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in coeffs), FLOOR))
-
-
-def kernel_residual(a, u):
-    """||A u|| / (||A||_F ||u||), the kernel-membership residual."""
-    a = np.asarray(a, dtype=complex)
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    return float(
-        np.linalg.norm(a @ u) / (max(np.linalg.norm(a), FLOOR) * np.linalg.norm(u))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):
     else:
         raise ValueError(f"unknown method {method!r}")
     res = equation_residual(p, g)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise NoConvergence(f"solvent residual {res:.2e} exceeds 1e-10")
     return SolveReport(g, iterations, res, sigma)
 
@@ -235,12 +235,12 @@ def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64):
     shifted = right_shift_poly(p, spec)  # gates the eigenpair (lam, u)
     g_shift, iterations, sigma = _solve_cr(shifted, tol, maxit)
     res_shift = equation_residual(shifted, g_shift)
-    if res_shift > 1e-10:
+    if not res_shift <= 1e-10:
         raise NoConvergence(f"shifted solvent residual {res_shift:.2e} exceeds 1e-10")
     q = spec.q
     g = g_shift + (lam - mu) * q
     res_orig = equation_residual(p, g)
-    if res_orig > 1e-8:
+    if not res_orig <= 1e-8:
         raise NoConvergence(
             f"recovered solvent fails the original equation: residual {res_orig:.2e}"
         )

@@ -37,6 +37,7 @@ from .core import (
     FLOOR,
     LaurentPoly,
     MatrixPoly,
+    _pow2_scaled,
     as_working,
     equation_residual,
     evaluate,
@@ -163,7 +164,10 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     residual's coefficients E_i (:func:`_residual_coeffs`) are formed once;
     ||E_{-1}||, ||E_0|| and R+'s equation residual must be below 1e-10
     relative, and so must the residual from the same E's at 5 (real data,
-    in real arithmetic) or 8 unit-circle points; NaN fails every gate.
+    in real arithmetic) or 8 unit-circle points; NaN fails every gate.  The
+    blocks are first divided (exactly) by a power of two near their largest
+    entry and K+ is multiplied back, so no norm under- or overflows at
+    extreme scales; G+ and R+ do not depend on the scale.
 
     With ``strict_radius`` the spectral radii of G+ and R+ must be below one
     with margin 1e-8 (a genuine canonical factorization); pass False when
@@ -177,6 +181,7 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     am1, a0, a1 = as_working(am1, a0, a1)
     if not (am1.shape == a0.shape == a1.shape) or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch("coefficients must be square and equally sized")
+    (am1, a0, a1), step = _pow2_scaled((am1, a0, a1))  # K+ is scaled back at the end
     n = a0.shape[0]
     bs, b0, hhat = np.stack((am1, a1)), a0.copy(), a0.copy()  # bs = (B_-1, B_1)
     norms = np.abs(bs).sum(axis=2).max(axis=1)  # ||B_-1||_inf, ||B_1||_inf
@@ -235,7 +240,7 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     # G+ and R+ are minus a solve: promoting before the negation gives real
     # data the -0.0 imaginary parts that complex arithmetic writes to reports.
     gplus, rplus = (-m for m in _promote(-gplus, -rplus))
-    (kplus,) = _promote(kplus)
+    (kplus,) = _promote(kplus / step)
     return QuadFactorization(gplus, rplus, kplus, k, fact_res, rho_g, rho_r)
 
 

@@ -36,6 +36,7 @@ since the dropped tail decays geometrically.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, replace
 
@@ -43,12 +44,11 @@ import numpy as np
 
 from .core import (
     FLOOR,
+    INF,
     is_infinite,
-    kernel_residual,
-    left_residual,
+    pair_residual,
     rcond,
     reverse,
-    right_residual,
     unit_vector,
 )
 from .errors import (
@@ -76,7 +76,8 @@ class ShiftSpec:
     eigenvector v for a left shift.  ``dual`` is the free vector of the
     rank-one factor (v for a right shift, y for a left shift); it defaults to
     ``vector`` and is always rescaled so that the required inner product
-    (v* u, respectively v* y) equals one.
+    (v* u, respectively v* y) equals one.  ``lam`` and ``mu`` may be infinite
+    but not NaN, and the vectors must be finite (else DegenerateShift).
     """
 
     lam: complex
@@ -88,10 +89,14 @@ class ShiftSpec:
     def __post_init__(self):
         if self.side not in ("right", "left"):
             raise DegenerateShift(f"side must be 'right' or 'left', got {self.side!r}")
+        if cmath.isnan(complex(self.lam)) or cmath.isnan(complex(self.mu)):
+            raise DegenerateShift("lambda and mu must not be NaN")
         vec = np.asarray(self.vector, dtype=complex).reshape(-1)
+        dual = vec if self.dual is None else np.asarray(self.dual, dtype=complex).reshape(-1)
+        if not (np.isfinite(vec).all() and np.isfinite(dual).all()):
+            raise DegenerateShift("shift and dual vectors must be finite")
         if np.linalg.norm(vec) == 0:
             raise DegenerateShift("shift vector must be nonzero")
-        dual = vec if self.dual is None else np.asarray(self.dual, dtype=complex).reshape(-1)
         if dual.shape != vec.shape:
             raise DimensionMismatch("dual vector has a different length")
         ip = np.vdot(vec, dual)
@@ -119,6 +124,7 @@ class MultiShiftSpec:
     """Invariant pair (U, Lambda) and target S for a simultaneous shift.
 
     V defaults to U (U* U)^{-1}; it must satisfy ||V* U - I||_F <= 1e-10.
+    Every entry must be finite (else DegenerateShift).
     """
 
     u: np.ndarray
@@ -135,9 +141,12 @@ class MultiShiftSpec:
             raise DimensionMismatch(f"packet size m={m} must be < n={n}")
         lam = np.asarray(self.lam, dtype=complex).reshape(m, m)
         s = np.asarray(self.s, dtype=complex).reshape(m, m)
+        given = (u, lam, s) if self.v is None else (u, lam, s, self.v)
+        if not all(np.isfinite(np.asarray(arr, dtype=complex)).all() for arr in given):
+            raise DegenerateShift("U, Lambda, S and V must be finite")
         v = np.linalg.pinv(u).conj().T if self.v is None else np.asarray(self.v, dtype=complex).reshape(n, m)
         gap = np.linalg.norm(v.conj().T @ u - np.eye(m))
-        if gap > 1e-10:
+        if not gap <= 1e-10:
             raise DimensionMismatch(f"||V* U - I||_F = {gap:.2e} exceeds 1e-10")
         for name, arr in (("u", u), ("lam", lam), ("s", s), ("v", v)):
             arr = arr.copy()
@@ -208,7 +217,7 @@ def right_shift_pencil(a, spec):
     res = np.linalg.norm(a @ u - spec.lam * u) / max(
         np.linalg.norm(a) * np.linalg.norm(u), FLOOR
     )
-    if res > EIGENPAIR_TOL:
+    if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"||A u - lam u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if spec.mu == spec.lam:
         return a.copy()
@@ -221,9 +230,8 @@ def _check_single(p, spec, side):
         raise ZeroMu("infinite lambda or mu: only the right shift routes to the infinity shifts")
     if p.lo < 0 and spec.lam == 0:
         raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
-    residual = right_residual if side == "right" else left_residual
-    res = residual(p, spec.lam, spec.vector)
-    if res > EIGENPAIR_TOL:
+    res = pair_residual(p, spec.lam, spec.vector, side)
+    if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"{side} eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
 
 
@@ -295,7 +303,7 @@ def multishift_pencil(a, ms):
     res = np.linalg.norm(a @ ms.u - ms.u @ ms.lam) / max(
         np.linalg.norm(a) * np.linalg.norm(ms.u), FLOOR
     )
-    if res > EIGENPAIR_TOL:
+    if not res <= EIGENPAIR_TOL:
         raise NotInvariant(f"||A U - U Lambda|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if ms.m == 1:
         return right_shift_pencil(a, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
@@ -315,7 +323,7 @@ def multishift_laurent(p, ms):
         if not rcond(ms.lam) > 1e-14:
             raise SingularLambda("Lambda is singular; negative powers cannot be shifted")
     res = invariant_pair_residual(p, ms.u, ms.lam)
-    if res > EIGENPAIR_TOL:
+    if not res <= EIGENPAIR_TOL:
         raise NotInvariant(f"invariant-pair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if ms.m == 1:
         # through ShiftSpec, so m = 1 matches right_shift_laurent bit for bit
@@ -355,8 +363,8 @@ def shift_from_infinity(p, mu, u, v=None):
     if is_infinite(mu):
         raise ZeroMu("target mu must be finite")
     spec = ShiftSpec(0.0, 1.0 / mu, u, v)
-    res = kernel_residual(p.coeffs[-1], spec.vector)
-    if res > EIGENPAIR_TOL:
+    res = pair_residual(p, INF, spec.vector)
+    if not res <= EIGENPAIR_TOL:
         raise NotInKernel(f"||A_d u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     return _reversed_right_shift(p, spec)
 
@@ -376,8 +384,8 @@ def shift_to_infinity(p, lam, u, v=None):
     if is_infinite(lam):
         raise ZeroLambda("lambda must be finite")
     spec = ShiftSpec(1.0 / lam, 0.0, u, v)
-    res = right_residual(p, lam, spec.vector)
-    if res > EIGENPAIR_TOL:
+    res = pair_residual(p, lam, spec.vector)
+    if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     return _reversed_right_shift(p, spec)
 
@@ -408,12 +416,12 @@ def palindromic_shift(p, lam, mu, u):
     dev = max(
         np.linalg.norm(p.coeffs[i] - p.coeffs[d - i].conj().T) for i in range(d + 1)
     )
-    if dev > 1e-12 * scale:
+    if not dev <= 1e-12 * scale:
         raise NotPalindromic(f"||A_i - A_(d-i)*|| deviation {dev:.2e} exceeds 1e-12*scale")
     lam = complex(lam)
     mu = complex(mu)
-    res = right_residual(p, lam, u)
-    if res > EIGENPAIR_TOL:
+    res = pair_residual(p, lam, u)
+    if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if mu == lam:
         return p
@@ -433,7 +441,7 @@ def palindromic_shift(p, lam, mu, u):
             f"pre-symmetrization palindromic deviation {dev:.2e} exceeds 1e-12*scale",
             stacklevel=2,
         )
-    if dev > 1e-6 * out_scale:
+    if not dev <= 1e-6 * out_scale:
         raise NotAnEigenpair(
             f"palindromic shift lost structure (deviation {dev:.2e}); eigenpair too inaccurate"
         )

@@ -26,14 +26,12 @@ from .core import (
     FLOOR,
     RANK_TOL,
     EigenPair,
-    coeff_scale,
     derivative_at,
     evaluate,
     is_infinite,
-    kernel_residual,
     matrix_horner,
+    pair_residual,
     rcond,
-    right_residual,
     unit_vector,
 )
 from .errors import (
@@ -181,8 +179,7 @@ def polyeig(p, seed=0, want_left=False):
                 borderline = True
         z = complex(math.inf, 0.0) if infinite else c + 1.0 / theta
         u, left = null_vectors(p, z, want_left)
-        res = kernel_residual(lead, u) if infinite else right_residual(p, z, u)
-        pairs.append(EigenPair(z, u, left, res, borderline))
+        pairs.append(EigenPair(z, u, left, pair_residual(p, z, u), borderline))
 
     pairs.sort(key=lambda q: (q.is_infinite, abs(q.value), q.value.real, q.value.imag))
     return Spectrum(tuple(pairs), complex(c))
@@ -198,14 +195,14 @@ def refine_pair(p, lam, u, steps=4):
     if is_infinite(lam):
         raise DimensionMismatch("refine_pair handles finite eigenvalues only")
     u0 = np.asarray(u, dtype=complex).reshape(-1)
-    best = (lam, u0, right_residual(p, lam, u0))
+    best = (lam, u0, pair_residual(p, lam, u0))
 
     cur = lam
     for _ in range(steps):
         m = evaluate(p, cur)
         lu, sv, vh = np.linalg.svd(m)
         cand = unit_vector(vh[-1].conj())
-        res = right_residual(p, cur, cand)
+        res = pair_residual(p, cur, cand)
         if res < best[2]:
             best = (cur, cand, res)
         vleft = lu[:, -1]
@@ -217,7 +214,7 @@ def refine_pair(p, lam, u, steps=4):
             break
         cur = cur - (vleft.conj() @ m @ cand) / slope
     cand = null_vectors(p, cur)[0]
-    res = right_residual(p, cur, cand)
+    res = pair_residual(p, cur, cand)
     if res < best[2]:
         best = (cur, cand, res)
     return EigenPair(best[0], best[1], None, best[2])
@@ -252,7 +249,7 @@ def invariant_pair_residual(p, u, lam):
             raise SingularLambda("Lambda is singular; negative powers are undefined") from exc
         acc = acc @ np.linalg.matrix_power(lam_inv, -p.lo)
         rho = max(rho, FLOOR)
-    scale = max(coeff_scale(p, rho), FLOOR)
+    scale = max(sum(np.linalg.norm(c) * rho ** (p.lo + k) for k, c in enumerate(p.coeffs)), FLOOR)
     return float(np.linalg.norm(acc) / (max(np.linalg.norm(u), FLOOR) * scale))
 
 
@@ -292,6 +289,6 @@ def invariant_pair(p, selected):
     lam = np.diag(values)
     v = np.linalg.pinv(u).conj().T
     res = invariant_pair_residual(p, u, lam)
-    if res > 1e-8:
+    if not res <= 1e-8:
         raise NotInvariant(f"invariant-pair residual {res:.2e} exceeds 1e-8")
     return InvariantPair(u, lam, v, res)

@@ -684,6 +684,29 @@ def test_orthogonal_dual_vector_exits_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("shift", "{p1}", "--lambda=1e200", "--mu=0", "--u=1,0", "-o", "{out}"),
+         "right eigenpair residual 8.45e-01 exceeds 1e-08"),
+        (("shift", "{p1}", "--lambda=1e200", "--mu=0", "--side", "left", "--v=1,0", "-o", "{out}"),
+         "left eigenpair residual 8.02e-01 exceeds 1e-08"),
+        (("shift", "{p1}", "--lambda=1e100", "--mu=0", "--u=1,0", "-o", "{out}"),
+         "right eigenpair residual 8.45e-01 exceeds 1e-08"),
+        (("solve", "{p1}", "--shift", "1e200,0", "--u=1,0"),
+         "right eigenpair residual 8.45e-01 exceeds 1e-08"),
+    ],
+    ids=["shift_right", "shift_left", "shift_1e100", "solve_shift"],
+)
+def test_huge_lambda_fails_the_eigenpair_gate(tmp_path, capsys, argv, message):
+    # sum_i ||A_i|| |lambda|^i overflows at these lambdas (an OverflowError
+    # from 1e200 on), so the gate must not form it
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--removed", "1,inf"], "--removed takes finite values"),

@@ -28,7 +28,7 @@ from mpshift.errors import (
 )
 from mpshift import core
 
-from conftest import crandn, mp_json_reference, plant_right, rand_poly, shared_kernel_poly
+from conftest import crandn, mp_json_reference, plant_right, rand_laurent, rand_poly, shared_kernel_poly
 
 
 # --- evaluation ---
@@ -123,6 +123,70 @@ def test_equation_residual_keeps_its_bits_at_ordinary_scales(p3):
             np.linalg.norm(c) for c in coeffs
         )
         assert core.equation_residual(MatrixPoly(coeffs), g) == unscaled
+
+
+# --- eigenpair residual ---
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("lam", [0.6 - 0.3j, -1.7j], ids=["inside", "outside"])
+@pytest.mark.parametrize("lo", [0, -1, -2])
+def test_pair_residual_matches_power_sum(lo, lam, side):
+    rng = np.random.default_rng(241 - lo)
+    p = rand_laurent(rng, 4, lo, 2)
+    u = crandn(rng, 4)
+    a = sum(lam ** (lo + k) * c for k, c in enumerate(p.coeffs))
+    naive = a @ u if side == "right" else u.conj() @ a
+    scale = sum(np.linalg.norm(c) * abs(lam) ** (lo + k) for k, c in enumerate(p.coeffs))
+    expected = np.linalg.norm(naive) / (np.linalg.norm(u) * scale)
+    assert abs(core.pair_residual(p, lam, u, side) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_pair_residual_at_infinity_is_the_leading_kernel_residual(side):
+    rng = np.random.default_rng(251)
+    p = rand_laurent(rng, 3, -1, 2)
+    u = crandn(rng, 3)
+    lead = p.coeffs[-1]
+    vec = lead @ u if side == "right" else u.conj() @ lead
+    expected = np.linalg.norm(vec) / (np.linalg.norm(lead) * np.linalg.norm(u))
+    assert core.pair_residual(p, core.INF, u, side) == pytest.approx(expected, rel=1e-15)
+    # any non-finite value with no NaN part is the point at infinity
+    assert core.pair_residual(p, complex(np.inf, np.inf), u, side) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("modulus", [1e100, 1e200, 1e300])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_pair_residual_is_finite_at_huge_eigenvalues(p1, modulus, side):
+    # sum_i ||A_i|| |lam|^i itself overflows here (a Python float from 1e200
+    # on); warnings are errors, so an overflow inside numpy fails the test too
+    u = np.array([1.0, 0.0])
+    at_inf = core.pair_residual(p1, core.INF, u, side)
+    for lam in (modulus, -1j * modulus):
+        assert core.pair_residual(p1, lam, u, side) == pytest.approx(at_inf, rel=1e-14)
+    assert 0.0 < at_inf < 1.0
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-160, 1e160, 1e300])
+def test_pair_residual_does_not_depend_on_the_coefficient_scale(alpha):
+    rng = np.random.default_rng(257)
+    p = rand_laurent(rng, 3, -1, 1)
+    scaled = LaurentPoly(-1, [alpha * c for c in p.coeffs])
+    u = crandn(rng, 3)
+    for lam in (0.5 + 0.5j, 3.0, core.INF):
+        for side in ("right", "left"):
+            expected = core.pair_residual(p, lam, u, side)
+            assert core.pair_residual(scaled, lam, u, side) == pytest.approx(expected, rel=1e-13)
+
+
+def test_pair_residual_zero_vector_nan_value_and_zero_with_negative_powers():
+    p = rand_laurent(np.random.default_rng(263), 2, -1, 1)
+    assert core.pair_residual(p, 0.5, np.zeros(2)) == np.inf
+    assert np.isnan(core.pair_residual(p, complex(np.nan, 0.0), np.ones(2)))
+    with pytest.raises(ZeroAtNegativePower, match="radius 0 with negative powers"):
+        core.pair_residual(p, 0.0, np.ones(2))
+    q = MatrixPoly(p.coeffs)  # lo = 0: lambda = 0 reads A_0 u
+    expected = np.linalg.norm(q.coeffs[0] @ np.ones(2)) / (np.linalg.norm(q.coeffs[0]) * np.sqrt(2))
+    assert core.pair_residual(q, 0.0, np.ones(2)) == pytest.approx(expected, rel=1e-15)
 
 
 # --- rank test ---

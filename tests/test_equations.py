@@ -18,6 +18,7 @@ from mpshift import (
 from mpshift.errors import (
     DegenerateShift,
     DimensionMismatch,
+    NoConvergence,
     NoSplitting,
     NotAnEigenpair,
     SplittingFailure,
@@ -94,10 +95,11 @@ def test_reblock_scales_with_its_input(alpha, p3):
         assert np.abs(b_alpha - alpha * b).max() <= 1e-15 * alpha * np.abs(b).max()
 
 
-@pytest.mark.parametrize("alpha", [1e-20, 1e-12, 1e8, 1e20])
+@pytest.mark.parametrize("alpha", [1e-20, 1e-12, 1e8, 1e20, 1e-300, 1e-160, 1e160, 1e300])
 def test_scaled_p3_solves_like_p3(alpha):
     # alpha A(z) has the minimal solvent of A(z): the step counts, sigma and
-    # G do not depend on alpha, and a perturbed solvent fails at every alpha
+    # G do not depend on alpha, and a perturbed solvent fails at every alpha;
+    # from 1e154 on, cyclic reduction's norms need its power-of-two prescale
     _, plain_1, shifted_1 = _p3_solves(1.0)
     p, plain, shifted = _p3_solves(alpha)
     assert (plain.iterations, shifted.iterations) == (12, 5)
@@ -107,6 +109,29 @@ def test_scaled_p3_solves_like_p3(alpha):
         assert r.residual <= 1e-15
     off = plain.g + 1e-6 * np.linalg.norm(plain.g) * np.eye(5)
     assert equation_residual(p, off) > 1e-10
+
+
+@pytest.mark.parametrize(
+    "fail_on, message",
+    [("original", "solvent residual nan exceeds"), ("shifted", "shifted solvent residual nan"),
+     ("recovered", "recovered solvent fails the original equation: residual nan")],
+)
+def test_nan_solvent_residual_fails_the_solve_gates(monkeypatch, fail_on, message):
+    import mpshift.equations
+
+    p = fx.p3()
+    e = np.ones(5)
+
+    def residual(q, g):  # the shifted equation is not p
+        nan = (q is p) == (fail_on != "shifted")
+        return math.nan if nan else equation_residual(q, g)
+
+    monkeypatch.setattr(mpshift.equations, "equation_residual", residual)
+    with pytest.raises(NoConvergence, match=message):
+        if fail_on == "original":
+            solve_unilateral(p)
+        else:
+            shift_accelerated_solve(p, 1.0, e, e / 5)
 
 
 def test_reblock_determinant_has_extra_origin_zeros():

@@ -145,6 +145,32 @@ def _cr_case(name):
     return critical_qbd(5, int(name[3:]), drift=5e-3, scale=0.99), True
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-160, 1e160, 1e300])
+def test_cr_does_not_depend_on_the_coefficient_scale(alpha):
+    # unscaled Frobenius norms overflow from 1e154 on (a RuntimeWarning, an
+    # error here) and read 0.0 below 1e-154, where a residual gate passes
+    # anything; the power-of-two prescale keeps them in range
+    coeffs = critical_qbd(3, 20, 5e-3, 0.99)
+    f_1 = cr_quadratic(*coeffs)
+    f = cr_quadratic(*(alpha * c for c in coeffs))
+    assert f.iterations == f_1.iterations == 8
+    assert _rel(f.gplus, f_1.gplus) <= 1e-12 and _rel(f.rplus, f_1.rplus) <= 1e-12
+    assert _rel(f.kplus / alpha, f_1.kplus) <= 1e-12
+    assert 0.0 < f.residual <= 1e-15
+
+
+@pytest.mark.parametrize("exponent", [-900, -70, 3, 600, 1000])
+def test_cr_scales_exactly_by_powers_of_two(exponent):
+    # the prescale divides 2^k A by 2^k more than A, so CR runs on the same
+    # bits: G+, R+, the steps and the residual are equal, and K+ is 2^k K+
+    coeffs = critical_qbd(3, 20, 5e-3, 0.99)
+    f_1 = cr_quadratic(*coeffs)
+    f = cr_quadratic(*(np.ldexp(c, exponent) for c in coeffs))
+    assert (f.iterations, f.residual) == (f_1.iterations, f_1.residual)
+    assert np.array_equal(f.gplus, f_1.gplus) and np.array_equal(f.rplus, f_1.rplus)
+    assert np.array_equal(f.kplus, f_1.kplus * 2.0**exponent)
+
+
 @pytest.mark.parametrize("rotate", [False, True], ids=["real", "rotated"])
 @pytest.mark.parametrize("case", ["p3", "qbd1", "qbd8", "qbd50", "qbd200"])
 def test_cr_matches_the_reference_recurrences(case, rotate):

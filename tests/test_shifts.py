@@ -32,6 +32,7 @@ from mpshift.errors import (
     DegenerateShift,
     NotAnEigenpair,
     NotInKernel,
+    NotInvariant,
     NotPalindromic,
     SingularLambda,
     ZeroLambda,
@@ -68,6 +69,71 @@ def coeffs_equal(p, q):
 def test_shift_spec_rejects_degenerate_parameters(kwargs, message):
     with pytest.raises(DegenerateShift, match=message):
         ShiftSpec(1.0, 0.0, **kwargs)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p1, p2: right_shift_poly(p1, ShiftSpec(1.0, 0.0, [NAN, 0.0])), "vectors must be finite"),
+        (lambda p1, p2: ShiftSpec(1.0, 0.0, [1.0, 0.0], [1.0, NAN]), "vectors must be finite"),
+        (lambda p1, p2: ShiftSpec(complex(1.0, NAN), 0.0, [1.0, 0.0]), "must not be NaN"),
+        (lambda p1, p2: ShiftSpec(1.0, NAN, [1.0, 0.0]), "must not be NaN"),
+        (lambda p1, p2: shift_from_infinity(p2, 1.0, [NAN, 0.0, 0.0]), "vectors must be finite"),
+        (lambda p1, p2: MultiShiftSpec([[NAN], [0.0], [0.0]], [[1.0]], [[0.0]]), "must be finite"),
+        (lambda p1, p2: MultiShiftSpec(np.eye(3)[:, :1], [[1.0]], [[NAN]]), "must be finite"),
+        (lambda p1, p2: MultiShiftSpec(np.eye(3)[:, :1], [[1.0]], [[0.0]], [[1.0], [NAN], [0.0]]),
+         "must be finite"),
+    ],
+    ids=["right_vector", "dual", "lambda", "mu", "from_infinity", "multi_u", "multi_s", "multi_v"],
+)
+def test_nan_shift_parameters_are_degenerate(p1, p2, make, message):
+    # a NaN vector gives a NaN residual, which a `res > tol` gate passes;
+    # the shift would then fail in the container with an untyped ValueError
+    with pytest.raises(DegenerateShift, match=message):
+        make(p1, p2)
+
+
+@pytest.mark.parametrize(
+    "shift, error",
+    [
+        (lambda p: right_shift_poly(p, ShiftSpec(1.0, 0.0, [1.0, 0.0])), NotAnEigenpair),
+        (lambda p: left_shift_poly(p, ShiftSpec(1.0, 0.0, [1.0, 0.0], side="left")), NotAnEigenpair),
+        (lambda p: shift_to_infinity(p, 1.0, [1.0, 0.0]), NotAnEigenpair),
+        (lambda p: shift_from_infinity(p, 1.0, [1.0, 0.0]), NotInKernel),
+        (lambda p: palindromic_shift(p, 1.0, 0.5, [1.0, 0.0]), NotAnEigenpair),
+    ],
+    ids=["right", "left", "to_infinity", "from_infinity", "palindromic"],
+)
+def test_nan_eigenpair_residual_fails_the_shift_gates(monkeypatch, shift, error):
+    import mpshift.shifts
+
+    monkeypatch.setattr(mpshift.shifts, "pair_residual", lambda *args: float("nan"))
+    p = MatrixPoly([np.eye(2), np.zeros((2, 2)), np.eye(2)])  # *-palindromic
+    with pytest.raises(error, match="residual nan exceeds"):
+        shift(p)
+
+
+def test_nan_invariant_pair_residual_fails_the_packet_gates(monkeypatch, p1):
+    import mpshift.spectra
+
+    monkeypatch.setattr(mpshift.spectra, "invariant_pair_residual", lambda *args: float("nan"))
+    ms = MultiShiftSpec(np.eye(2)[:, :1], [[1.0]], [[0.0]])
+    with pytest.raises(NotInvariant, match="residual nan exceeds"):
+        multishift_poly(p1, ms)
+    with pytest.raises(NotInvariant, match="residual nan exceeds"):
+        mpshift.spectra.invariant_pair(p1, polyeig(p1).finite()[:1])
+
+
+def test_nan_matrix_fails_the_pencil_gates():
+    a = np.diag([1.0, NAN])
+    with pytest.raises(NotAnEigenpair, match="residual nan exceeds"):
+        right_shift_pencil(a, ShiftSpec(1.0, 0.0, [1, 0]))
+    ms = MultiShiftSpec(np.eye(3)[:, :2], np.diag([1.0, 2.0]), np.eye(2))
+    with pytest.raises(NotInvariant, match="residual nan exceeds"):
+        multishift_pencil(np.diag([1.0, 2.0, NAN]), ms)
 
 
 # --- right shift: pencil ---
