@@ -36,6 +36,7 @@ FLOOR = 1e-300
 
 # rcond(A(z)) at or below RANK_TOL counts as "A(z) is singular".
 RANK_TOL = 1e-13
+ORACLE_RADII = (0.7, 1.3)  # the oracle's sample circles, straddling |z| = 1
 
 
 def _freeze(arr):
@@ -169,9 +170,9 @@ class EigenPair:
 def unit_vector(v):
     """Normalize to unit 2-norm with the first significant entry real positive."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
+    if not v.any():
         raise ValueError("cannot normalize the zero vector")
+    (v,), _, nrm = _pow2_scaled([v])  # so ||v|| neither under- nor overflows
     v = v / nrm
     k = int(np.argmax(np.abs(v) > 1e-12))
     phase = v[k] / abs(v[k])
@@ -235,12 +236,25 @@ def reverse(p):
     return replace(p, coeffs=p.coeffs[::-1])
 
 
+def _times(a, factor):
+    """a * factor for a power of two, exact; complex parts apart, so -0.0 stays -0.0."""
+    if not np.iscomplexobj(a):
+        return a * factor
+    out = np.empty_like(a)
+    out.real, out.imag = a.real * factor, a.imag * factor
+    return out
+
+
 def _pow2_scaled(arrays):
-    """The arrays times 2^-e, e >= -1021 the binary exponent of their largest
-    entry, and 2^-e: an exact division after which no norm under- or overflows."""
+    """How every relative gate is normalized: the arrays times 2^-e (e in
+    [-1021, 1023] the binary exponent of their largest entry), 2^-e, and the
+    scale max(sum ||a||_F, FLOOR) of the divided arrays, summed in order.  The
+    division is exact, so ordinary scales keep their bits and no norm under-
+    or overflows; ``_times(x, 1 / step)`` multiplies a result back."""
     exponent = math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
-    step = 2.0 ** -max(exponent, -1021)
-    return [a * step for a in arrays], step
+    step = 2.0 ** -min(max(exponent, -1021), 1023)
+    scaled = [_times(a, step) for a in arrays]
+    return scaled, step, max(sum(np.linalg.norm(a) for a in scaled), FLOOR)
 
 
 def pair_residual(p, lam, u, side="right"):
@@ -251,17 +265,17 @@ def pair_residual(p, lam, u, side="right"):
     |lam|^lo when |lam| <= 1, and by |lam|^hi otherwise, so one Horner sweep
     runs over the vectors A_i u (u* A_i) at z = lam, or over them reversed at
     z = 1/lam; with |z| <= 1 nothing overflows.  Infinite lam is z = 0:
-    ||A_hi u|| / (||A_hi||_F ||u||).  The coefficients are first divided by
-    a power of two near their largest entry.  A zero u gives inf.
+    ||A_hi u|| / (||A_hi||_F ||u||).  The coefficients and u are prescaled
+    apart (:func:`_pow2_scaled`).  A zero u gives inf.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
-    nu = np.linalg.norm(u)
-    if nu == 0:
+    if not u.any():
         return math.inf
     lam = complex(lam)
     if lam == 0 and p.lo < 0:
         raise ZeroAtNegativePower("scale undefined at radius 0 with negative powers")
-    (coeffs,), _ = _pow2_scaled([np.array(p.coeffs)])  # stacked, (d + 1, n, n)
+    (u,), _, nu = _pow2_scaled([u])
+    (coeffs,), _, _ = _pow2_scaled([np.array(p.coeffs)])  # stacked, (d + 1, n, n)
     vecs = coeffs @ u if side == "right" else coeffs.transpose(0, 2, 1) @ u.conj()
     norms = np.linalg.norm(coeffs, axis=(1, 2))
     z = lam
@@ -280,15 +294,10 @@ def matrix_horner(coeffs, x):
 
 
 def equation_residual(p, g):
-    """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F.
-
-    The A_i are first divided (exactly) by a power of two near their largest
-    entry, so the norms neither under- nor overflow at extreme scales.
-    """
+    """||sum_i A_i g^i||_F normalized by sum_i ||A_i||_F, both from :func:`_pow2_scaled`."""
     *coeffs, g = as_working(*p.coeffs, g)
-    coeffs, _ = _pow2_scaled(coeffs)
-    acc = matrix_horner(coeffs, g)
-    return float(np.linalg.norm(acc) / max(sum(np.linalg.norm(c) for c in coeffs), FLOOR))
+    coeffs, _, scale = _pow2_scaled(coeffs)
+    return float(np.linalg.norm(matrix_horner(coeffs, g)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +329,12 @@ def det_ratio_oracle(
     added=(),
     samples=16,
     seed=0,
-    radii=(0.7, 1.3),
     fit_constant=False,
     tol=1e-8,
 ):
     """Check det a_tilde(z) * prod(z - removed) == C * det a(z) * prod(z - added).
 
-    Sample points are drawn uniformly on circles of the given radii
+    Sample points are drawn uniformly on the circles of ORACLE_RADII
     (straddling the unit circle), rejecting points within 1e-3 of any removed
     or added value.  Each sample's ratio, sign * exp(log|det a_tilde| -
     log|det a|) * prod(z - removed) / prod(z - added), comes from pivoted-LU
@@ -355,7 +363,7 @@ def det_ratio_oracle(
         attempts += 1
         if attempts > 200 * samples:
             raise RuntimeError("could not place oracle samples away from shift values")
-        r = radii[len(pts) % len(radii)]
+        r = ORACLE_RADII[len(pts) % len(ORACLE_RADII)]
         z = r * cmath.exp(2j * math.pi * rng.random())
         if avoid.size and np.min(np.abs(z - avoid)) < 1e-3:
             continue

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FLOOR,
     LaurentPoly,
     MatrixPoly,
     _pow2_scaled,
+    _times,
     as_working,
     equation_residual,
-    evaluate,
     horner,
     rcond,
 )
@@ -57,7 +56,7 @@ from .errors import (
     ZeroLambda,
 )
 from .shifts import ShiftSpec, left_shift_poly, right_shift_laurent
-from .spectra import spectral_radius
+from .spectra import polyeig, spectral_radius
 
 UNIT_CIRCLE = tuple(cmath.exp(2j * math.pi * k / 8) for k in range(8))
 RADIUS_MARGIN = 1e-8
@@ -142,10 +141,10 @@ def _quad_fact_residual(em1, e0, e1, scale):
 
 
 def _factor_residual(am1, a0, a1, g, r, k):
-    """:func:`_quad_fact_residual` of the factors G, R, K, in the working dtype."""
+    """:func:`_quad_fact_residual` of G, R, K in the working dtype; A_i and K prescaled."""
     am1, a0, a1, g, r, k = as_working(am1, a0, a1, g, r, k)
-    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
-    return _quad_fact_residual(*_residual_coeffs(am1, a0, a1, g, r, k), scale)
+    (am1, a0, a1), step, scale = _pow2_scaled((am1, a0, a1))
+    return _quad_fact_residual(*_residual_coeffs(am1, a0, a1, g, r, _times(k, step)), scale)
 
 
 def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
@@ -165,9 +164,8 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     ||E_{-1}||, ||E_0|| and R+'s equation residual must be below 1e-10
     relative, and so must the residual from the same E's at 5 (real data,
     in real arithmetic) or 8 unit-circle points; NaN fails every gate.  The
-    blocks are first divided (exactly) by a power of two near their largest
-    entry and K+ is multiplied back, so no norm under- or overflows at
-    extreme scales; G+ and R+ do not depend on the scale.
+    blocks are prescaled (:func:`~mpshift.core._pow2_scaled`, the gates'
+    scale) and K+ multiplied back; G+ and R+ do not depend on the scale.
 
     With ``strict_radius`` the spectral radii of G+ and R+ must be below one
     with margin 1e-8 (a genuine canonical factorization); pass False when
@@ -181,12 +179,11 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     am1, a0, a1 = as_working(am1, a0, a1)
     if not (am1.shape == a0.shape == a1.shape) or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch("coefficients must be square and equally sized")
-    (am1, a0, a1), step = _pow2_scaled((am1, a0, a1))  # K+ is scaled back at the end
+    (am1, a0, a1), step, scale = _pow2_scaled((am1, a0, a1))  # K+ is scaled back at the end
     n = a0.shape[0]
     bs, b0, hhat = np.stack((am1, a1)), a0.copy(), a0.copy()  # bs = (B_-1, B_1)
     norms = np.abs(bs).sum(axis=2).max(axis=1)  # ||B_-1||_inf, ||B_1||_inf
-    denom = max(norms[0] + np.linalg.norm(a0, np.inf) + norms[1], FLOOR)
-    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
+    denom = norms[0] + np.linalg.norm(a0, np.inf) + norms[1]
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises NoConvergence below
         while not norms.min() <= tol * denom:
@@ -240,7 +237,7 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     # G+ and R+ are minus a solve: promoting before the negation gives real
     # data the -0.0 imaginary parts that complex arithmetic writes to reports.
     gplus, rplus = (-m for m in _promote(-gplus, -rplus))
-    (kplus,) = _promote(kplus / step)
+    (kplus,) = _promote(_times(kplus, 1 / step))
     return QuadFactorization(gplus, rplus, kplus, k, fact_res, rho_g, rho_r)
 
 
@@ -250,9 +247,11 @@ def _h0(f):
     After k steps h holds the first 2^k terms: h <- h + G h R adds the next
     2^k, then G <- G^2 and R <- R^2.  It stops once the added block is below
     1e-16 of the sum; a series still growing after H0_MAXSTEPS steps, or one
-    that overflowed, raises NoConvergence.
+    that overflowed, raises NoConvergence.  K+ is prescaled before it is
+    inverted and the sum multiplied back, so the test sees every scale alike.
     """
     g, k, r = as_working(f.gplus, f.kplus, f.rplus)
+    (k,), step, _ = _pow2_scaled([k])
     h = np.linalg.inv(k)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(H0_MAXSTEPS):
@@ -261,8 +260,8 @@ def _h0(f):
             total = np.linalg.norm(h)
             if not math.isfinite(total):
                 break
-            if np.linalg.norm(term) <= 1e-16 * max(total, FLOOR):
-                return h
+            if np.linalg.norm(term) <= 1e-16 * total:
+                return _times(h, step)
             g = g @ g
             r = r @ r
     raise NoConvergence("H_0 series did not reach its tail tolerance")
@@ -291,29 +290,27 @@ def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
     (= A_0 + R- A_1; both expressions are computed and must agree).  Raises
     ``error`` when H, named ``h_name`` in the message, is numerically
     singular (or not finite) or the two K- disagree; the caller gates the
-    returned factorization residual.
+    returned factorization residual.  H and the A_i are prescaled apart.
     """
+    (h,), h_step, _ = _pow2_scaled([h])
     rc = rcond(h)
     if not rc >= 1e-12:
         raise error(f"reciprocal condition of {h_name} is {rc:.2e}")
     gminus = np.linalg.solve(h.T, (h @ rplus).T).T
     rminus = np.linalg.solve(h, gplus @ h)
+    (a1, a0, am1), step, scale = _pow2_scaled((a1, a0, am1))
     k_a = a0 + am1 @ gminus
     k_b = a0 + rminus @ a1
-    scale = max(np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1), FLOOR)
     disagreement = np.linalg.norm(k_a - k_b)
     if not disagreement <= 1e-10 * scale:
-        raise error(f"the two K- expressions disagree by {disagreement:.2e}")
+        raise error(f"the two K- expressions disagree by {disagreement / step:.2e}")
     fact_res = _factor_residual(a1, a0, am1, gminus, rminus, k_a)
+    k_a, h = _times(k_a, 1 / step), _times(h, 1 / h_step)
     return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res)
 
 
 def reversed_factorization(am1, a0, a1, f):
-    """Canonical factorization of A(z^{-1}) when H_0 is nonsingular.
-
-    G- = H_0 R+ H_0^{-1}, R- = H_0^{-1} G+ H_0, and K- = A_0 + A_{-1} G-
-    (= A_0 + R- A_1; both expressions are computed and must agree).
-    """
+    """Canonical factorization of A(z^{-1}): :func:`_similar_factors` with a nonsingular H_0."""
     am1, a0, a1, gplus, rplus = as_working(am1, a0, a1, f.gplus, f.rplus)
     rf = _similar_factors(am1, a0, a1, gplus, rplus, _h0(f), SingularH0, "H_0")
     if not rf.residual <= 1e-10:
@@ -367,8 +364,7 @@ def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
     unit-circle points, and det L~ is checked to have no roots in the closed
     unit disk (all eigenvalues of the L~ polynomial beyond radius one).
     """
-    lam = complex(lam)
-    mu = complex(mu)
+    lam, mu = complex(lam), complex(mu)
     if lam == 0:
         raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
     if abs(lam) >= 1 or abs(mu) >= 1:
@@ -379,22 +375,20 @@ def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
     factors = CanonicalFactors(ucoeffs, _shift_l(lcoeffs, spec))
     if mu == lam:
         return factors
-    _check_shifted_product(
-        ucoeffs, lcoeffs, factors, [(lam, mu, spec.vector, spec.dual, "right")]
-    )
+    _check_shifted_product(ucoeffs, lcoeffs, factors, [(lam, mu, spec.vector, spec.dual, "right")])
     _check_l_outside_disk(factors.lcoeffs)
     return factors
 
 
 def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
-    """Compare U~(z) L~(1/z) with the shifted function pointwise on the unit circle."""
-    n = ucoeffs[0].shape[0]
-    eye = np.eye(n, dtype=complex)
-    scale = max(
-        sum(np.linalg.norm(c) for c in ucoeffs)
-        + sum(np.linalg.norm(c) for c in lcoeffs),
-        FLOOR,
-    )
+    """Compare U~(z) L~(1/z) with the shifted function pointwise on the unit circle,
+    relative to sum ||U_i|| * sum ||L_i|| (U and L prescaled apart, so s U, L / s
+    reads the same)."""
+    eye = np.eye(len(ucoeffs[0]), dtype=complex)
+    ucoeffs, u_step, u_scale = _pow2_scaled(ucoeffs)
+    lcoeffs, l_step, l_scale = _pow2_scaled(lcoeffs)
+    shifted = CanonicalFactors([_times(c, u_step) for c in factors.ucoeffs],
+                               [_times(c, l_step) for c in factors.lcoeffs])
     errors = []
     for z in UNIT_CIRCLE:
         ref = horner(ucoeffs, z) @ horner(lcoeffs, 1.0 / z)
@@ -403,20 +397,17 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
                 ref = ref @ (eye + (lam - mu) / (z - lam) * np.outer(vec, dual.conj()))
             else:
                 ref = (eye + (lam - mu) / (z - lam) * np.outer(dual, vec.conj())) @ ref
-        errors.append(np.linalg.norm(factors.value(z) - ref))
-    worst = np.max(errors) / scale
+        errors.append(np.linalg.norm(shifted.value(z) - ref))
+    worst = np.max(errors) / (u_scale * l_scale)
     if not worst <= 1e-10:
         raise NoConvergence(f"updated factors disagree with the shifted function: {worst:.2e}")
 
 
 def _check_l_outside_disk(lcoeffs):
-    from .spectra import polyeig
-
     lpoly = MatrixPoly(lcoeffs)
     if lpoly.d == 0:
         return
-    spec = polyeig(lpoly)
-    finite = [abs(q.value) for q in spec.finite()]
+    finite = [abs(q.value) for q in polyeig(lpoly).finite()]
     if finite and not min(finite) > 1.0 + RADIUS_MARGIN:
         raise NoConvergence(
             f"det L~ has a root of modulus {min(finite):.6f} inside the closed unit disk"
@@ -440,8 +431,7 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     (QuadFactorization, ReversedFactorization) for the shifted Laurent
     polynomial.
     """
-    lam = complex(lam)
-    mu = complex(mu)
+    lam, mu = complex(lam), complex(mu)
     if lam == 0:
         raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
     if abs(lam) >= 1 or abs(mu) >= 1:
@@ -456,9 +446,7 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     resolvent_g = np.linalg.solve(eye - mu * rf.gminus, rf.gminus @ spec.vector)
     cond_val = (lam - mu) * (spec.dual.conj() @ resolvent_g)
     if not abs(cond_val - 1.0) >= 1e-10:
-        raise DegenerateShift(
-            f"(lam-mu) v* (I - mu G-)^-1 G- u = {cond_val:.6e} is too close to 1"
-        )
+        raise DegenerateShift(f"(lam-mu) v* (I - mu G-)^-1 G- u = {cond_val:.6e} is too close to 1")
 
     q = spec.q
     gplus_t = f.gplus + (mu - lam) * q
@@ -514,7 +502,8 @@ def poly_factorization(p, g):
     """Divide A(z) by (z I - g) for a minimal solvent g: A(z) = U(z) (z I - g).
 
     The quotient follows the backward recurrence U_{d-1} = A_d,
-    U_{i-1} = A_i + U_i g, with the consistency condition A_0 + U_0 g = 0.
+    U_{i-1} = A_i + U_i g; A_0 + U_0 g is the equation residual, gated first.
+    Both run on prescaled coefficients, and the U_i are multiplied back.
     """
     if p.lo != 0:
         raise DimensionMismatch("poly_factorization expects a matrix polynomial")
@@ -527,22 +516,18 @@ def poly_factorization(p, g):
     res = equation_residual(p, g)
     if not res <= 1e-10:
         raise NotASolvent(f"relative ||sum A_i g^i|| = {res:.2e} exceeds 1e-10")
-    scale = max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR)
+    coeffs, step, scale = _pow2_scaled(p.coeffs)
     ucoeffs = [None] * p.d
-    ucoeffs[p.d - 1] = np.array(p.coeffs[p.d], dtype=complex)
+    ucoeffs[p.d - 1] = coeffs[p.d]
     for i in range(p.d - 1, 0, -1):
-        ucoeffs[i - 1] = p.coeffs[i] + ucoeffs[i] @ g
-    consistency = np.linalg.norm(p.coeffs[0] + ucoeffs[0] @ g)
-    if not consistency <= 1e-8 * scale:
-        raise NotASolvent(f"division consistency ||A_0 + U_0 g|| = {consistency:.2e}")
-    # sample-point reconstruction check
+        ucoeffs[i - 1] = coeffs[i] + ucoeffs[i] @ g
     eye = np.eye(p.n, dtype=complex)
     worst = np.max([
-        np.linalg.norm(evaluate(p, z) - horner(ucoeffs, z) @ (z * eye - g)) for z in UNIT_CIRCLE
+        np.linalg.norm(horner(coeffs, z) - horner(ucoeffs, z) @ (z * eye - g)) for z in UNIT_CIRCLE
     ]) / scale
     if not worst <= 1e-10:
         raise NotASolvent(f"reconstruction residual {worst:.2e} exceeds 1e-10")
-    return PolyFactorization(g, tuple(ucoeffs))
+    return PolyFactorization(g, tuple(_times(c, 1 / step) for c in ucoeffs))
 
 
 __all__ = [

@@ -43,8 +43,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    FLOOR,
     INF,
+    _pow2_scaled,
+    _times,
     is_infinite,
     pair_residual,
     rcond,
@@ -77,7 +78,8 @@ class ShiftSpec:
     rank-one factor (v for a right shift, y for a left shift); it defaults to
     ``vector`` and is always rescaled so that the required inner product
     (v* u, respectively v* y) equals one.  ``lam`` and ``mu`` may be infinite
-    but not NaN, and the vectors must be finite (else DegenerateShift).
+    but not NaN, and the vectors must be finite (else DegenerateShift).  Both
+    are prescaled apart for the checks, so neither one's scale matters.
     """
 
     lam: complex
@@ -95,14 +97,16 @@ class ShiftSpec:
         dual = vec if self.dual is None else np.asarray(self.dual, dtype=complex).reshape(-1)
         if not (np.isfinite(vec).all() and np.isfinite(dual).all()):
             raise DegenerateShift("shift and dual vectors must be finite")
-        if np.linalg.norm(vec) == 0:
+        if not vec.any():
             raise DegenerateShift("shift vector must be nonzero")
         if dual.shape != vec.shape:
             raise DimensionMismatch("dual vector has a different length")
-        ip = np.vdot(vec, dual)
-        if abs(ip) <= 1e-14 * np.linalg.norm(vec) * np.linalg.norm(dual):
+        (vec_s,), step, vec_norm = _pow2_scaled([vec])
+        (dual,), _, dual_norm = _pow2_scaled([dual])
+        ip = np.vdot(vec_s, dual)
+        if abs(ip) <= 1e-14 * vec_norm * dual_norm:
             raise DegenerateShift("dual vector is orthogonal to the shift vector")
-        dual = dual / ip
+        dual = _times(dual / ip, step)  # v* u = 1 for the given u
         vec = vec.copy()
         vec.setflags(write=False)
         dual.setflags(write=False)
@@ -210,13 +214,18 @@ def _left(coeffs, lo, lam, mu, v, y):
 # single shifts
 # ---------------------------------------------------------------------------
 
+def _pencil_residual(a, u, lam):
+    """||A U - U Lambda||_F / (||A||_F ||U||_F), A (with Lambda) and U prescaled apart."""
+    (a,), step, scale = _pow2_scaled([a])
+    (u,), _, u_norm = _pow2_scaled([u])
+    return np.linalg.norm(a @ u - u @ _times(lam, step)) / (scale * u_norm)
+
+
 def right_shift_pencil(a, spec):
     """Classical rank-one shift of one matrix eigenvalue: A + (mu-lam) u v*."""
     a = np.asarray(a, dtype=complex)
     u = spec.vector
-    res = np.linalg.norm(a @ u - spec.lam * u) / max(
-        np.linalg.norm(a) * np.linalg.norm(u), FLOOR
-    )
+    res = _pencil_residual(a, u[:, None], np.array([[spec.lam]]))
     if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"||A u - lam u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if spec.mu == spec.lam:
@@ -300,9 +309,7 @@ def double_shift_laurent(p, right_spec, left_spec):
 def multishift_pencil(a, ms):
     """Move the eigenvalues of an invariant pair of A to those of S: A - U (Lambda - S) V*."""
     a = np.asarray(a, dtype=complex)
-    res = np.linalg.norm(a @ ms.u - ms.u @ ms.lam) / max(
-        np.linalg.norm(a) * np.linalg.norm(ms.u), FLOOR
-    )
+    res = _pencil_residual(a, ms.u, ms.lam)
     if not res <= EIGENPAIR_TOL:
         raise NotInvariant(f"||A U - U Lambda|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if ms.m == 1:
@@ -399,6 +406,12 @@ def _flip(coeffs):
     return _adjoint(coeffs[::-1])
 
 
+def _palindromic_gap(coeffs):
+    """The coefficients prescaled, 2^-e, their scale, and max_i ||A_i - A_{d-i}*||_F of them."""
+    coeffs, step, scale = _pow2_scaled(coeffs)
+    return coeffs, step, scale, max(np.linalg.norm(a - b) for a, b in zip(coeffs, _flip(coeffs)))
+
+
 def palindromic_shift(p, lam, mu, u):
     """Move the eigenvalue pair (lam, 1/conj(lam)) of a *-palindromic polynomial
     to (mu, 1/conj(mu)), preserving A_i = A_{d-i}^*.
@@ -407,43 +420,33 @@ def palindromic_shift(p, lam, mu, u):
     conjugated by the flip A_i -> A_{d-i}*, which moves the partner
     1/conj(lam).  The output is explicitly re-symmetrized (averaging A_i with
     A_{d-i}^*); the deviation before that is checked against 1e-12 * scale.
-    lam = 0 (the pair (0, infinity)) needs no special case.
+    Deviations are measured on prescaled coefficients and reported in the
+    input's units.  lam = 0 (the pair (0, infinity)) needs no special case.
     """
     if p.lo != 0:
         raise DimensionMismatch("palindromic shift acts on matrix polynomials")
-    d = p.d
-    scale = max(sum(np.linalg.norm(c) for c in p.coeffs), FLOOR)
-    dev = max(
-        np.linalg.norm(p.coeffs[i] - p.coeffs[d - i].conj().T) for i in range(d + 1)
-    )
+    coeffs, step, scale, dev = _palindromic_gap(p.coeffs)
     if not dev <= 1e-12 * scale:
-        raise NotPalindromic(f"||A_i - A_(d-i)*|| deviation {dev:.2e} exceeds 1e-12*scale")
-    lam = complex(lam)
-    mu = complex(mu)
+        raise NotPalindromic(f"||A_i - A_(d-i)*|| deviation {dev / step:.2e} exceeds 1e-12*scale")
+    lam, mu = complex(lam), complex(mu)
     res = pair_residual(p, lam, u)
     if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if mu == lam:
         return p
     if abs(lam * lam.conjugate() - 1.0) < 1e-8:
-        warnings.warn(
-            "lambda * conj(lambda) is close to 1: the shifted pair nearly coincides",
-            stacklevel=2,
-        )
+        warnings.warn("lambda * conj(lambda) is close to 1: the shifted pair nearly "
+                      "coincides", stacklevel=2)
     uh = unit_vector(u)
-    ahat = _right(p.coeffs, 0, lam, mu, uh, uh)
-    out = _flip(_right(_flip(ahat), 0, lam, mu, uh, uh))
-
-    dev = max(np.linalg.norm(out[i] - out[d - i].conj().T) for i in range(d + 1))
-    out_scale = max(sum(np.linalg.norm(c) for c in out), FLOOR)
+    ahat = _right(coeffs, 0, lam, mu, uh, uh)
+    out, out_step, out_scale, dev = _palindromic_gap(_flip(_right(_flip(ahat), 0, lam, mu, uh, uh)))
+    step *= out_step
     if dev > 1e-12 * out_scale:
-        warnings.warn(
-            f"pre-symmetrization palindromic deviation {dev:.2e} exceeds 1e-12*scale",
-            stacklevel=2,
-        )
+        warnings.warn(f"pre-symmetrization palindromic deviation {dev / step:.2e} "
+                      "exceeds 1e-12*scale", stacklevel=2)
     if not dev <= 1e-6 * out_scale:
         raise NotAnEigenpair(
-            f"palindromic shift lost structure (deviation {dev:.2e}); eigenpair too inaccurate"
+            f"palindromic shift lost structure (deviation {dev / step:.2e}); "
+            "eigenpair too inaccurate"
         )
-    sym = [(out[i] + out[d - i].conj().T) / 2 for i in range(d + 1)]
-    return replace(p, coeffs=sym)
+    return replace(p, coeffs=[_times((a + b) / 2, 1 / step) for a, b in zip(out, _flip(out))])

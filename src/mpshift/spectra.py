@@ -26,6 +26,7 @@ from .core import (
     FLOOR,
     RANK_TOL,
     EigenPair,
+    _pow2_scaled,
     derivative_at,
     evaluate,
     is_infinite,
@@ -51,6 +52,7 @@ from .errors import (
 # eigenvalue splits like sqrt(machine eps) under a dense eigensolver).
 HARD_INF_TOL = 1e-10
 SOFT_INF_TOL = 1e-6
+REFINE_STEPS = 4  # Newton steps of refine_pair
 
 
 def spectral_radius(a):
@@ -163,7 +165,6 @@ def polyeig(p, seed=0, want_left=False):
         raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
 
     m_scale = np.linalg.norm(m)
-    lead = p.coeffs[-1]
     lead_singular = None  # computed lazily for borderline thetas
     pairs = []
     for theta in thetas:
@@ -172,8 +173,8 @@ def polyeig(p, seed=0, want_left=False):
         borderline = False
         if not infinite and at <= SOFT_INF_TOL * m_scale:
             if lead_singular is None:
-                svals = np.linalg.svd(lead, compute_uv=False)
-                lead_singular = svals[-1] <= 1e-8 * max(np.linalg.norm(lead), FLOOR)
+                (lead,), _, lead_scale = _pow2_scaled([p.coeffs[-1]])
+                lead_singular = np.linalg.svd(lead, compute_uv=False)[-1] <= 1e-8 * lead_scale
             if lead_singular:
                 infinite = True
                 borderline = True
@@ -185,8 +186,8 @@ def polyeig(p, seed=0, want_left=False):
     return Spectrum(tuple(pairs), complex(c))
 
 
-def refine_pair(p, lam, u, steps=4):
-    """Polish a finite eigenpair by SVD vector extraction and Newton steps.
+def refine_pair(p, lam, u):
+    """Polish a finite eigenpair by SVD vector extraction and REFINE_STEPS Newton steps.
 
     Returns an :class:`EigenPair` whose residual is no larger than that of
     the input; the input is returned unchanged when no improvement is found.
@@ -198,7 +199,7 @@ def refine_pair(p, lam, u, steps=4):
     best = (lam, u0, pair_residual(p, lam, u0))
 
     cur = lam
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         m = evaluate(p, cur)
         lu, sv, vh = np.linalg.svd(m)
         cand = unit_vector(vh[-1].conj())
@@ -236,12 +237,14 @@ class InvariantPair:
 def invariant_pair_residual(p, u, lam):
     """||sum_i A_i U Lambda^i||_F normalized by ||U||_F and the coefficient scale.
 
-    The sum is (sum_k A_{lo+k} U Lambda^k) Lambda^lo, the first factor by Horner.
+    The sum is (sum_k A_{lo+k} U Lambda^k) Lambda^lo, the first factor by Horner;
+    the scale weights ||A_i||_F by rho(Lambda)^i.  A_i and U are prescaled.
     """
-    u = np.asarray(u, dtype=complex)
+    (u,), _, nu = _pow2_scaled([np.asarray(u, dtype=complex)])
+    coeffs, _, _ = _pow2_scaled(p.coeffs)
     lam = np.asarray(lam, dtype=complex)
     rho = spectral_radius(lam)
-    acc = matrix_horner([c @ u for c in p.coeffs], lam)
+    acc = matrix_horner([c @ u for c in coeffs], lam)
     if p.lo < 0:
         try:
             lam_inv = np.linalg.inv(lam)
@@ -249,8 +252,8 @@ def invariant_pair_residual(p, u, lam):
             raise SingularLambda("Lambda is singular; negative powers are undefined") from exc
         acc = acc @ np.linalg.matrix_power(lam_inv, -p.lo)
         rho = max(rho, FLOOR)
-    scale = max(sum(np.linalg.norm(c) * rho ** (p.lo + k) for k, c in enumerate(p.coeffs)), FLOOR)
-    return float(np.linalg.norm(acc) / (max(np.linalg.norm(u), FLOOR) * scale))
+    scale = max(sum(np.linalg.norm(c) * rho ** (p.lo + k) for k, c in enumerate(coeffs)), FLOOR)
+    return float(np.linalg.norm(acc) / (nu * scale))
 
 
 def invariant_pair(p, selected):

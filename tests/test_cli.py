@@ -891,3 +891,24 @@ def test_multi_packet_with_an_infinite_value_exits_2(tmp_path, capsys, packet):
     assert (code, out) == (2, "")
     assert err == f"error: {paths['packet']}: lambdas and targets must be finite\n"
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "alpha, quad",
+    [(1e-300, True), (1e300, True), (1e300, False)],
+    ids=["both_1e-300", "both_1e300", "poly_1e300"],
+)
+def test_factor_at_extreme_coefficient_scales(tmp_path, capsys, alpha, quad):
+    # the reversed factorization's H_0 series stalled at 1e-300, and norms of
+    # the raw blocks overflowed at 1e300 (a NaN residual, exit 1)
+    from conftest import critical_qbd
+
+    blocks = [alpha * b for b in critical_qbd(3, 20, 5e-3, 0.99)]
+    path = tmp_path / "scaled.mp.json"
+    write_poly(LaurentPoly(-1, blocks) if quad else MatrixPoly(blocks), path)
+    flags = ["--quad", "--both"] if quad else []
+    code, out, err = run(capsys, "factor", str(path), *flags, "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    for key in ("residual", "reversed_residual") if quad else ("residual",):
+        assert 0 < report[key] <= 1e-10

@@ -178,6 +178,30 @@ def test_pair_residual_does_not_depend_on_the_coefficient_scale(alpha):
             assert core.pair_residual(scaled, lam, u, side) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1e-300, 1e-200, 1e200, 1e300, 2.0**-1000, 2.0**1000])
+def test_pair_residual_does_not_depend_on_the_vector_scale(p1, beta):
+    # ||u|| under- or overflowed before the vector was prescaled: (1, 0) is an
+    # eigenvector of p1 at 1 whatever its length
+    exact = np.frexp(beta)[0] == 0.5
+    for lam in (0.5, core.INF):
+        for side in ("right", "left"):
+            expected = core.pair_residual(p1, lam, [1.0, 0.0], side)
+            got = core.pair_residual(p1, lam, [beta, 0.0], side)
+            assert got == expected if exact else abs(got - expected) <= 1e-15 * expected
+    assert core.pair_residual(p1, 1.0, [beta, 0.0]) <= 1e-16
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_vector_does_not_depend_on_the_vector_scale():
+    v = crandn(np.random.default_rng(269), 5)
+    want = unit_vector(v)
+    for beta in (2.0**-1000, 2.0**-3, 2.0**1000):
+        assert unit_vector(beta * v).tobytes() == want.tobytes()
+    for beta in (1e-300, 1e-200, 1e200, 1e300):
+        assert np.allclose(unit_vector(beta * v), want, rtol=0, atol=1e-15)
+
+
 def test_pair_residual_zero_vector_nan_value_and_zero_with_negative_powers():
     p = rand_laurent(np.random.default_rng(263), 2, -1, 1)
     assert core.pair_residual(p, 0.5, np.zeros(2)) == np.inf

@@ -649,6 +649,41 @@ def test_shifted_right_degree_two_l_matches_closed_form():
         assert np.array_equal(a, b)
 
 
+def _rebalanced_gate_message(monkeypatch, s, error):
+    """Run shifted_factorization_right on (s U, L / s), adding ``error`` to L~_1;
+    the gate's message, or None when it passes."""
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(239), 4)
+    f = cr_quadratic(am1, a0, a1)
+    lam, u = _inside_eigenpair(f)
+    shift_l = factorizations._shift_l
+
+    def bent(lcoeffs, spec):
+        out = list(shift_l(lcoeffs, spec))
+        out[1] = out[1] + error * np.linalg.norm(out[1]) * np.ones_like(out[1]) / 4
+        return out
+
+    eye = np.eye(4, dtype=complex)
+    with monkeypatch.context() as patch:
+        patch.setattr(factorizations, "_shift_l", bent)
+        try:
+            shifted_factorization_right(
+                [s * f.kplus, -s * f.rplus @ f.kplus], [eye / s, -f.gplus / s], lam, 0.4 * lam, u
+            )
+        except NoConvergence as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-6, 1e6, 1e12])
+def test_shifted_product_gate_does_not_depend_on_rebalancing(monkeypatch, s):
+    # U -> s U, L -> L / s leaves A(z) = U(z) L(1/z) alone; a gate relative to
+    # sum ||U_i|| + sum ||L_i|| read 1.3e-10 at s = 1e6 and passed at 1e-6 and 1e+-12
+    want = _rebalanced_gate_message(monkeypatch, 1.0, 1e-3)
+    assert want is not None and "disagree with the shifted function" in want
+    assert _rebalanced_gate_message(monkeypatch, s, 1e-3) == want
+    assert _rebalanced_gate_message(monkeypatch, s, 0.0) is None
+
+
 def test_shifted_right_rejects_outside_disk():
     rng = np.random.default_rng(257)
     am1, a0, a1 = qbd_quadratic(rng, 3)

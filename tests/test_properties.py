@@ -1,5 +1,7 @@
 """Property-based checks of the structural invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,19 +11,40 @@ from scipy.optimize import linear_sum_assignment
 from mpshift import (
     LaurentPoly,
     MatrixPoly,
+    MultiShiftSpec,
     ShiftSpec,
+    cr_quadratic,
     evaluate,
     fixtures,
+    invariant_pair,
+    multishift_pencil,
+    palindromic_shift,
+    poly_factorization,
     polyeig,
     read_poly,
     reverse,
+    reversed_factorization,
     right_shift_laurent,
+    right_shift_pencil,
     right_shift_poly,
+    shifted_factorization_both,
+    solve_unilateral,
     unit_vector,
     write_poly,
 )
+from mpshift.errors import NotAnEigenpair, NotASolvent, NotInvariant, NotPalindromic, SingularH0
+from mpshift.factorizations import QuadFactorization, _factor_residual
+from mpshift.spectra import invariant_pair_residual
 
-from conftest import crandn, mp_json_reference, plant_right, rand_laurent, rand_poly
+from conftest import (
+    critical_qbd,
+    crandn,
+    mp_json_reference,
+    palindromic_quad,
+    plant_right,
+    rand_laurent,
+    rand_poly,
+)
 
 finite_doubles = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100
@@ -142,3 +165,167 @@ def test_scaled_fixture_has_the_same_eigenvalues(name, alpha):
     # p1's double root 1 is defective, resolved only to about 1e-8
     loose = (name == "p1") & (np.abs(base[cols] - 1) < 1e-6)
     assert np.all(rel[rows, cols] <= np.where(loose, 1e-7, 1e-12))
+
+
+# --- the factorizations, shifts and residuals under coefficient scaling ---
+#
+# Multiplying every coefficient by alpha leaves G+-, R+- and every gate's
+# verdict unchanged and multiplies K+-, the U_i of a polynomial factorization
+# and a shifted result by alpha (W = H_0 by 1/alpha).  At alpha = 2^k the
+# gates' power-of-two prescale makes that exact: every array is bit-equal,
+# signed zeros included.  The alphas reach past 1e+-154, where a Frobenius
+# norm of the raw coefficients under- or overflows.
+
+ALPHAS = [2.0**-1000, 1e-300, 1e-160, 1e-150, 1e160, 1e300, 2.0**1000]
+ALPHA_IDS = ["2^-1000", "1e-300", "1e-160", "1e-150", "1e160", "1e300", "2^1000"]
+
+
+def _assert_scaled(got, want, alpha, power=1):
+    """got == alpha^power * want: bit for bit when alpha is a power of two, else to 1e-12."""
+    got, want, factor = np.asarray(got), np.asarray(want), alpha**power
+    if math.frexp(alpha)[0] == 0.5:
+        # real and imaginary parts apart: exact, and signed zeros kept
+        parts = np.stack([got.real, got.imag]) / factor
+        assert parts.tobytes() == np.stack([want.real, want.imag]).tobytes()
+    else:
+        assert np.linalg.norm(got / factor - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _qbd_blocks(alpha=1.0):
+    return [alpha * b for b in critical_qbd(3, 20, 5e-3, 0.99)]
+
+
+def _largest_eigenpair(m):
+    vals, vecs = np.linalg.eig(m)
+    k = int(np.argmax(np.abs(vals)))
+    return vals[k].real, vecs[:, k].real  # real data: a real eigenpair
+
+
+@pytest.fixture(scope="module")
+def qbd_factors():
+    blocks = _qbd_blocks()
+    f = cr_quadratic(*blocks)
+    return blocks, f, reversed_factorization(*blocks, f)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
+def test_reversed_factorization_does_not_depend_on_the_scale(qbd_factors, alpha):
+    _, f1, rf1 = qbd_factors
+    blocks = _qbd_blocks(alpha)
+    f = cr_quadratic(*blocks)
+    rf = reversed_factorization(*blocks, f)
+    assert f.iterations == f1.iterations
+    for got, want, power in (
+        (f.gplus, f1.gplus, 0), (f.rplus, f1.rplus, 0), (f.kplus, f1.kplus, 1),
+        (rf.gminus, rf1.gminus, 0), (rf.rminus, rf1.rminus, 0),
+        (rf.kminus, rf1.kminus, 1), (rf.w, rf1.w, -1),
+    ):
+        _assert_scaled(got, want, alpha, power)
+    assert 0 < f.residual <= 1e-10 and 0 < rf.residual <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1.0] + ALPHAS, ids=["1"] + ALPHA_IDS)
+def test_a_perturbed_gplus_fails_at_every_scale(qbd_factors, alpha):
+    blocks1, f1, _ = qbd_factors
+    off = f1.gplus + 1e-6 * np.ones_like(f1.gplus)
+    blocks = _qbd_blocks(alpha)
+    kplus = alpha * f1.kplus
+    assert _factor_residual(*blocks, off, f1.rplus, kplus) > 1e-10
+    with pytest.raises(SingularH0, match="the two K- expressions disagree"):
+        reversed_factorization(*blocks, QuadFactorization(off, f1.rplus, kplus, 0, 0.0, 0.0, 0.0))
+    with pytest.raises(NotASolvent, match="sum A_i g"):
+        poly_factorization(MatrixPoly(blocks), off)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
+def test_shifted_factorization_both_does_not_depend_on_the_scale(qbd_factors, alpha):
+    blocks1, f1, rf1 = qbd_factors
+    lam, u = _largest_eigenpair(f1.gplus)
+    quad1, rev1 = shifted_factorization_both(*blocks1, f1, rf1, lam, 0.0, u)
+    blocks = _qbd_blocks(alpha)
+    f = cr_quadratic(*blocks)
+    quad, rev = shifted_factorization_both(*blocks, f, reversed_factorization(*blocks, f), lam, 0.0, u)
+    for got, want, power in (
+        (quad.gplus, quad1.gplus, 0), (quad.kplus, quad1.kplus, 1),
+        (rev.gminus, rev1.gminus, 0), (rev.rminus, rev1.rminus, 0),
+        (rev.kminus, rev1.kminus, 1), (rev.w, rev1.w, -1),
+    ):
+        _assert_scaled(got, want, alpha, power)
+    assert 0 < quad.residual <= 1e-10 and 0 < rev.residual <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
+def test_poly_factorization_does_not_depend_on_the_scale(alpha):
+    p1 = MatrixPoly(_qbd_blocks())
+    g = solve_unilateral(p1).g
+    want = poly_factorization(p1, g).ucoeffs
+    got = poly_factorization(MatrixPoly(_qbd_blocks(alpha)), g).ucoeffs
+    for a, b in zip(got, want):
+        _assert_scaled(a, b, alpha)
+
+
+def _palindromic_case():
+    p = palindromic_quad(np.random.default_rng(401), 3)
+    pair = next(
+        q for q in sorted(polyeig(p).finite(), key=lambda q: abs(q.value))
+        if abs(abs(q.value) - 1.0) > 0.05
+    )
+    return p, pair
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
+def test_palindromic_shift_does_not_depend_on_the_scale(alpha):
+    p, pair = _palindromic_case()
+    want = palindromic_shift(p, pair.value, 0.25, pair.right).coeffs
+    scaled = MatrixPoly([alpha * c for c in p.coeffs])
+    got = palindromic_shift(scaled, pair.value, 0.25, pair.right).coeffs
+    for a, b in zip(got, want):
+        _assert_scaled(a, b, alpha)
+    for beta in (1e-200, 1e200):  # the vector's scale does not matter either
+        for a, b in zip(palindromic_shift(scaled, pair.value, 0.25, beta * pair.right).coeffs, want):
+            assert np.linalg.norm(a / alpha - b) <= 1e-12 * np.linalg.norm(b)
+    with pytest.raises(NotAnEigenpair):
+        palindromic_shift(scaled, 1.1 * pair.value, 0.25, pair.right)
+    bent = MatrixPoly([scaled.coeffs[0] * (1 + 1e-9), *scaled.coeffs[1:]])
+    with pytest.raises(NotPalindromic):
+        palindromic_shift(bent, pair.value, 0.25, pair.right)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
+@pytest.mark.parametrize("lo", [0, -1])
+def test_invariant_pair_residual_does_not_depend_on_the_scale(alpha, lo):
+    p = rand_poly(np.random.default_rng(409), 4, 2)
+    ip = invariant_pair(p, polyeig(p).finite()[:2])
+    off = ip.u + 1e-4 * crandn(np.random.default_rng(419), 4, 2)
+    for u, passes in ((ip.u, True), (off, False)):
+        want = invariant_pair_residual(LaurentPoly(lo, p.coeffs), u, ip.lam)
+        got = invariant_pair_residual(LaurentPoly(lo, [alpha * c for c in p.coeffs]), u, ip.lam)
+        assert (got <= 1e-8) == (want <= 1e-8) == passes
+        if math.frexp(alpha)[0] == 0.5:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
+def test_pencil_shifts_do_not_depend_on_the_scale(alpha):
+    rng = np.random.default_rng(421)
+    a = crandn(rng, 4, 4)
+    vals, vecs = np.linalg.eig(a)
+    spec1 = ShiftSpec(vals[0], 0.5, vecs[:, 0])
+    spec = ShiftSpec(alpha * vals[0], alpha * 0.5, vecs[:, 0])
+    _assert_scaled(right_shift_pencil(alpha * a, spec), right_shift_pencil(a, spec1), alpha)
+    ms1 = MultiShiftSpec(vecs[:, :2], np.diag(vals[:2]), np.diag([0.5, -0.5]))
+    ms = MultiShiftSpec(vecs[:, :2], alpha * np.diag(vals[:2]), alpha * np.diag([0.5, -0.5]))
+    _assert_scaled(multishift_pencil(alpha * a, ms), multishift_pencil(a, ms1), alpha)
+    with pytest.raises(NotAnEigenpair):
+        right_shift_pencil(alpha * a, ShiftSpec(1.1 * alpha * vals[0], 0.0, vecs[:, 0]))
+    with pytest.raises(NotInvariant):
+        multishift_pencil(alpha * a, MultiShiftSpec(vecs[:, :2], 1.1 * ms.lam, ms.s))

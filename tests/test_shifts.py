@@ -71,6 +71,32 @@ def test_shift_spec_rejects_degenerate_parameters(kwargs, message):
         ShiftSpec(1.0, 0.0, **kwargs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "vector, dual",
+    [([1e-200, 0], [1, 0]), ([1e200, 0], [1e200, 0]), ([1e-200, 0], [1e-200, 1e-200]),
+     ([2.0**-1000, 0], [2.0**1000, 0])],
+    ids=["tiny_vector", "huge_both", "tiny_both", "powers_of_two"],
+)
+def test_shift_spec_does_not_depend_on_the_vector_scale(vector, dual):
+    # Q = u v* / (v* u) is the same for any nonzero multiples of u and v; the
+    # norms and the inner product used to under- or overflow
+    want = ShiftSpec(1, 0, [1, 0], [1, 0] if dual[1] == 0 else [1, 1]).q
+    spec = ShiftSpec(1, 0, vector, dual)
+    assert np.vdot(spec.vector, spec.dual) == pytest.approx(1, rel=1e-15)
+    assert np.allclose(spec.q, want, rtol=0, atol=1e-15)
+
+
+def test_shift_spec_keeps_the_dual_bits_under_a_power_of_two():
+    rng = np.random.default_rng(433)
+    u, v = crandn(rng, 4), crandn(rng, 4)
+    want = ShiftSpec(0.5, 0.0, u, v)
+    for k in (-1000, -3, 5, 1000):
+        got = ShiftSpec(0.5, 0.0, u, 2.0**k * v)
+        assert got.dual.tobytes() == want.dual.tobytes()
+        assert got.q.tobytes() == want.q.tobytes()
+
+
 NAN = float("nan")
 
 
