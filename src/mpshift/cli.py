@@ -348,13 +348,15 @@ def _shift_multi(args, poly):
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.multi}: {exc.msg} at line {exc.lineno}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{args.multi}: top-level value must be an object")
     try:
-        lams = [parse_complex(str(s)) for s in payload["lambdas"]]
-        targets = [parse_complex(str(s)) for s in payload["targets"]]
+        raw = payload["lambdas"], payload["targets"]
     except KeyError as exc:
         raise ParseError(f"{args.multi}: missing key {exc}") from exc
-    if len(lams) != len(targets) or not lams:
-        raise ParseError("lambdas and targets must be equal-length non-empty lists")
+    if not all(isinstance(r, list) for r in raw) or len(raw[0]) != len(raw[1]) or not raw[0]:
+        raise ParseError(f"{args.multi}: lambdas and targets must be equal-length non-empty lists")
+    lams, targets = ([parse_complex(str(s)) for s in r] for r in raw)
     if any(map(is_infinite, lams + targets)):
         raise ParseError(f"{args.multi}: lambdas and targets must be finite")
     cols = [refine_pair(poly, lam, null_vectors(poly, lam)[0]).right for lam in lams]

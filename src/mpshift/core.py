@@ -202,19 +202,6 @@ def evaluate(p, z):
     return acc
 
 
-def derivative_at(p, z):
-    """Evaluate A'(z) = sum_i i z^{i-1} A_i directly."""
-    z = complex(z)
-    if z == 0 and p.lo < 0:
-        raise ZeroAtNegativePower("cannot differentiate at z = 0 with negative powers")
-    acc = np.zeros((p.n, p.n), dtype=complex)
-    for k, c in enumerate(p.coeffs):
-        i = p.lo + k
-        if i != 0:
-            acc = acc + i * z ** (i - 1) * c
-    return acc
-
-
 def det_at(p, z):
     """Determinant of A(z), via the pivoted-LU determinant of the evaluation."""
     return complex(np.linalg.det(evaluate(p, z)))
@@ -257,32 +244,40 @@ def _pow2_scaled(arrays):
     return scaled, step, max(sum(np.linalg.norm(a) for a in scaled), FLOOR)
 
 
+def _in_disk(p, z):
+    """``(w, coeffs)`` with sum_k w^k coeffs[k] = z^-lo A(z) when |z| <= 1, and
+    z^-hi A(z) otherwise: the coefficients reversed at w = 1/z, or w = 0 at
+    z = inf.  |w| <= 1, so a Horner sweep over the frame never overflows, and
+    its null vectors are those of A(z).  NaN z gives NaN w.
+    """
+    z = complex(z)
+    if z == 0 and p.lo < 0:
+        raise ZeroAtNegativePower("A(z) is undefined at radius 0 with negative powers")
+    if abs(z) <= 1.0:
+        return z, p.coeffs
+    return (0j if cmath.isinf(z) else 1.0 / z), p.coeffs[::-1]
+
+
 def pair_residual(p, lam, u, side="right"):
     """Normwise backward error of an eigenpair (Tisseur 2000).
 
     ||A(lam) u|| / (||u|| sum_i ||A_i||_F |lam|^i) for ``side="right"``,
     ||u* A(lam)|| / (the same) for ``side="left"``.  Both sums are divided by
     |lam|^lo when |lam| <= 1, and by |lam|^hi otherwise, so one Horner sweep
-    runs over the vectors A_i u (u* A_i) at z = lam, or over them reversed at
-    z = 1/lam; with |z| <= 1 nothing overflows.  Infinite lam is z = 0:
+    runs over the vectors C_k u (u* C_k) of the frame :func:`_in_disk` at w,
+    with |w| <= 1, and nothing overflows.  Infinite lam is w = 0:
     ||A_hi u|| / (||A_hi||_F ||u||).  The coefficients and u are prescaled
     apart (:func:`_pow2_scaled`).  A zero u gives inf.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     if not u.any():
         return math.inf
-    lam = complex(lam)
-    if lam == 0 and p.lo < 0:
-        raise ZeroAtNegativePower("scale undefined at radius 0 with negative powers")
+    w, coeffs = _in_disk(p, lam)
     (u,), _, nu = _pow2_scaled([u])
-    (coeffs,), _, _ = _pow2_scaled([np.array(p.coeffs)])  # stacked, (d + 1, n, n)
+    (coeffs,), _, _ = _pow2_scaled([np.array(coeffs)])  # stacked, (d + 1, n, n)
     vecs = coeffs @ u if side == "right" else coeffs.transpose(0, 2, 1) @ u.conj()
     norms = np.linalg.norm(coeffs, axis=(1, 2))
-    z = lam
-    if not abs(lam) <= 1.0:  # NaN lam gives z = NaN, so a NaN residual
-        z = 0.0 if cmath.isinf(lam) else 1.0 / lam
-        vecs, norms = vecs[::-1], norms[::-1]
-    return float(np.linalg.norm(horner(vecs, z)) / (nu * max(horner(norms, abs(z)).real, FLOOR)))
+    return float(np.linalg.norm(horner(vecs, w)) / (nu * max(horner(norms, abs(w)).real, FLOOR)))
 
 
 def matrix_horner(coeffs, x):

@@ -6,8 +6,8 @@ spectral transform: for a random point c off the spectrum, the matrix
 M = (C1 - c C2)^{-1} C2 has eigenvalues theta = 1/(z - c), so a standard
 dense eigensolver recovers every z, with theta = 0 corresponding to
 eigenvalues at infinity (singular leading coefficient).  Eigenvectors are
-recomputed from the SVD of A(z), decoupling their accuracy from the
-conditioning of the linearization.
+recomputed from the SVD of the in-disk function (:func:`core._in_disk`),
+decoupling their accuracy from the conditioning of the linearization.
 
 The Cayley point c is redrawn on |c| = 0.9 until rcond(A(c)) = sigma_min /
 sigma_max exceeds RANK_TOL = 1e-13, a test invariant to scale and dimension;
@@ -26,9 +26,9 @@ from .core import (
     FLOOR,
     RANK_TOL,
     EigenPair,
+    _in_disk,
     _pow2_scaled,
-    derivative_at,
-    evaluate,
+    horner,
     is_infinite,
     matrix_horner,
     pair_residual,
@@ -43,7 +43,6 @@ from .errors import (
     EigensolverFailure,
     NotInvariant,
     SingularLambda,
-    ZeroAtNegativePower,
 )
 
 # |theta| below HARD_INF_TOL * ||M||_F is an eigenvalue at infinity; values in
@@ -107,14 +106,14 @@ class Spectrum:
 
 
 def null_vectors(p, z, left=False):
-    """Unit right (and, with ``left``, left) singular vectors of A(z)'s smallest
-    singular value; at infinite z those of the leading coefficient.
+    """Unit right (and, with ``left``, left) singular vectors of the smallest
+    singular value of the in-disk function at z (:func:`core._in_disk`).
 
     Returns ``(u, y)`` with ``A(z) u ~ 0`` and ``y* A(z) ~ 0``; ``y`` is None
     unless ``left``.
     """
-    m = p.coeffs[-1] if is_infinite(z) else evaluate(p, z)
-    lu, _, vh = np.linalg.svd(m)
+    w, coeffs = _in_disk(p, z)
+    lu, _, vh = np.linalg.svd(horner(coeffs, w))
     return unit_vector(vh[-1].conj()), unit_vector(lu[:, -1]) if left else None
 
 
@@ -144,7 +143,8 @@ def polyeig(p, seed=0, want_left=False):
     nonsingular = False
     for _ in range(10):
         c = 0.9 * cmath.exp(2j * math.pi * rng.random())
-        if not rcond(evaluate(p, c)) > RANK_TOL:
+        w, coeffs = _in_disk(p, c)
+        if not rcond(horner(coeffs, w)) > RANK_TOL:
             continue
         if pencil is None:
             return Spectrum((), 0.0 + 0.0j)
@@ -189,8 +189,9 @@ def polyeig(p, seed=0, want_left=False):
 def refine_pair(p, lam, u):
     """Polish a finite eigenpair by SVD vector extraction and REFINE_STEPS Newton steps.
 
-    Returns an :class:`EigenPair` whose residual is no larger than that of
-    the input; the input is returned unchanged when no improvement is found.
+    Newton runs in w on the in-disk frame (:func:`core._in_disk`), its slope by
+    Horner over k C_k.  Returns an :class:`EigenPair` with a residual no larger
+    than the input's; the input is returned unchanged when nothing improves it.
     """
     lam = complex(lam)
     if is_infinite(lam):
@@ -199,21 +200,22 @@ def refine_pair(p, lam, u):
     best = (lam, u0, pair_residual(p, lam, u0))
 
     cur = lam
-    for _ in range(REFINE_STEPS):
-        m = evaluate(p, cur)
-        lu, sv, vh = np.linalg.svd(m)
+    for _ in range(REFINE_STEPS if p.d else 0):  # a constant A has no slope
+        w, coeffs = _in_disk(p, cur)
+        m = horner(coeffs, w)
+        lu, _, vh = np.linalg.svd(m)
         cand = unit_vector(vh[-1].conj())
         res = pair_residual(p, cur, cand)
         if res < best[2]:
             best = (cur, cand, res)
-        vleft = lu[:, -1]
-        try:
-            slope = vleft.conj() @ derivative_at(p, cur) @ cand
-        except ZeroAtNegativePower:
+        y = lu[:, -1].conj()
+        slope = y @ horner([k * c for k, c in enumerate(coeffs)][1:], w) @ cand
+        if not abs(slope) > FLOOR:
             break
-        if abs(slope) <= FLOOR:
+        w_new = w - (y @ m @ cand) / slope
+        if w != cur and not w_new:  # the reversed frame (w = 1/cur) stepped to infinity
             break
-        cur = cur - (vleft.conj() @ m @ cand) / slope
+        cur = w_new if w == cur else 1 / w_new
     cand = null_vectors(p, cur)[0]
     res = pair_residual(p, cur, cand)
     if res < best[2]:
@@ -235,24 +237,26 @@ class InvariantPair:
 
 
 def invariant_pair_residual(p, u, lam):
-    """||sum_i A_i U Lambda^i||_F normalized by ||U||_F and the coefficient scale.
+    """||sum_i A_i U Lambda^i||_F / (||U||_F sum_i ||A_i||_F rho^i), rho = rho(Lambda).
 
-    The sum is (sum_k A_{lo+k} U Lambda^k) Lambda^lo, the first factor by Horner;
-    the scale weights ||A_i||_F by rho(Lambda)^i.  A_i and U are prescaled.
+    Both are divided by rho^k, k = lo if rho <= 1 and hi otherwise (:func:`core._in_disk`):
+    Horner over t^(i-k) A_i U at Lambda/t, t = max(rho, 1), times (Lambda/rho)^lo, and
+    ||A_i||_F rho^(i-k).  No weight exceeds 1, so nothing overflows; A_i, U are prescaled.
     """
     (u,), _, nu = _pow2_scaled([np.asarray(u, dtype=complex)])
     coeffs, _, _ = _pow2_scaled(p.coeffs)
     lam = np.asarray(lam, dtype=complex)
     rho = spectral_radius(lam)
-    acc = matrix_horner([c @ u for c in coeffs], lam)
+    t = max(rho, 1.0)
+    powers = np.arange(p.lo, p.hi + 1) - (p.hi if rho > 1.0 else p.lo)
+    acc = matrix_horner([wt * (c @ u) for wt, c in zip(t ** powers, coeffs)], lam / t)
     if p.lo < 0:
         try:
-            lam_inv = np.linalg.inv(lam)
+            # rho = 0 leaves Lambda as it is: nilpotent, so singular
+            acc = acc @ np.linalg.matrix_power(np.linalg.inv(lam / (rho or 1.0)), -p.lo)
         except np.linalg.LinAlgError as exc:
             raise SingularLambda("Lambda is singular; negative powers are undefined") from exc
-        acc = acc @ np.linalg.matrix_power(lam_inv, -p.lo)
-        rho = max(rho, FLOOR)
-    scale = max(sum(np.linalg.norm(c) * rho ** (p.lo + k) for k, c in enumerate(coeffs)), FLOOR)
+    scale = max(np.linalg.norm(coeffs, axis=(1, 2)) @ rho ** powers, FLOOR)
     return float(np.linalg.norm(acc) / (nu * scale))
 
 

@@ -71,6 +71,18 @@ def shared_kernel_poly(rng, n, d):
     return MatrixPoly([crandn(rng, n, n) @ proj for _ in range(d + 1)])
 
 
+def far_quadratic(lam, seed=443, n=4):
+    """A random quadratic with the exact eigenpair (lam, u): A_2 u = 0 and
+    A_0 u = -lam A_1 u, so A_0 grows with |lam|.  Returns (p, u), u unit."""
+    rng = np.random.default_rng(seed)
+    a0, a1, a2 = (crandn(rng, n, n) for _ in range(3))
+    u = crandn(rng, n)
+    u = u / np.linalg.norm(u)
+    a2 = a2 - np.outer(a2 @ u, u.conj())
+    a0 = a0 - np.outer(a0 @ u + lam * (a1 @ u), u.conj())
+    return MatrixPoly([a0, a1, a2]), u
+
+
 def plant_kernel_lead(p, u):
     """Make u an exact kernel vector of the leading coefficient."""
     u = np.asarray(u, dtype=complex)

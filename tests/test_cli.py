@@ -1,6 +1,7 @@
 """Command-line front end: commands, exit codes, determinism, formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -891,6 +892,63 @@ def test_multi_packet_with_an_infinite_value_exits_2(tmp_path, capsys, packet):
     assert (code, out) == (2, "")
     assert err == f"error: {paths['packet']}: lambdas and targets must be finite\n"
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "packet, message",
+    [([1, 2], "top-level value must be an object"),
+     ({"lambdas": 1, "targets": ["0"]}, "lambdas and targets must be equal-length non-empty lists"),
+     ({"lambdas": "12", "targets": ["0", "0.5"]},
+      "lambdas and targets must be equal-length non-empty lists")],
+    ids=["top_level_array", "lambdas_number", "lambdas_string"],
+)
+def test_malformed_multi_packet_exits_2(tmp_path, capsys, packet, message):
+    # an array or number raised a TypeError traceback; a string was read as its characters
+    paths = _inputs(tmp_path)
+    paths["packet"].write_text(json.dumps(packet), encoding="utf-8")
+    code, out, err = run(capsys, "shift", str(paths["p3"]), "--multi", str(paths["packet"]),
+                         "-o", str(paths["out"]))
+    assert (code, out) == (2, "")
+    assert err == f"error: {paths['packet']}: {message}\n"
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("lam", ["1e6", "1e100", "1e200", "1e300", "-1e300+1e300i"])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_far_shift_with_automatic_vectors_fails_the_eigenpair_gate(tmp_path, capsys, lam, side):
+    # the automatic vector of A(1e200) was NaN: three warnings, then a dual-vector error
+    argv = ("shift", "{p1}", f"--lambda={lam}", "--mu=0", "--side", side, "-o", "{out}")
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: {side} eigenpair residual \S+ exceeds 1e-08\n", err)
+    assert not paths["out"].exists()
+
+
+def test_far_multi_packet_fails_the_invariant_pair_gate(tmp_path, capsys):
+    # the automatic vector of A(1e200) ended in an SVD traceback
+    paths = _inputs(tmp_path)
+    paths["packet"].write_text(json.dumps({"lambdas": ["1e200", "1"], "targets": ["0", "0.5"]}),
+                               encoding="utf-8")
+    code, out, err = run(capsys, "shift", str(paths["p3"]), "--multi", str(paths["packet"]),
+                         "-o", str(paths["out"]))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: invariant-pair residual \S+ exceeds 1e-08\n", err)
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e150, 1e300])
+def test_shift_to_infinity_of_a_far_eigenvalue(tmp_path, capsys, lam):
+    # from 1e150 on the planted A_0 dominates on the oracle's circles, so det a(z)
+    # is numerically zero there; 1e300 ended in an SVD traceback
+    from conftest import far_quadratic
+
+    path, dst = tmp_path / "far.mp.json", tmp_path / "out.mp.json"
+    write_poly(far_quadratic(lam)[0], path)
+    code, out, err = run(capsys, "shift", str(path), "--to-inf", f"--lambda={lam!r}", "-o", str(dst))
+    if lam < 1e150:
+        assert code == 0 and "oracle: PASS" in out and err == ""
+    else:
+        assert (code, err) == (1, "error: det a(z) vanishes at every sample point\n")
 
 
 @pytest.mark.parametrize(

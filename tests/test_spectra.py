@@ -1,13 +1,17 @@
 """Polynomial eigensolver, refinement, and invariant pairs."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mpshift import (
+    LaurentPoly,
     MatrixPoly,
     MultiShiftSpec,
     companion_pencil,
     det_at,
+    det_ratio_oracle,
     evaluate,
     invariant_pair,
     multishift_poly,
@@ -20,11 +24,12 @@ from mpshift.errors import (
     DependentEigenvectors,
     DistinctnessViolated,
     EigensolverFailure,
+    SingularLambda,
 )
 
-from mpshift.spectra import null_vectors
+from mpshift.spectra import invariant_pair_residual, null_vectors
 
-from conftest import crandn, match_moduli, rand_poly, shared_kernel_poly
+from conftest import crandn, far_quadratic, match_moduli, rand_poly, shared_kernel_poly
 
 
 def test_polyeig_p1(p1):
@@ -255,3 +260,57 @@ def test_null_vectors_are_the_svd_idiom(p2, z):
     assert np.array_equal(y, unit_vector(lu[:, -1]))
     assert null_vectors(p2, z)[1] is None
     assert np.array_equal(null_vectors(p2, z)[0], u)
+
+
+# --- evaluation outside the unit disk ---
+
+FAR = [1e6, 1e150, 1e300]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", FAR)
+def test_null_vectors_far_outside_the_disk(lam):
+    # A(lam) itself overflows from 1e155 on; its frame lam^-2 A(lam) does not
+    p, u = far_quadratic(lam)
+    got = null_vectors(p, lam)[0]
+    assert np.linalg.norm(got - np.vdot(u, got) * u) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", FAR)
+def test_refine_pair_far_outside_the_disk(lam):
+    p, u = far_quadratic(lam)
+    pair = refine_pair(p, lam * (1 + 1e-8), u)
+    assert pair.residual <= 1e-12
+    assert abs(pair.value / lam - 1) <= 2e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", [1e100, 1e160, 1e300, 1e-300])
+@pytest.mark.parametrize("lo", [0, -1])
+def test_invariant_pair_residual_at_extreme_radii(rho, lo):
+    # the residual tends to ||C e_1|| / ||C||, C = A_hi for rho -> inf and A_lo
+    # for rho -> 0; rho ** i in Python floats overflowed from 1e160 on
+    p = LaurentPoly(lo, rand_poly(np.random.default_rng(1), 2, 2).coeffs)
+    res = invariant_pair_residual(p, np.eye(2)[:, :1], [[rho]])
+    c = p.coeffs[-1] if rho > 1 else p.coeffs[0]
+    assert math.isfinite(res)
+    assert res == pytest.approx(np.linalg.norm(c[:, 0]) / np.linalg.norm(c), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_invariant_pair_residual_inverts_lambda_only_for_negative_powers():
+    # Lambda = diag(0, 2) is a valid packet of a polynomial, so no frame may
+    # invert it; with lo = -1, Lambda^-1 is needed and a singular one is refused
+    rng = np.random.default_rng(449)
+    a0, a1, a2 = (rng.integers(-3, 4, (3, 3)).astype(float) for _ in range(3))
+    a0[:, 0] = 0.0  # A_0 e_1 = 0
+    a0[:, 1] = -2.0 * a1[:, 1] - 4.0 * a2[:, 1]  # A(2) e_2 = 0, exactly
+    p = MatrixPoly([a0, a1, a2])
+    u, lam = np.eye(3)[:, :2], np.diag([0.0, 2.0])
+    assert invariant_pair_residual(p, u, lam) == 0.0
+    shifted = multishift_poly(p, MultiShiftSpec(u, lam, np.diag([0.5, -0.5])))
+    assert det_ratio_oracle(p, shifted, removed=[0.0, 2.0], added=[0.5, -0.5]).passed
+    for singular in (lam, np.zeros((2, 2))):
+        with pytest.raises(SingularLambda):
+            invariant_pair_residual(LaurentPoly(-1, p.coeffs), u, singular)
