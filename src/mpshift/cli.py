@@ -86,8 +86,6 @@ from .shifts import (
     multishift_poly,
     palindromic_shift,
     right_shift_poly,
-    shift_from_infinity,
-    shift_to_infinity,
 )
 from .spectra import null_vectors, polyeig, refine_pair
 
@@ -316,15 +314,16 @@ def _check_flags(args, mode, required, optional):
 # Each shift handler returns (shifted, removed, added, fit_constant, mode note).
 
 def _shift_single(args, poly):
-    lam, mu, side = args.lam, args.mu, args.side or "right"
-    if is_infinite(lam) or is_infinite(mu):
+    """Single shifts; --from-inf and --to-inf are single shifts with lambda or mu infinite."""
+    lam = INF if args.from_inf else args.lam
+    mu = INF if args.to_inf else args.mu
+    side = args.side or "right"
+    infinite = is_infinite(lam) or is_infinite(mu)
+    if infinite:
         if poly.lo != 0:
             raise UsageError("infinity shifts need a matrix polynomial input")
         if side == "left":
             raise UsageError("--side left does not apply to infinity shifts")
-        handler = _shift_from_inf if is_infinite(lam) else _shift_to_inf
-        shifted, removed, added, fit_constant, _ = handler(args, poly)
-        return shifted, removed, added, fit_constant, "single (routed to infinity shift)"
     if side == "right":
         spec = ShiftSpec(lam, mu, _vector_arg(args.u, poly, lam), _dual_arg(args.v, poly.n))
         shifted = right_shift_poly(poly, spec)
@@ -332,7 +331,15 @@ def _shift_single(args, poly):
         v = _vector_arg(args.v, poly, lam, left=True)
         spec = ShiftSpec(lam, mu, v, _dual_arg(args.u, poly.n), side="left")
         shifted = left_shift_poly(poly, spec)
-    return shifted, [lam], [mu], False, f"single {side}"
+    if args.from_inf:
+        note = "from infinity"
+    elif args.to_inf:
+        note = "to infinity"
+    else:
+        note = "single (routed to infinity shift)" if infinite else f"single {side}"
+    removed = [] if is_infinite(lam) else [lam]
+    added = [] if is_infinite(mu) else [mu]
+    return shifted, removed, added, infinite, note
 
 
 def _shift_double(args, poly):
@@ -364,18 +371,6 @@ def _shift_multi(args, poly):
     return multishift_poly(poly, ms), lams, targets, False, f"multishift m={len(lams)}"
 
 
-def _shift_from_inf(args, poly):
-    u = _vector_arg(args.u, poly, INF)
-    shifted = shift_from_infinity(poly, args.mu, u, _dual_arg(args.v, poly.n))
-    return shifted, [], [args.mu], True, "from infinity"
-
-
-def _shift_to_inf(args, poly):
-    u = _vector_arg(args.u, poly, args.lam)
-    shifted = shift_to_infinity(poly, args.lam, u, _dual_arg(args.v, poly.n))
-    return shifted, [args.lam], [], True, "to infinity"
-
-
 def _shift_palindromic(args, poly):
     lam, mu = args.lam, args.mu
     shifted = palindromic_shift(poly, lam, mu, _vector_arg(args.u, poly, lam))
@@ -389,8 +384,8 @@ SHIFT_MODES = {
     "single": (_shift_single, ("lambda", "mu"), ("side", "u", "v"), False),
     "double": (_shift_double, ("lambda", "mu", "lambda2", "mu2"), ("u", "v"), False),
     "multi": (_shift_multi, (), (), False),
-    "from-inf": (_shift_from_inf, ("mu",), ("u", "v"), True),
-    "to-inf": (_shift_to_inf, ("lambda",), ("u", "v"), True),
+    "from-inf": (_shift_single, ("mu",), ("u", "v"), True),
+    "to-inf": (_shift_single, ("lambda",), ("u", "v"), True),
     "palindromic": (_shift_palindromic, ("lambda", "mu"), ("u",), True),
 }
 

@@ -37,6 +37,7 @@ FLOOR = 1e-300
 # rcond(A(z)) at or below RANK_TOL counts as "A(z) is singular".
 RANK_TOL = 1e-13
 ORACLE_RADII = (0.7, 1.3)  # the oracle's sample circles, straddling |z| = 1
+ORACLE_TOL = 1e-8  # the oracle passes when max |ratio / C - 1| <= ORACLE_TOL
 
 
 def _freeze(arr):
@@ -325,7 +326,6 @@ def det_ratio_oracle(
     samples=16,
     seed=0,
     fit_constant=False,
-    tol=1e-8,
 ):
     """Check det a_tilde(z) * prod(z - removed) == C * det a(z) * prod(z - added).
 
@@ -338,7 +338,7 @@ def det_ratio_oracle(
     the ratio at the sample with the largest log|det a(z) prod(z - added)|.
 
     Raises DegeneratePolynomial when rcond(a(z)) <= RANK_TOL at every sample.
-    Returns an :class:`OracleReport`; ``passed`` means max |ratio / C - 1| <= tol.
+    Returns an :class:`OracleReport`; ``passed`` means max |ratio / C - 1| <= ORACLE_TOL.
     """
     if a.n != a_tilde.n:
         raise DimensionMismatch("operands have different dimensions")
@@ -382,7 +382,7 @@ def det_ratio_oracle(
         ratio = sign_t / sign_a * np.exp(log_t - log_a) * num / den
         constant = ratio[np.argmax(log_a + np.log(np.abs(den)))] if fit_constant else 1.0 + 0.0j
         max_err = float(np.max(np.abs(ratio / constant - 1.0)))
-    return OracleReport(max_err <= tol, max_err, samples, complex(constant), tol)
+    return OracleReport(max_err <= ORACLE_TOL, max_err, samples, complex(constant), ORACLE_TOL)
 
 
 # ---------------------------------------------------------------------------

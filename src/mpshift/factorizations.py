@@ -353,6 +353,24 @@ def _shift_l(lcoeffs, spec):
     return right_shift_laurent(l_inv, spec).coeffs[::-1]
 
 
+def _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec=None):
+    """Factors of A(z) = U(z) L(z^{-1}) after a right shift (on L) and an optional left
+    shift (on U), checked against the shifted function on the unit circle.
+
+    Each shift gates its own eigenpair: ||L(1/lambda1) u|| and ||v* U(lambda2)||.
+    """
+    ucoeffs = _coeff_tuple(ucoeffs)
+    lcoeffs = _coeff_tuple(lcoeffs)
+    new_l = _shift_l(lcoeffs, right_spec)
+    new_u, specs = ucoeffs, [right_spec]
+    if left_spec is not None:
+        new_u = left_shift_poly(MatrixPoly(ucoeffs), left_spec).coeffs
+        specs.append(left_spec)
+    factors = CanonicalFactors(new_u, new_l)
+    _check_shifted_product(ucoeffs, lcoeffs, factors, specs)
+    return factors
+
+
 def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
     """Update a canonical factorization under a right shift inside the unit disk.
 
@@ -369,21 +387,16 @@ def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
         raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
     if abs(lam) >= 1 or abs(mu) >= 1:
         raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
-    ucoeffs = _coeff_tuple(ucoeffs)
-    lcoeffs = _coeff_tuple(lcoeffs)
-    spec = ShiftSpec(lam, mu, u, v)
-    factors = CanonicalFactors(ucoeffs, _shift_l(lcoeffs, spec))
-    if mu == lam:
-        return factors
-    _check_shifted_product(ucoeffs, lcoeffs, factors, [(lam, mu, spec.vector, spec.dual, "right")])
-    _check_l_outside_disk(factors.lcoeffs)
+    factors = _shifted_factors(ucoeffs, lcoeffs, ShiftSpec(lam, mu, u, v))
+    if mu != lam:
+        _check_l_outside_disk(factors.lcoeffs)
     return factors
 
 
-def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
-    """Compare U~(z) L~(1/z) with the shifted function pointwise on the unit circle,
-    relative to sum ||U_i|| * sum ||L_i|| (U and L prescaled apart, so s U, L / s
-    reads the same)."""
+def _check_shifted_product(ucoeffs, lcoeffs, factors, specs):
+    """Compare U~(z) L~(1/z) with U(z) L(1/z) shifted by each spec pointwise on the unit
+    circle, relative to sum ||U_i|| * sum ||L_i|| (U and L prescaled apart, so s U, L / s
+    reads the same).  Each spec multiplies by I + (lam-mu)/(z-lam) Q on its side."""
     eye = np.eye(len(ucoeffs[0]), dtype=complex)
     ucoeffs, u_step, u_scale = _pow2_scaled(ucoeffs)
     lcoeffs, l_step, l_scale = _pow2_scaled(lcoeffs)
@@ -392,11 +405,9 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, shifts_applied):
     errors = []
     for z in UNIT_CIRCLE:
         ref = horner(ucoeffs, z) @ horner(lcoeffs, 1.0 / z)
-        for lam, mu, vec, dual, side in shifts_applied:
-            if side == "right":
-                ref = ref @ (eye + (lam - mu) / (z - lam) * np.outer(vec, dual.conj()))
-            else:
-                ref = (eye + (lam - mu) / (z - lam) * np.outer(dual, vec.conj())) @ ref
+        for spec in specs:
+            factor = eye + (spec.lam - spec.mu) / (z - spec.lam) * spec.q
+            ref = ref @ factor if spec.side == "right" else factor @ ref
         errors.append(np.linalg.norm(shifted.value(z) - ref))
     worst = np.max(errors) / (u_scale * l_scale)
     if not worst <= 1e-10:
@@ -470,11 +481,11 @@ def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):
     :func:`shifted_factorization_right`; the left pair (lam2 -> mu2,
     |.| > 1) updates U by U~_i = U_i + (lam2-mu2) sum_{j>=0} lam2^j S U_{i+j+1}.
     Both sums are finite for polynomial factors, so degrees are preserved.
+    The specs' sides must be "right" and "left", in that order.
     """
-    ucoeffs = _coeff_tuple(ucoeffs)
-    lcoeffs = _coeff_tuple(lcoeffs)
-    l1, m1 = complex(right_spec.lam), complex(right_spec.mu)
-    l2, m2 = complex(left_spec.lam), complex(left_spec.mu)
+    if (right_spec.side, left_spec.side) != ("right", "left"):
+        raise DegenerateShift("double shift needs a right spec and then a left spec")
+    l1, m1, l2, m2 = right_spec.lam, right_spec.mu, left_spec.lam, left_spec.mu
     if abs(l1) >= 1 or abs(m1) >= 1:
         raise ModulusConstraintViolated(
             f"right pair must lie inside the unit circle (|lam1|={abs(l1):.4f}, |mu1|={abs(m1):.4f})"
@@ -485,17 +496,7 @@ def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):
         )
     if l1 == 0:
         raise ZeroLambda("lambda1 = 0 is outside the annulus of the factorization")
-    # each shift gates its own eigenpair: ||L(1/lambda1) u|| and ||v* U(lambda2)||
-    new_l = _shift_l(lcoeffs, right_spec)
-    new_u = left_shift_poly(MatrixPoly(ucoeffs), left_spec).coeffs
-    factors = CanonicalFactors(new_u, new_l)
-    applied = []
-    if m1 != l1:
-        applied.append((l1, m1, right_spec.vector, right_spec.dual, "right"))
-    if m2 != l2:
-        applied.append((l2, m2, left_spec.vector, left_spec.dual, "left"))
-    _check_shifted_product(ucoeffs, lcoeffs, factors, applied)
-    return factors
+    return _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec)
 
 
 def poly_factorization(p, g):

@@ -18,9 +18,12 @@ or both:
   is one right shift and one left shift;
 * a shift from infinity is a right shift 0 -> 1/mu of the reversal
   z^d A(1/z), reversed back; a shift to infinity reverses around
-  1/lambda -> 0;
+  1/lambda -> 0; :func:`right_shift_laurent` is the only place that routes
+  an infinite lambda or mu to them;
 * the *-palindromic shift is a right shift lambda -> mu, the flip
-  A_i -> A_{d-i}*, the same right shift again, and the flip back.
+  A_i -> A_{d-i}*, the same right shift again, and the flip back;
+* a pencil shift of a matrix A is minus the constant coefficient of the
+  kernel applied to zI - A.
 
 A matrix polynomial is a :class:`~mpshift.core.LaurentPoly` with lo = 0
 (:class:`~mpshift.core.MatrixPoly` fixes that), so each shift has one
@@ -224,13 +227,12 @@ def _pencil_residual(a, u, lam):
 def right_shift_pencil(a, spec):
     """Classical rank-one shift of one matrix eigenvalue: A + (mu-lam) u v*."""
     a = np.asarray(a, dtype=complex)
-    u = spec.vector
-    res = _pencil_residual(a, u[:, None], np.array([[spec.lam]]))
+    res = _pencil_residual(a, spec.vector[:, None], np.array([[spec.lam]]))
     if not res <= EIGENPAIR_TOL:
         raise NotAnEigenpair(f"||A u - lam u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if spec.mu == spec.lam:
         return a.copy()
-    return a + (spec.mu - spec.lam) * np.outer(u, spec.dual.conj())
+    return -_right([-a, np.eye(len(a))], 0, spec.lam, spec.mu, spec.vector, spec.dual)[0]
 
 
 def _check_single(p, spec, side):
@@ -316,7 +318,7 @@ def multishift_pencil(a, ms):
         return right_shift_pencil(a, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
         return a.copy()
-    return a - ms.u @ (ms.lam - ms.s) @ ms.v.conj().T
+    return -_shift_coeffs([-a, np.eye(len(a))], 0, ms.u, ms.lam, ms.s, ms.v)[0]
 
 
 def multishift_laurent(p, ms):

@@ -283,7 +283,6 @@ def test_criterion_6_det_ratio_suite():
                 samples=ORACLE_SAMPLES,
                 seed=k,
                 fit_constant=fit,
-                tol=ORACLE_TOL,
             )
             assert rep.passed, f"{name} seed {k}: max rel err {rep.max_rel_err:.2e}"
             errs.append(rep.max_rel_err)

@@ -936,6 +936,50 @@ def test_far_multi_packet_fails_the_invariant_pair_gate(tmp_path, capsys):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "{p3}", "--shift", "inf"), "finite lambda and mu are required here"),
+        (("solve", "{p3}", "--shift", "1,inf"), "finite lambda and mu are required here"),
+        (("shift", "{p1}", "--to-inf", "--lambda", "0", "-o", "{out}"), "lambda must be nonzero"),
+        (("shift", "{p1}", "--to-inf", "--lambda", "inf", "-o", "{out}"),
+         "both lambda and mu are infinite; nothing to shift"),
+        (("shift", "{p1}", "--lambda", "inf", "--mu", "inf", "-o", "{out}"),
+         "both lambda and mu are infinite; nothing to shift"),
+    ],
+    ids=["solve_lambda_inf", "solve_mu_inf", "to_inf_zero", "to_inf_inf", "single_inf_inf"],
+)
+def test_infinity_error_paths_exit_1(tmp_path, capsys, argv, message):
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "single, mode",
+    [
+        (("{p2}", "--lambda", "inf", "--mu", "1", "--u", "1,0,0"),
+         ("{p2}", "--from-inf", "--mu", "1", "--u", "1,0,0")),
+        (("{p2}", "--lambda", "inf", "--mu", "0.5-0.25i", "--v", "1,2,3"),
+         ("{p2}", "--from-inf", "--mu", "0.5-0.25i", "--v", "1,2,3")),
+        (("{p1}", "--lambda", "0.5", "--mu", "inf"), ("{p1}", "--to-inf", "--lambda", "0.5")),
+        (("{p1}", "--lambda", "0.5", "--mu", "inf", "--v", "1,0.3"),
+         ("{p1}", "--to-inf", "--lambda", "0.5", "--v", "1,0.3")),
+    ],
+    ids=["from_inf", "from_inf_dual", "to_inf", "to_inf_dual"],
+)
+def test_infinity_spellings_write_the_same_file(tmp_path, capsys, single, mode):
+    # an infinite --lambda or --mu and the --from-inf/--to-inf modes take one route
+    paths = _inputs(tmp_path)
+    written = []
+    for k, argv in enumerate((single, mode)):
+        dst = tmp_path / f"spelling{k}.mp.json"
+        code, out, err = run(capsys, "shift", *(a.format(**paths) for a in argv), "-o", str(dst))
+        assert (code, err) == (0, "") and "oracle: PASS" in out
+        written.append(dst.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("lam", [1e6, 1e150, 1e300])
 def test_shift_to_infinity_of_a_far_eigenvalue(tmp_path, capsys, lam):
     # from 1e150 on the planted A_0 dominates on the oracle's circles, so det a(z)

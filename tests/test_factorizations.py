@@ -211,6 +211,16 @@ def test_cr_overflow_raises_a_typed_error(monkeypatch):
     assert type(info.value) is NoConvergence and info.value.step == 0
 
 
+@pytest.mark.parametrize("drift, steps", [(5e-2, 8), (5e-4, 14)])
+def test_cr_strict_radius_rejects_a_critical_qbd(drift, steps):
+    # z = 1 is an eigenvalue of these QBDs, so rho(G+) = 1: no canonical
+    # factorization, but the minimal solvent without the radius gate
+    coeffs = critical_qbd(3, 20, drift)
+    with pytest.raises(NoConvergence, match="not contractive"):
+        cr_quadratic(*coeffs)
+    assert cr_quadratic(*coeffs, strict_radius=False).iterations == steps
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -823,6 +833,19 @@ def test_double_shift_factorization_modulus_constraints():
     bad_ls = ShiftSpec(0.5, 2.0, np.ones(3), side="left")  # |lambda2| < 1
     with pytest.raises(ModulusConstraintViolated):
         double_shift_factorization(ucoeffs, lcoeffs, rs, bad_ls)
+
+
+def test_double_shift_factorization_needs_a_right_then_a_left_spec():
+    (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
+    lam1, u = _inside_eigenpair(f)
+    vals, vecs = np.linalg.eig(f.rplus.T)
+    k = int(np.argmax(np.abs(vals)))
+    lam2, v = 1.0 / complex(vals[k]), vecs[:, k].conj()
+    for sides in (("right", "right"), ("left", "left")):
+        rs = ShiftSpec(lam1, 0.3 * lam1, u, side=sides[0])
+        ls = ShiftSpec(lam2, 1.4 * lam2, v, side=sides[1])
+        with pytest.raises(DegenerateShift, match="a right spec and then a left spec"):
+            double_shift_factorization(ucoeffs, lcoeffs, rs, ls)
 
 
 # --- polynomial factorization from a solvent ---

@@ -105,6 +105,21 @@ def test_polyeig_reports_failed_cayley_solves(p1, monkeypatch):
         polyeig(p1)
 
 
+@pytest.mark.parametrize("ratio, infinite", [(1e-9, True), (1e-7, False)])
+def test_polyeig_borderline_band(ratio, infinite):
+    # sigma_min(A_1) = ratio * sigma_max(A_1) puts one eigenvalue of A_0 + z A_1
+    # at |z| ~ 1/ratio, in polyeig's borderline band; it counts as infinite only
+    # when A_1 is numerically singular (sigma_min <= 1e-8 of its scale)
+    rng = np.random.default_rng(0)
+    a0, a1 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    w, sv, vh = np.linalg.svd(a1)
+    sv[-1] = ratio * sv[0]
+    far = polyeig(MatrixPoly([a0, (w * sv) @ vh])).pairs[-1]
+    assert far.is_infinite == infinite and far.borderline == infinite
+    if not infinite:
+        assert 7e5 <= abs(far.value) <= 8e5
+
+
 def test_polyeig_degree_zero():
     rng = np.random.default_rng(6)
     spec = polyeig(MatrixPoly([crandn(rng, 3, 3)]))
