@@ -324,13 +324,10 @@ def _shift_single(args, poly):
             raise UsageError("infinity shifts need a matrix polynomial input")
         if side == "left":
             raise UsageError("--side left does not apply to infinity shifts")
-    if side == "right":
-        spec = ShiftSpec(lam, mu, _vector_arg(args.u, poly, lam), _dual_arg(args.v, poly.n))
-        shifted = right_shift_poly(poly, spec)
-    else:
-        v = _vector_arg(args.v, poly, lam, left=True)
-        spec = ShiftSpec(lam, mu, v, _dual_arg(args.u, poly.n), side="left")
-        shifted = left_shift_poly(poly, spec)
+    left = side == "left"
+    vector, dual = (args.v, args.u) if left else (args.u, args.v)
+    spec = ShiftSpec(lam, mu, _vector_arg(vector, poly, lam, left), _dual_arg(dual, poly.n), side)
+    shifted = (left_shift_poly if left else right_shift_poly)(poly, spec)
     if args.from_inf:
         note = "from infinity"
     elif args.to_inf:

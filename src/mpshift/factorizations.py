@@ -55,7 +55,7 @@ from .errors import (
     SingularWtilde,
     ZeroLambda,
 )
-from .shifts import ShiftSpec, left_shift_poly, right_shift_laurent
+from .shifts import ShiftSpec, _check_sides, left_shift_poly, right_shift_laurent
 from .spectra import polyeig, spectral_radius
 
 UNIT_CIRCLE = tuple(cmath.exp(2j * math.pi * k / 8) for k in range(8))
@@ -355,7 +355,8 @@ def _shift_l(lcoeffs, spec):
 
 def _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec=None):
     """Factors of A(z) = U(z) L(z^{-1}) after a right shift (on L) and an optional left
-    shift (on U), checked against the shifted function on the unit circle.
+    shift (on U), checked against the shifted function on the unit circle; when the
+    right shift moves, det L~ must also have no root in the closed unit disk.
 
     Each shift gates its own eigenpair: ||L(1/lambda1) u|| and ||v* U(lambda2)||.
     """
@@ -368,7 +369,19 @@ def _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec=None):
         specs.append(left_spec)
     factors = CanonicalFactors(new_u, new_l)
     _check_shifted_product(ucoeffs, lcoeffs, factors, specs)
+    if right_spec.mu != right_spec.lam:
+        _check_l_outside_disk(factors.lcoeffs)
     return factors
+
+
+def _inside_disk_spec(lam, mu, u, v):
+    """The spec of a right factor update: lambda != 0, and |lambda|, |mu| < 1."""
+    lam, mu = complex(lam), complex(mu)
+    if lam == 0:
+        raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
+    if abs(lam) >= 1 or abs(mu) >= 1:
+        raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
+    return ShiftSpec(lam, mu, u, v)
 
 
 def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
@@ -382,15 +395,7 @@ def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
     unit-circle points, and det L~ is checked to have no roots in the closed
     unit disk (all eigenvalues of the L~ polynomial beyond radius one).
     """
-    lam, mu = complex(lam), complex(mu)
-    if lam == 0:
-        raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
-    if abs(lam) >= 1 or abs(mu) >= 1:
-        raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
-    factors = _shifted_factors(ucoeffs, lcoeffs, ShiftSpec(lam, mu, u, v))
-    if mu != lam:
-        _check_l_outside_disk(factors.lcoeffs)
-    return factors
+    return _shifted_factors(ucoeffs, lcoeffs, _inside_disk_spec(lam, mu, u, v))
 
 
 def _check_shifted_product(ucoeffs, lcoeffs, factors, specs):
@@ -442,12 +447,8 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     (QuadFactorization, ReversedFactorization) for the shifted Laurent
     polynomial.
     """
-    lam, mu = complex(lam), complex(mu)
-    if lam == 0:
-        raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
-    if abs(lam) >= 1 or abs(mu) >= 1:
-        raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
-    spec = ShiftSpec(lam, mu, u, v)
+    spec = _inside_disk_spec(lam, mu, u, v)
+    lam, mu = spec.lam, spec.mu
     shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), spec)
     if mu == lam:
         return f, rf
@@ -481,10 +482,10 @@ def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):
     :func:`shifted_factorization_right`; the left pair (lam2 -> mu2,
     |.| > 1) updates U by U~_i = U_i + (lam2-mu2) sum_{j>=0} lam2^j S U_{i+j+1}.
     Both sums are finite for polynomial factors, so degrees are preserved.
-    The specs' sides must be "right" and "left", in that order.
+    The specs' sides must be "right" and "left", in that order.  As there, det L~
+    must have no root in the closed unit disk.
     """
-    if (right_spec.side, left_spec.side) != ("right", "left"):
-        raise DegenerateShift("double shift needs a right spec and then a left spec")
+    _check_sides((right_spec, left_spec), ("right", "left"))
     l1, m1, l2, m2 = right_spec.lam, right_spec.mu, left_spec.lam, left_spec.mu
     if abs(l1) >= 1 or abs(m1) >= 1:
         raise ModulusConstraintViolated(

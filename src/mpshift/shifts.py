@@ -7,19 +7,19 @@ Every shift here is one identity, the generalized Brauer theorem
 for an invariant pair sum_i A_i U Lambda^i = 0 and any V with V* U = I: the
 eigenvalues of Lambda move to those of S, the rest of the spectrum stays,
 and A~ is again a matrix (Laurent) polynomial with the support of A.  One
-coefficient kernel, :func:`_shift_coeffs`, evaluates it.  Each public shift
-checks its own inputs and then composes the kernel with reversal, adjoint
-or both:
+coefficient kernel, :func:`_shift_coeffs`, evaluates it.  Every single and
+double shift is one gate, :func:`_gate`, and one apply step, :func:`_apply`,
+which read the side and any infinity off each :class:`ShiftSpec`:
 
 * a right shift of lambda to mu is the kernel with m = 1 (U = u, S = mu,
   V = v); a multishift is the kernel with an m-column packet;
 * a left shift with factor y v* is the adjoint of a right shift of the
   adjoint coefficients A_i*, with conj(lambda) and conj(mu); a double shift
   is one right shift and one left shift;
-* a shift from infinity is a right shift 0 -> 1/mu of the reversal
-  z^d A(1/z), reversed back; a shift to infinity reverses around
-  1/lambda -> 0; :func:`right_shift_laurent` is the only place that routes
-  an infinite lambda or mu to them;
+* a right shift with lambda or mu infinite is, in the apply step, the right
+  shift 1/lambda -> 1/mu (1/inf = 0) of the reversal z^d A(1/z), reversed
+  back; :func:`shift_from_infinity` and :func:`shift_to_infinity` are two
+  spellings of it;
 * the *-palindromic shift is a right shift lambda -> mu, the flip
   A_i -> A_{d-i}*, the same right shift again, and the flip back;
 * a pencil shift of a matrix A is minus the constant coefficient of the
@@ -52,7 +52,6 @@ from .core import (
     is_infinite,
     pair_residual,
     rcond,
-    reverse,
     unit_vector,
 )
 from .errors import (
@@ -82,7 +81,8 @@ class ShiftSpec:
     ``vector`` and is always rescaled so that the required inner product
     (v* u, respectively v* y) equals one.  ``lam`` and ``mu`` may be infinite
     but not NaN, and the vectors must be finite (else DegenerateShift).  Both
-    are prescaled apart for the checks, so neither one's scale matters.
+    are prescaled apart for the checks, so neither one's scale matters.  Every
+    shift reads ``side``: a spec of a side it does not take is DegenerateShift.
     """
 
     lam: complex
@@ -214,8 +214,16 @@ def _left(coeffs, lo, lam, mu, v, y):
 
 
 # ---------------------------------------------------------------------------
-# single shifts
+# single and double shifts
 # ---------------------------------------------------------------------------
+
+def _check_sides(specs, sides):
+    """DegenerateShift unless the specs' sides are ``sides``, in order."""
+    got = tuple(spec.side for spec in specs)
+    if got != sides:
+        want = " and then ".join(f"a {side} spec" for side in sides)
+        raise DegenerateShift(f"shift needs {want}, got {', '.join(got)}")
+
 
 def _pencil_residual(a, u, lam):
     """||A U - U Lambda||_F / (||A||_F ||U||_F), A (with Lambda) and U prescaled apart."""
@@ -226,6 +234,7 @@ def _pencil_residual(a, u, lam):
 
 def right_shift_pencil(a, spec):
     """Classical rank-one shift of one matrix eigenvalue: A + (mu-lam) u v*."""
+    _check_sides((spec,), ("right",))
     a = np.asarray(a, dtype=complex)
     res = _pencil_residual(a, spec.vector[:, None], np.array([[spec.lam]]))
     if not res <= EIGENPAIR_TOL:
@@ -235,40 +244,61 @@ def right_shift_pencil(a, spec):
     return -_right([-a, np.eye(len(a))], 0, spec.lam, spec.mu, spec.vector, spec.dual)[0]
 
 
-def _check_single(p, spec, side):
-    """Gate of a finite single shift: lambda != 0 with negative powers, and the eigenpair."""
-    if is_infinite(spec.lam) or is_infinite(spec.mu):
-        raise ZeroMu("infinite lambda or mu: only the right shift routes to the infinity shifts")
+def _gate(p, spec, alone):
+    """Check one spec on p: infinity (a lone right spec, lo = 0, a nonzero finite
+    partner), lambda != 0 with negative powers, the eigenpair on the spec's side."""
+    lam_inf = is_infinite(spec.lam)
+    if lam_inf or is_infinite(spec.mu):
+        if not alone or spec.side != "right":
+            raise ZeroMu("infinite lambda or mu: only the right shift routes to the infinity shifts")
+        if lam_inf and is_infinite(spec.mu):
+            raise ZeroMu("both lambda and mu are infinite; nothing to shift")
+        if p.lo != 0:
+            raise DimensionMismatch("infinity shifts act on matrix polynomials")
+        if spec.mu == 0:
+            raise ZeroMu("target mu must be nonzero")
+        if spec.lam == 0:
+            raise ZeroLambda("lambda must be nonzero")
     if p.lo < 0 and spec.lam == 0:
         raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
-    res = pair_residual(p, spec.lam, spec.vector, side)
+    res = pair_residual(p, spec.lam, spec.vector, spec.side)
     if not res <= EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"{side} eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+        if lam_inf:
+            raise NotInKernel(f"||A_d u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+        raise NotAnEigenpair(f"{spec.side} eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
 
 
-def _single_shift(p, spec, side):
-    _check_single(p, spec, side)
+def _apply(coeffs, lo, spec):
+    """The coefficients after one gated shift.  An infinite lambda or mu is the
+    right shift 1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients."""
     if spec.mu == spec.lam:
-        return p
-    shift = _right if side == "right" else _left
-    return replace(p, coeffs=shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual))
+        return coeffs
+    if is_infinite(spec.lam) or is_infinite(spec.mu):
+        lam, mu = (0j if is_infinite(z) else 1 / z for z in (spec.lam, spec.mu))
+        return _right(coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1]
+    shift = _right if spec.side == "right" else _left
+    return shift(coeffs, lo, spec.lam, spec.mu, spec.vector, spec.dual)
+
+
+def _shift(p, specs, sides):
+    """Every single and double shift: check the sides, gate each spec on p, then
+    apply them in order.  A shift whose every spec has mu = lambda returns p."""
+    _check_sides(specs, sides)
+    for spec in specs:
+        _gate(p, spec, len(specs) == 1)
+    coeffs = p.coeffs
+    for spec in specs:
+        coeffs = _apply(coeffs, p.lo, spec)
+    return p if coeffs is p.coeffs else replace(p, coeffs=coeffs)
 
 
 def right_shift_laurent(p, spec):
     """Shift one eigenvalue; the support (lo, hi) and A_hi are preserved.
 
-    Infinite ``lam`` or ``mu`` are routed to :func:`shift_from_infinity` or
-    :func:`shift_to_infinity` respectively, which need lo = 0.  Also bound
-    as ``right_shift_poly``.
+    An infinite ``lam`` or ``mu`` needs lo = 0 (see :func:`shift_from_infinity`
+    and :func:`shift_to_infinity`).  Also bound as ``right_shift_poly``.
     """
-    lam_inf, mu_inf = is_infinite(spec.lam), is_infinite(spec.mu)
-    if lam_inf and mu_inf:
-        raise ZeroMu("both lambda and mu are infinite; nothing to shift")
-    if lam_inf:
-        return shift_from_infinity(p, spec.mu, spec.vector, spec.dual)
-    if mu_inf:
-        return shift_to_infinity(p, spec.lam, spec.vector, spec.dual)
-    return _single_shift(p, spec, "right")
+    return _shift(p, (spec,), ("right",))
 
 
 def left_shift_laurent(p, spec):
@@ -276,7 +306,7 @@ def left_shift_laurent(p, spec):
 
     Also bound as ``left_shift_poly``.
     """
-    return _single_shift(p, spec, "left")
+    return _shift(p, (spec,), ("left",))
 
 
 # One function, two public names.  The ``*_poly`` name is bound last, so a
@@ -295,13 +325,7 @@ def double_shift_laurent(p, right_spec, left_spec):
     """
     if right_spec.lam == left_spec.lam:
         raise CoincidentEigenvalues("double shift requires lambda1 != lambda2")
-    _check_single(p, right_spec, "right")
-    _check_single(p, left_spec, "left")
-    coeffs = p.coeffs
-    for spec, shift in ((right_spec, _right), (left_spec, _left)):
-        if spec.mu != spec.lam:
-            coeffs = shift(coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
-    return replace(p, coeffs=coeffs)
+    return _shift(p, (right_spec, left_spec), ("right", "left"))
 
 
 # ---------------------------------------------------------------------------
@@ -349,54 +373,29 @@ multishift_poly = multishift_laurent
 # shifts from and to infinity
 # ---------------------------------------------------------------------------
 
-def _reversed_right_shift(p, spec):
-    """Right shift of the reversal z^d A(1/z), reversed back."""
-    rev = reverse(p)
-    coeffs = _right(rev.coeffs, 0, spec.lam, spec.mu, spec.vector, spec.dual)
-    return reverse(replace(rev, coeffs=coeffs))
-
-
 def shift_from_infinity(p, mu, u, v=None):
-    """Replace one eigenvalue at infinity by finite mu != 0.
+    """Replace one eigenvalue at infinity by finite mu != 0: the right shift inf -> mu.
 
     Requires A_d u = 0.  The reversal has the eigenvalue 0 there, shifted to
     1/mu: coefficients become A_i - mu^{-1} A_{i-1} Q with A_0 unchanged;
     all finite eigenvalues are preserved and the determinant gains the
     factor (1 - z/mu).
     """
-    if p.lo != 0:
-        raise DimensionMismatch("infinity shifts act on matrix polynomials")
-    mu = complex(mu)
-    if mu == 0:
-        raise ZeroMu("target mu must be nonzero")
-    if is_infinite(mu):
+    if is_infinite(mu):  # inf or NaN: not "nothing to shift" or a degenerate spec
         raise ZeroMu("target mu must be finite")
-    spec = ShiftSpec(0.0, 1.0 / mu, u, v)
-    res = pair_residual(p, INF, spec.vector)
-    if not res <= EIGENPAIR_TOL:
-        raise NotInKernel(f"||A_d u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    return _reversed_right_shift(p, spec)
+    return right_shift_laurent(p, ShiftSpec(INF, mu, u, v))
 
 
 def shift_to_infinity(p, lam, u, v=None):
-    """Send the finite eigenvalue lam != 0 to infinity.
+    """Send the finite eigenvalue lam != 0 to infinity: the right shift lam -> inf.
 
     The reversal has the eigenvalue 1/lam, shifted to 0: coefficients become
     A_i + sum_{k=0}^{i-1} lam^{-k-1} A_{i-k-1} Q with A_0 unchanged; the new
     leading coefficient annihilates u.
     """
-    if p.lo != 0:
-        raise DimensionMismatch("infinity shifts act on matrix polynomials")
-    lam = complex(lam)
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero")
-    if is_infinite(lam):
+    if is_infinite(lam):  # inf or NaN: not "nothing to shift" or a degenerate spec
         raise ZeroLambda("lambda must be finite")
-    spec = ShiftSpec(1.0 / lam, 0.0, u, v)
-    res = pair_residual(p, lam, spec.vector)
-    if not res <= EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-    return _reversed_right_shift(p, spec)
+    return right_shift_laurent(p, ShiftSpec(lam, INF, u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -946,8 +946,13 @@ def test_far_multi_packet_fails_the_invariant_pair_gate(tmp_path, capsys):
          "both lambda and mu are infinite; nothing to shift"),
         (("shift", "{p1}", "--lambda", "inf", "--mu", "inf", "-o", "{out}"),
          "both lambda and mu are infinite; nothing to shift"),
+        (("shift", "{p2}", "--from-inf", "--mu", "1", "--u", "0,1,0", "-o", "{out}"),
+         "||A_d u|| residual 7.07e-01 exceeds 1e-08"),
+        (("shift", "{p1}", "--to-inf", "--lambda", "0.7", "--u", "1,0", "-o", "{out}"),
+         "right eigenpair residual 4.83e-02 exceeds 1e-08"),
     ],
-    ids=["solve_lambda_inf", "solve_mu_inf", "to_inf_zero", "to_inf_inf", "single_inf_inf"],
+    ids=["solve_lambda_inf", "solve_mu_inf", "to_inf_zero", "to_inf_inf", "single_inf_inf",
+         "from_inf_kernel", "to_inf_eigenpair"],
 )
 def test_infinity_error_paths_exit_1(tmp_path, capsys, argv, message):
     code, out, err, paths = _run_template(tmp_path, capsys, argv)

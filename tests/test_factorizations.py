@@ -39,6 +39,7 @@ from mpshift.errors import (
     SingularH0,
     SingularPivot,
     SplittingFailure,
+    ZeroLambda,
 )
 from mpshift.equations import ReblockedQuadratic
 from mpshift.fixtures import p3
@@ -846,6 +847,63 @@ def test_double_shift_factorization_needs_a_right_then_a_left_spec():
         ls = ShiftSpec(lam2, 1.4 * lam2, v, side=sides[1])
         with pytest.raises(DegenerateShift, match="a right spec and then a left spec"):
             double_shift_factorization(ucoeffs, lcoeffs, rs, ls)
+
+
+def _double_specs(f, identity=False):
+    lam1, u = _inside_eigenpair(f)
+    vals, vecs = np.linalg.eig(f.rplus.T)
+    k = int(np.argmax(np.abs(vals)))
+    lam2, v = 1.0 / complex(vals[k]), vecs[:, k].conj()
+    mu1 = lam1 if identity else 0.3 * lam1
+    return ShiftSpec(lam1, mu1, u), ShiftSpec(lam2, 1.4 * lam2, v, side="left")
+
+
+def _record_l_checks(monkeypatch):
+    seen, check = [], factorizations._check_l_outside_disk
+    monkeypatch.setattr(factorizations, "_check_l_outside_disk",
+                        lambda lcoeffs: (seen.append(lcoeffs), check(lcoeffs))[1])
+    return seen
+
+
+def test_double_shift_factorization_checks_the_shifted_l(monkeypatch):
+    # the double update runs the det L~ root check of the right update on L~
+    (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
+    seen = _record_l_checks(monkeypatch)
+    out = double_shift_factorization(ucoeffs, lcoeffs, *_double_specs(f))
+    assert len(seen) == 1 and seen[0] is out.lcoeffs
+    seen.clear()
+    double_shift_factorization(ucoeffs, lcoeffs, *_double_specs(f, identity=True))
+    assert seen == []  # the right spec does not move L
+
+
+def test_double_shift_factorization_raises_the_l_check(monkeypatch):
+    (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
+
+    def reject(lcoeffs):
+        raise NoConvergence("det L~ has a root of modulus 0.5 inside the closed unit disk")
+
+    monkeypatch.setattr(factorizations, "_check_l_outside_disk", reject)
+    with pytest.raises(NoConvergence, match="inside the closed unit disk"):
+        double_shift_factorization(ucoeffs, lcoeffs, *_double_specs(f))
+
+
+@pytest.mark.parametrize(
+    "lam, mu, error",
+    [(0.0, 0.0, ZeroLambda), (None, 1.5, ShiftOutsideDisk), (1.0, 0.0, ShiftOutsideDisk)],
+    ids=["lambda_zero", "mu_outside", "lambda_on_circle"],
+)
+def test_right_and_both_updates_share_their_checks(lam, mu, error):
+    rng = np.random.default_rng(257)
+    am1, a0, a1 = qbd_quadratic(rng, 3)
+    f = cr_quadratic(am1, a0, a1)
+    rf = reversed_factorization(am1, a0, a1, f)
+    inside, u = _inside_eigenpair(f)
+    args = inside if lam is None else lam, mu, u
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(error):
+        shifted_factorization_right([f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], *args)
+    with pytest.raises(error):
+        shifted_factorization_both(am1, a0, a1, f, rf, *args)
 
 
 # --- polynomial factorization from a solvent ---

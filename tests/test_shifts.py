@@ -27,9 +27,11 @@ from mpshift import (
     shift_to_infinity,
     unit_vector,
 )
+from mpshift.core import INF
 from mpshift.errors import (
     CoincidentEigenvalues,
     DegenerateShift,
+    DimensionMismatch,
     NotAnEigenpair,
     NotInKernel,
     NotInvariant,
@@ -44,6 +46,7 @@ from conftest import (
     crandn,
     match_moduli,
     palindromic_quad,
+    plant_kernel_lead,
     plant_left,
     plant_right,
     plant_right_pairs,
@@ -417,6 +420,46 @@ def test_double_shift_rejects_coincident():
         double_shift_laurent(p, rs, ls)
 
 
+# --- the side rule: every shift reads ShiftSpec.side ---
+
+def _p3_right_left(p3):
+    """(lam1, u) near 0.15 and (lam2, y) near 3 of p3: a right and a left eigenpair."""
+    pairs = polyeig(p3, want_left=True).pairs
+    right = min(pairs, key=lambda q: abs(q.value - 0.15))
+    left = min(pairs, key=lambda q: abs(q.value - 3.0))
+    return (right.value, right.right), (left.value, left.left)
+
+
+def test_right_shift_rejects_a_left_spec(p3):
+    _, (l2, y) = _p3_right_left(p3)
+    with pytest.raises(DegenerateShift, match="needs a right spec, got left"):
+        right_shift_laurent(p3, ShiftSpec(l2, 0.2, y, side="left"))
+
+
+def test_right_shift_pencil_rejects_a_left_spec():
+    a = np.diag([1.0, 2.0, 3.0])  # e1 is a right and a left eigenvector
+    with pytest.raises(DegenerateShift, match="needs a right spec, got left"):
+        right_shift_pencil(a, ShiftSpec(1.0, 5.0, [1.0, 0.0, 0.0], side="left"))
+
+
+def test_left_shift_rejects_a_right_spec(p3):
+    (l1, u), _ = _p3_right_left(p3)
+    with pytest.raises(DegenerateShift, match="needs a left spec, got right"):
+        left_shift_laurent(p3, ShiftSpec(l1, 0.1, u))
+
+
+def test_double_shift_rejects_a_pair_that_is_not_right_then_left(p3):
+    # a left eigenvector in a spec left at the default side "right" is not a left shift
+    (l1, u), (l2, y) = _p3_right_left(p3)
+    good = ShiftSpec(l1, 0.1, u), ShiftSpec(l2, 0.2, y, side="left")
+    out = double_shift_laurent(p3, *good)
+    assert det_ratio_oracle(p3, out, removed=[l1, l2], added=[0.1, 0.2]).passed
+    for sides in (("right", "right"), ("left", "left"), ("left", "right")):
+        pair = ShiftSpec(l1, 0.1, u, side=sides[0]), ShiftSpec(l2, 0.2, y, side=sides[1])
+        with pytest.raises(DegenerateShift, match="a right spec and then a left spec"):
+            double_shift_laurent(p3, *pair)
+
+
 @pytest.mark.parametrize(
     "lo, laurent_lo_zero",
     [(0, False), (-1, False), (0, True)],
@@ -632,6 +675,58 @@ def test_infinity_round_trip_restores_spectrum():
     back = shift_from_infinity(gone, lam, u)
     rep = det_ratio_oracle(p, back, removed=[], added=[], fit_constant=True)
     assert rep.passed
+
+
+def test_infinity_spellings_are_bit_equal():
+    # one spec, so one normalization of the given dual, for both spellings
+    for seed in range(24):
+        rng = np.random.default_rng(3100 + seed)
+        lam, mu = complex(*rng.uniform(0.2, 1.5, 2)), complex(*rng.uniform(0.2, 1.5, 2))
+        u, y = unit_vector(crandn(rng, 4)), crandn(rng, 4)
+        p = plant_right(rand_poly(rng, 4, 2), lam, u)
+        assert coeffs_equal(shift_to_infinity(p, lam, u, y),
+                            right_shift_poly(p, ShiftSpec(lam, INF, u, y))), seed
+        q = plant_kernel_lead(rand_poly(rng, 4, 2), u)
+        assert coeffs_equal(shift_from_infinity(q, mu, u, y),
+                            right_shift_poly(q, ShiftSpec(INF, mu, u, y))), seed
+
+
+E1 = [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "shift, error",
+    [
+        (lambda p: shift_from_infinity(LaurentPoly(-1, p.coeffs), 1.0, E1), DimensionMismatch),
+        (lambda p: right_shift_laurent(LaurentPoly(-1, p.coeffs), ShiftSpec(INF, 1.0, E1)),
+         DimensionMismatch),
+        (lambda p: shift_to_infinity(LaurentPoly(-1, p.coeffs), 0.5, E1), DimensionMismatch),
+        (lambda p: right_shift_laurent(LaurentPoly(-1, p.coeffs), ShiftSpec(0.5, INF, E1)),
+         DimensionMismatch),
+        (lambda p: shift_from_infinity(p, 0.0, E1), ZeroMu),
+        (lambda p: right_shift_poly(p, ShiftSpec(INF, 0.0, E1)), ZeroMu),
+        (lambda p: shift_to_infinity(p, 0.0, E1), ZeroLambda),
+        (lambda p: right_shift_poly(p, ShiftSpec(0.0, INF, E1)), ZeroLambda),
+        (lambda p: shift_from_infinity(p, INF, E1), ZeroMu),
+        (lambda p: right_shift_poly(p, ShiftSpec(INF, INF, E1)), ZeroMu),
+        (lambda p: left_shift_poly(p, ShiftSpec(INF, 1.0, E1, side="left")), ZeroMu),
+        (lambda p: left_shift_poly(p, ShiftSpec(0.5, INF, E1, side="left")), ZeroMu),
+        (lambda p: double_shift_laurent(p, ShiftSpec(INF, 1.0, E1),
+                                        ShiftSpec(0.5, 0.1, E1, side="left")), ZeroMu),
+        (lambda p: shift_to_infinity(p, INF, E1), ZeroLambda),
+        (lambda p: shift_to_infinity(p, NAN, E1), ZeroLambda),
+        (lambda p: shift_from_infinity(p, NAN, E1), ZeroMu),
+    ],
+    ids=[
+        "from_laurent", "from_laurent_spec", "to_laurent", "to_laurent_spec",
+        "from_mu_zero", "from_mu_zero_spec", "to_lambda_zero", "to_lambda_zero_spec",
+        "from_both_infinite", "both_infinite_spec", "left_from", "left_to", "double_right_from",
+        "to_infinite_lambda", "to_nan_lambda", "from_nan_mu",
+    ],
+)
+def test_infinity_preconditions_on_both_spellings(p2, shift, error):
+    with pytest.raises(error):
+        shift(p2)
 
 
 def test_generic_shift_routes_infinity(p2):
