@@ -61,6 +61,7 @@ import numpy as np
 from . import fixtures
 from .core import (
     INF,
+    _json_pairs,
     det_ratio_oracle,
     is_infinite,
     read_poly,
@@ -189,29 +190,22 @@ def matrix_json(mat):
     return mat.view(float).reshape(*mat.shape, 2).tolist()
 
 
-_MINUS_ZERO = np.float64(-0.0).tobytes()
-
-
 def array_json(mat):
     """``json.dumps(matrix_json(mat))``, filled in as one ``%r`` template.
 
     When every imaginary part is a zero of one sign, as for results computed
     from real data, the pair is ``[%r, 0.0]`` (or ``-0.0``) and only the real
-    parts are formatted.  A finite float's repr has no ``n``, so an ``n`` in
-    the text means an ``inf`` or ``nan`` entry, which goes through
-    ``json.dumps`` for its ``Infinity`` and ``NaN`` spellings.
+    parts are formatted (:func:`~mpshift.core._json_pairs`).  A finite float's
+    repr has no ``n``, so an ``n`` in the text means an ``inf`` or ``nan``
+    entry, which goes through ``json.dumps`` for its ``Infinity`` and ``NaN``
+    spellings.
     """
     mat = np.asarray(mat, dtype=complex)
-    imag = mat.imag.tobytes()
-    if imag == bytes(len(imag)):
-        leaf, floats = "[%r, 0.0]", mat.real
-    elif imag == _MINUS_ZERO * mat.size:
-        leaf, floats = "[%r, -0.0]", mat.real
-    else:
-        leaf, floats = "[%r, %r]", np.ascontiguousarray(mat).view(float)
+    imag, floats = _json_pairs(mat)
+    leaf = f"[%r, {imag}]"
     for width in reversed(mat.shape):
         leaf = "[" + ", ".join([leaf] * width) + "]"
-    text = leaf % tuple(floats.ravel().tolist())
+    text = leaf % tuple(floats)
     return json.dumps(matrix_json(mat)) if "n" in text else text
 
 

@@ -181,25 +181,28 @@ def unit_vector(v):
 
 
 def horner(coeffs, z):
-    """sum_k z^k coeffs[k] by Horner's scheme."""
+    """sum_k z^k coeffs[k] by Horner's scheme; an array z broadcasts against the coefficients."""
     acc = np.array(coeffs[-1], dtype=complex)
+    if len(coeffs) == 1:  # no product broadcasts the constant to a stack of points
+        acc = np.broadcast_to(acc, np.broadcast_shapes(acc.shape, np.shape(z))).copy()
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
 
 
 def evaluate(p, z):
-    """Evaluate A(z) by Horner's scheme.
+    """Evaluate A(z) by Horner's scheme; an array z gives the stack z.shape + (n, n).
 
     Laurent polynomials are evaluated as z^lo times a Horner sweep over the
     ascending-power coefficients, so z = 0 is rejected when lo < 0.
     """
-    z = complex(z)
-    if z == 0 and p.lo < 0:
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    if p.lo < 0 and (z == 0).any():
         raise ZeroAtNegativePower("cannot evaluate at z = 0 with negative powers")
     acc = horner(p.coeffs, z)
     if p.lo != 0:
-        acc = acc * z**p.lo
+        # rounded as Python's complex z**lo: np.power's products, then a reciprocal
+        acc = acc * np.power(z, -p.lo) ** -1
     return acc
 
 
@@ -332,10 +335,11 @@ def det_ratio_oracle(
     Sample points are drawn uniformly on the circles of ORACLE_RADII
     (straddling the unit circle), rejecting points within 1e-3 of any removed
     or added value.  Each sample's ratio, sign * exp(log|det a_tilde| -
-    log|det a|) * prod(z - removed) / prod(z - added), comes from pivoted-LU
-    ``slogdet`` (phase and log magnitude, so no power of a norm overflows) and
-    is independent of any shift formula.  C is 1, or with ``fit_constant``
-    the ratio at the sample with the largest log|det a(z) prod(z - added)|.
+    log|det a|) * prod(z - removed) / prod(z - added), comes from one stacked
+    pivoted-LU ``slogdet`` per operand over all samples (phase and log
+    magnitude, so no power of a norm overflows) and is independent of any
+    shift formula.  C is 1, or with ``fit_constant`` the ratio at the sample
+    with the largest log|det a(z) prod(z - added)|.
 
     Raises DegeneratePolynomial when rcond(a(z)) <= RANK_TOL at every sample.
     Returns an :class:`OracleReport`; ``passed`` means max |ratio / C - 1| <= ORACLE_TOL.
@@ -364,16 +368,11 @@ def det_ratio_oracle(
             continue
         pts.append(z)
 
-    sign_a, sign_t = np.empty(samples, dtype=complex), np.empty(samples, dtype=complex)
-    log_a, log_t = np.empty(samples), np.empty(samples)
-    degenerate = True
-    for j, z in enumerate(pts):
-        ma = evaluate(a, z)
-        degenerate = degenerate and not rcond(ma) > RANK_TOL
-        sign_a[j], log_a[j] = np.linalg.slogdet(ma)
-        sign_t[j], log_t[j] = np.linalg.slogdet(evaluate(a_tilde, z))
-    if degenerate:
+    ma = evaluate(a, pts)
+    if not any(rcond(m) > RANK_TOL for m in ma):
         raise DegeneratePolynomial("det a(z) vanishes at every sample point")
+    sign_a, log_a = np.linalg.slogdet(ma)
+    sign_t, log_t = np.linalg.slogdet(evaluate(a_tilde, pts))
 
     num = np.prod(np.subtract.outer(pts, removed), axis=1)
     den = np.prod(np.subtract.outer(pts, added), axis=1)
@@ -389,6 +388,18 @@ def det_ratio_oracle(
 # serialization (.mp.json)
 # ---------------------------------------------------------------------------
 
+def _json_pairs(arr):
+    """``(imag, floats)`` for a template of ``[%r, imag]`` pairs: imag is the literal
+    ``0.0`` or ``-0.0`` when every imaginary part is that zero (as from real data), and
+    ``%r`` otherwise; floats fills the template's ``%r`` slots in order."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    imag = arr.imag.tobytes()
+    for literal in ("0.0", "-0.0"):
+        if imag == np.float64(literal).tobytes() * arr.size:
+            return literal, arr.real.ravel().tolist()
+    return "%r", arr.view(float).ravel().tolist()
+
+
 def write_poly(p, path):
     """Write a polynomial to the ``.mp.json`` format (bit-exact round trip).
 
@@ -398,11 +409,11 @@ def write_poly(p, path):
     whose ``indent`` mode runs in pure Python per value.
     """
     n = p.n
-    pair = "    [\n     %r,\n     %r\n    ]"
+    imag, floats = _json_pairs(p.coeffs)
+    pair = f"    [\n     %r,\n     {imag}\n    ]"
     row = "   [\n" + ",\n".join([pair] * n) + "\n   ]"
     mat = "  [\n" + ",\n".join([row] * n) + "\n  ]"
     body = ",\n".join([mat] * len(p.coeffs))
-    floats = np.ascontiguousarray(p.coeffs, dtype=complex).view(float).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "n": {json.dumps(n)},\n "lo": {json.dumps(p.lo)},\n "coeffs": [\n')
         fh.write(body % tuple(floats))

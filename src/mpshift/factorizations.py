@@ -20,13 +20,15 @@ Cyclic reduction, the H_0 series and the reversed factorization compute in
 real arithmetic when their inputs have no imaginary part (QBD blocks are
 real); every factor they return is complex128 either way.
 
-Every gate is written as ``not value <= tolerance`` (or ``not value >=``
-for lower bounds), so a NaN measurement fails it instead of passing.
+A factorization residual is the sum of the Frobenius norms of its
+coefficients, a bound on the whole unit circle; a check with only a
+pointwise reference evaluates its points as one stack.  Every gate is
+written as ``not value <= tolerance`` (or ``not value >=`` for lower
+bounds), so a NaN measurement fails it instead of passing.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -58,7 +60,6 @@ from .errors import (
 from .shifts import ShiftSpec, _check_sides, left_shift_poly, right_shift_laurent
 from .spectra import polyeig, spectral_radius
 
-UNIT_CIRCLE = tuple(cmath.exp(2j * math.pi * k / 8) for k in range(8))
 RADIUS_MARGIN = 1e-8
 H0_MAXSTEPS = 64  # doubling steps: the first 2^64 terms of the H_0 series
 
@@ -118,26 +119,11 @@ def _residual_coeffs(am1, a0, a1, g, r, k):
     return am1 + kg, a0 - k - r @ kg, a1 + r @ k
 
 
-def _point_norms(em1, e0, e1, points):
-    """||E_{-1}/z + E_0 + z E_1||_F at each unit-circle point z.
-
-    Real E's stay real: sqrt(||E_0 + c (E_{-1} + E_1)||^2 + s^2 ||E_1 - E_{-1}||^2) at z = c + is.
-    """
-    if np.iscomplexobj(e0):
-        return [np.linalg.norm(em1 / z + e0 + z * e1) for z in points]
-    esum, dnorm = em1 + e1, np.linalg.norm(e1 - em1)
-    return [math.hypot(np.linalg.norm(e0 + z.real * esum), z.imag * dnorm) for z in points]
-
-
 def _quad_fact_residual(em1, e0, e1, scale):
-    """Max of ||E_{-1}/z + E_0 + z E_1||_F / scale over 8 unit-circle points.
-
-    Real data need only the 5 with Im z >= 0: the residual at conj(z) is the
-    conjugate of the one at z.  A non-finite E gives NaN or inf.
-    """
-    points = UNIT_CIRCLE if np.iscomplexobj(e0) else UNIT_CIRCLE[:5]
-    # np.max, unlike max, keeps a NaN at any point
-    return np.max(_point_norms(em1, e0, e1, points)) / scale
+    """(||E_{-1}||_F + ||E_0||_F + ||E_1||_F) / scale: a bound on ||E_{-1}/z + E_0 + z E_1||_F
+    / scale at every |z| = 1, and by Parseval at most sqrt(3) times its maximum over 8
+    equispaced points.  A non-finite E gives NaN or inf."""
+    return (np.linalg.norm(em1) + np.linalg.norm(e0) + np.linalg.norm(e1)) / scale
 
 
 def _factor_residual(am1, a0, a1, g, r, k):
@@ -162,8 +148,8 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  The factorization
     residual's coefficients E_i (:func:`_residual_coeffs`) are formed once;
     ||E_{-1}||, ||E_0|| and R+'s equation residual must be below 1e-10
-    relative, and so must the residual from the same E's at 5 (real data,
-    in real arithmetic) or 8 unit-circle points; NaN fails every gate.  The
+    relative, and so must their sum with ||E_1|| (:func:`_quad_fact_residual`,
+    a bound on the whole unit circle); NaN fails every gate.  The
     blocks are prescaled (:func:`~mpshift.core._pow2_scaled`, the gates'
     scale) and K+ multiplied back; G+ and R+ do not depend on the scale.
 
@@ -399,22 +385,20 @@ def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
 
 
 def _check_shifted_product(ucoeffs, lcoeffs, factors, specs):
-    """Compare U~(z) L~(1/z) with U(z) L(1/z) shifted by each spec pointwise on the unit
-    circle, relative to sum ||U_i|| * sum ||L_i|| (U and L prescaled apart, so s U, L / s
+    """Compare U~(z) L~(1/z) with U(z) L(1/z) shifted by each spec at the 8th roots of unity
+    (one stack), relative to sum ||U_i|| * sum ||L_i|| (U and L prescaled apart, so s U, L / s
     reads the same).  Each spec multiplies by I + (lam-mu)/(z-lam) Q on its side."""
     eye = np.eye(len(ucoeffs[0]), dtype=complex)
     ucoeffs, u_step, u_scale = _pow2_scaled(ucoeffs)
     lcoeffs, l_step, l_scale = _pow2_scaled(lcoeffs)
     shifted = CanonicalFactors([_times(c, u_step) for c in factors.ucoeffs],
                                [_times(c, l_step) for c in factors.lcoeffs])
-    errors = []
-    for z in UNIT_CIRCLE:
-        ref = horner(ucoeffs, z) @ horner(lcoeffs, 1.0 / z)
-        for spec in specs:
-            factor = eye + (spec.lam - spec.mu) / (z - spec.lam) * spec.q
-            ref = ref @ factor if spec.side == "right" else factor @ ref
-        errors.append(np.linalg.norm(shifted.value(z) - ref))
-    worst = np.max(errors) / (u_scale * l_scale)
+    z = np.exp(2j * np.pi * np.arange(8) / 8)[:, None, None]
+    ref = horner(ucoeffs, z) @ horner(lcoeffs, 1.0 / z)
+    for spec in specs:
+        factor = eye + (spec.lam - spec.mu) / (z - spec.lam) * spec.q
+        ref = ref @ factor if spec.side == "right" else factor @ ref
+    worst = np.linalg.norm(shifted.value(z) - ref, axis=(1, 2)).max() / (u_scale * l_scale)
     if not worst <= 1e-10:
         raise NoConvergence(f"updated factors disagree with the shifted function: {worst:.2e}")
 
@@ -505,7 +489,9 @@ def poly_factorization(p, g):
 
     The quotient follows the backward recurrence U_{d-1} = A_d,
     U_{i-1} = A_i + U_i g; A_0 + U_0 g is the equation residual, gated first.
-    Both run on prescaled coefficients, and the U_i are multiplied back.
+    The reconstruction residual sums the norms of the coefficients of
+    A(z) - U(z) (z I - g), exact for every degree.  Both run on prescaled
+    coefficients, and the U_i are multiplied back.
     """
     if p.lo != 0:
         raise DimensionMismatch("poly_factorization expects a matrix polynomial")
@@ -519,14 +505,15 @@ def poly_factorization(p, g):
     if not res <= 1e-10:
         raise NotASolvent(f"relative ||sum A_i g^i|| = {res:.2e} exceeds 1e-10")
     coeffs, step, scale = _pow2_scaled(p.coeffs)
-    ucoeffs = [None] * p.d
+    ucoeffs = np.empty((p.d, p.n, p.n), dtype=complex)
     ucoeffs[p.d - 1] = coeffs[p.d]
     for i in range(p.d - 1, 0, -1):
         ucoeffs[i - 1] = coeffs[i] + ucoeffs[i] @ g
-    eye = np.eye(p.n, dtype=complex)
-    worst = np.max([
-        np.linalg.norm(horner(coeffs, z) - horner(ucoeffs, z) @ (z * eye - g)) for z in UNIT_CIRCLE
-    ]) / scale
+    # A(z) - U(z) (z I - g) has coefficients A_0 + U_0 g, A_i - U_{i-1} + U_i g, A_d - U_{d-1}
+    err = np.array(coeffs)
+    err[:-1] += ucoeffs @ g
+    err[1:] -= ucoeffs
+    worst = np.linalg.norm(err, axis=(1, 2)).sum() / scale
     if not worst <= 1e-10:
         raise NotASolvent(f"reconstruction residual {worst:.2e} exceeds 1e-10")
     return PolyFactorization(g, tuple(_times(c, 1 / step) for c in ucoeffs))

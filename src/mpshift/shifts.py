@@ -250,7 +250,7 @@ def _gate(p, spec, alone):
     lam_inf = is_infinite(spec.lam)
     if lam_inf or is_infinite(spec.mu):
         if not alone or spec.side != "right":
-            raise ZeroMu("infinite lambda or mu: only the right shift routes to the infinity shifts")
+            raise ZeroMu("an infinite lambda or mu needs a single right shift")
         if lam_inf and is_infinite(spec.mu):
             raise ZeroMu("both lambda and mu are infinite; nothing to shift")
         if p.lo != 0:
@@ -432,7 +432,7 @@ def palindromic_shift(p, lam, mu, u):
     lam, mu = complex(lam), complex(mu)
     res = pair_residual(p, lam, u)
     if not res <= EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+        raise NotAnEigenpair(f"right eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
     if mu == lam:
         return p
     if abs(lam * lam.conjugate() - 1.0) < 1e-8:

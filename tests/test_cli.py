@@ -707,6 +707,16 @@ def test_huge_lambda_fails_the_eigenpair_gate(tmp_path, capsys, argv, message):
     assert not paths["out"].exists()
 
 
+def test_infinite_double_shift_exits_1(tmp_path, capsys):
+    # an infinite lambda on the right spec of a double shift is still not an infinity shift
+    argv = ("shift", "{p1}", "--double", "--lambda", "inf", "--mu", "3",
+            "--lambda2", "0.5", "--mu2", "0.1", "-o", "{out}")
+    code, out, err, paths = _run_template(tmp_path, capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: an infinite lambda or mu needs a single right shift\n"
+    assert not paths["out"].exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

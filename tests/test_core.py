@@ -1,6 +1,8 @@
 """Core containers, evaluation, determinants, serialization, and the oracle."""
 
+import cmath
 import json
+import math
 import re
 
 import numpy as np
@@ -15,6 +17,7 @@ from mpshift import (
     evaluate,
     read_poly,
     reverse,
+    right_shift_laurent,
     right_shift_poly,
     solve_unilateral,
     unit_vector,
@@ -55,6 +58,25 @@ def test_evaluate_laurent_at_zero_rejected():
     p = LaurentPoly(-1, [np.eye(2)] * 3)
     with pytest.raises(ZeroAtNegativePower):
         evaluate(p, 0.0)
+
+
+@pytest.mark.parametrize("lo", [0, -1, -3])
+def test_evaluate_stack_matches_each_point(lo):
+    rng = np.random.default_rng(17 - lo)
+    p = rand_laurent(rng, 4, lo, 2)
+    pts = np.array([0.7, -1.3, 2j, *(crandn(rng, 15) * 10.0 ** rng.uniform(-1, 1, 15))])
+    stack = evaluate(p, pts)
+    assert stack.shape == (len(pts), 4, 4)
+    for m, z in zip(stack, pts):
+        assert np.array_equal(m, evaluate(p, z))
+        # the scalar path keeps the rounding of Python's complex power
+        assert np.array_equal(m, core.horner(p.coeffs, z) * complex(z) ** lo)
+    assert np.array_equal(evaluate(p, pts.reshape(3, 6)), stack.reshape(3, 6, 4, 4))
+    if lo < 0:
+        with pytest.raises(ZeroAtNegativePower):
+            evaluate(p, np.array([1.0, 0.0]))
+    constant = MatrixPoly(p.coeffs[:1])
+    assert np.array_equal(evaluate(constant, pts), np.broadcast_to(p.coeffs[0], stack.shape))
 
 
 def test_horner_matches_naive_power_sum():
@@ -454,6 +476,22 @@ def test_write_poly_matches_per_entry_encoder(tmp_path, n, lo):
     assert np.array_equal(np.array(back.coeffs).view(np.uint64), coeffs.view(np.uint64))
 
 
+@pytest.mark.parametrize("imag", ["plus_zero", "minus_zero", "mixed_zeros"])
+def test_write_poly_zero_imaginary_parts_match_per_entry_encoder(tmp_path, imag):
+    # real data write their imaginary parts as one literal; the bytes stay the encoder's
+    rng = np.random.default_rng(31)
+    coeffs = rng.standard_normal((3, 5, 5)).astype(complex)
+    coeffs.imag = {"plus_zero": 0.0, "minus_zero": -0.0,
+                   "mixed_zeros": np.where(rng.random((3, 5, 5)) < 0.5, 0.0, -0.0)}[imag]
+    p = LaurentPoly(-1, coeffs)
+    path = tmp_path / "w.mp.json"
+    write_poly(p, path)
+    assert path.read_bytes() == mp_json_reference(p).encode("utf-8")
+    back = read_poly(path)
+    assert np.array_equal(np.array(back.coeffs).view(np.uint64), coeffs.view(np.uint64))
+    assert core._json_pairs(coeffs)[0] == {"plus_zero": "0.0", "minus_zero": "-0.0"}.get(imag, "%r")
+
+
 def test_valid_file_read_without_per_entry_walk(tmp_path, monkeypatch, p3):
     paths = [tmp_path / "p3.mp.json", tmp_path / "laurent.mp.json", tmp_path / "ints.mp.json"]
     write_poly(p3, paths[0])
@@ -553,6 +591,52 @@ def test_oracle_shared_kernel_vector_is_degenerate():
     p = shared_kernel_poly(rng, 8, 2)
     with pytest.raises(DegeneratePolynomial, match="det a\\(z\\) vanishes at every sample point"):
         det_ratio_oracle(p, rand_poly(rng, 8, 2))
+
+
+def _per_sample_oracle(a, a_tilde, removed, added, seed=0, fit_constant=False, samples=16):
+    """The oracle one sample at a time: evaluate, rank test and slogdet per point."""
+    avoid = np.array(removed + added, dtype=complex)
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < samples:
+        z = core.ORACLE_RADII[len(pts) % 2] * cmath.exp(2j * math.pi * rng.random())
+        if not (avoid.size and np.min(np.abs(z - avoid)) < 1e-3):
+            pts.append(z)
+    rows = []
+    for z in pts:
+        ma = evaluate(a, z)
+        rows.append((core.rcond(ma) > core.RANK_TOL, *np.linalg.slogdet(ma),
+                     *np.linalg.slogdet(evaluate(a_tilde, z))))
+    regular, sign_a, log_a, sign_t, log_t = (np.array(col) for col in zip(*rows))
+    if not regular.any():
+        raise DegeneratePolynomial("det a(z) vanishes at every sample point")
+    num = np.prod([[z - w for w in removed] for z in pts], axis=1)
+    den = np.prod([[z - w for w in added] for z in pts], axis=1)
+    ratio = sign_t / sign_a * np.exp(log_t - log_a) * num / den
+    constant = ratio[np.argmax(log_a + np.log(np.abs(den)))] if fit_constant else 1.0 + 0.0j
+    err = float(np.max(np.abs(ratio / constant - 1.0)))
+    return err <= core.ORACLE_TOL, err, complex(constant)
+
+
+@pytest.mark.parametrize("lo", [0, -1])
+def test_stacked_oracle_matches_per_sample_reference(lo):
+    lam, mu = 0.5 + 0.2j, -0.3 + 0.1j
+    cases = [([lam], [mu], False), ([lam], [mu], True), ([lam], [0.1], False)]  # the last fails
+    for seed, n in enumerate((2, 3, 5, 8, 12, 16, 20)):
+        rng = np.random.default_rng(100 * seed - lo)
+        u = unit_vector(crandn(rng, n))
+        p = plant_right(rand_laurent(rng, n, lo, 2), lam, u)
+        shifted = right_shift_laurent(p, ShiftSpec(lam, mu, u))
+        for removed, added, fit in cases:
+            rep = det_ratio_oracle(p, shifted, removed=removed, added=added, seed=seed,
+                                   fit_constant=fit)
+            want = _per_sample_oracle(p, shifted, removed, added, seed, fit)
+            assert (rep.passed, rep.max_rel_err, rep.constant) == want
+            assert rep.passed == (added == [mu])
+    degenerate = shared_kernel_poly(np.random.default_rng(5), 8, 2)
+    for oracle in (det_ratio_oracle, _per_sample_oracle):
+        with pytest.raises(DegeneratePolynomial):
+            oracle(degenerate, degenerate, [], [])
 
 
 @pytest.mark.parametrize("samples", [0, -3])

@@ -133,7 +133,7 @@ def _reference_cr(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     assert np.linalg.norm(a0 - (kplus + rplus @ kplus @ gplus)) <= 1e-10 * scale
     if strict_radius:
         assert max(spectral_radius(gplus), spectral_radius(rplus)) < 1 - 1e-8
-    residual = _residual_8_points(am1, a0, a1, gplus, rplus, kplus)
+    residual = _residual_at_points(am1, a0, a1, gplus, rplus, kplus)
     assert residual <= 1e-10
     return gplus, rplus, kplus, k, residual
 
@@ -402,63 +402,22 @@ def test_real_input_results_are_complex128():
     assert all(a.dtype == np.complex128 for a in arrays)
 
 
-def _residual_8_points(am1, a0, a1, g, r, k):
+def _residual_at_points(am1, a0, a1, g, r, k, m=8):
+    """Max over the m-th roots of unity of the product-form factorization residual."""
     eye = np.eye(a0.shape[0])
     scale = np.linalg.norm(am1) + np.linalg.norm(a0) + np.linalg.norm(a1)
     return max(
         np.linalg.norm(am1 / z + a0 + z * a1 - (eye - z * r) @ k @ (eye - g / z)) / scale
-        for z in factorizations.UNIT_CIRCLE
+        for z in np.exp(2j * np.pi * np.arange(m) / m)
     )
 
 
-def _count_points(monkeypatch):
-    points = []
-    point_norms = factorizations._point_norms
-
-    def norms(em1, e0, e1, at):
-        points.extend(at)
-        return point_norms(em1, e0, e1, at)
-
-    monkeypatch.setattr(factorizations, "_point_norms", norms)
-    return points
-
-
-def test_real_factorization_residual_uses_five_points(monkeypatch):
-    rng = np.random.default_rng(61)
-    am1, a0, a1 = qbd_quadratic(rng, 50)
-    f = cr_quadratic(am1, a0, a1)
-    gplus, rplus, kplus = (m.real for m in (f.gplus, f.rplus, f.kplus))
-    # a converged factorization (residual at rounding level) and a perturbed
-    # one, whose residual is large enough to compare in relative terms
-    off = gplus + 1e-3 * rng.standard_normal(gplus.shape)
-    points = _count_points(monkeypatch)
-    at_five = factorizations._factor_residual(am1, a0, a1, gplus, rplus, kplus)
-    assert len(points) == 5 and all(z.imag >= 0 for z in points)
-    assert abs(at_five - _residual_8_points(am1, a0, a1, gplus, rplus, kplus)) <= 1e-15
-    worst = _residual_8_points(am1, a0, a1, off, rplus, kplus)
-    at_five = factorizations._factor_residual(am1, a0, a1, off, rplus, kplus)
-    assert abs(at_five - worst) <= 1e-15 * worst
-
-
-def test_real_point_norms_match_complex_evaluation():
-    # point by point, not only at the maximum: with E_1 = -E_{-1} the real
-    # part vanishes at z = +-1 and the imaginary part carries the residual
-    em1, e0, e1 = (np.random.default_rng(101).standard_normal((6, 6)) for _ in range(3))
-    points = factorizations.UNIT_CIRCLE[:5]
-    for em1, e1 in ((em1, e1), (em1, -em1)):
-        got = factorizations._point_norms(em1, e0, e1, points)
-        want = [np.linalg.norm(em1 / z + e0 + z * e1) for z in points]
-        assert np.allclose(got, want, rtol=1e-14, atol=0)
-
-
-def test_complex_factorization_residual_uses_eight_points(monkeypatch):
-    c = cmath.exp(0.7j)
-    am1, a0, a1 = (c * m for m in qbd_quadratic(np.random.default_rng(67), 6))
-    f = cr_quadratic(am1, a0, a1)
-    points = _count_points(monkeypatch)
-    res = factorizations._factor_residual(am1, a0, a1, f.gplus, f.rplus, f.kplus)
-    assert len(points) == 8
-    assert res <= 1e-10
+def _assert_bounds_samples(res, coeffs, factors):
+    """res is at least the 8-point residual and at most sqrt(3) times it
+    (Parseval), and at least the residual at 256 points of the circle."""
+    eight = _residual_at_points(*coeffs, *factors)
+    assert eight - 1e-15 <= res <= math.sqrt(3) * eight + 1e-15
+    assert res >= _residual_at_points(*coeffs, *factors, m=256) - 1e-15
 
 
 def _factored_qbd(seed, n, complex_data):
@@ -478,16 +437,15 @@ def _factored_qbd(seed, n, complex_data):
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("n", [6, 50])
 def test_coefficient_residual_matches_product_form(n, complex_data):
-    # both forms are relative to the same scale, so they agree to rounding
-    # in absolute terms, at a converged and at a perturbed factorization
+    # both forms are relative to the same scale; the coefficient sum bounds
+    # the product form on the circle, at a converged and at a perturbed factorization
     coeffs, (g, r, k) = _factored_qbd(79, n, complex_data)
     at_rounding = factorizations._factor_residual(*coeffs, g, r, k)
     assert at_rounding <= 1e-14
-    assert abs(at_rounding - _residual_8_points(*coeffs, g, r, k)) <= 1e-15
+    _assert_bounds_samples(at_rounding, coeffs, (g, r, k))
     off = g + 1e-3 * np.random.default_rng(83).standard_normal(g.shape)
-    worst = _residual_8_points(*coeffs, off, r, k)
-    assert worst > 1e-4
-    assert abs(factorizations._factor_residual(*coeffs, off, r, k) - worst) <= 1e-15
+    assert _residual_at_points(*coeffs, off, r, k) > 1e-4
+    _assert_bounds_samples(factorizations._factor_residual(*coeffs, off, r, k), coeffs, (off, r, k))
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
@@ -500,7 +458,7 @@ def test_coefficient_residual_rejects_each_perturbed_factor(which, complex_data)
     perturbed[which] = m + 1e-8 * np.linalg.norm(m) * np.random.default_rng(97).standard_normal(m.shape)
     res = factorizations._factor_residual(*coeffs, *perturbed)
     assert res > 1e-10
-    assert abs(res - _residual_8_points(*coeffs, *perturbed)) <= 1e-15
+    _assert_bounds_samples(res, coeffs, perturbed)
 
 
 # --- reversed factorization ---

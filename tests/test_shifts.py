@@ -826,6 +826,15 @@ def test_palindromic_rejects_structure_violation(p1):
         palindromic_shift(p1, 1.0, 0.0, [1, 0])
 
 
+def test_palindromic_eigenpair_gate_reads_as_every_right_shift_gate():
+    p = palindromic_quad(np.random.default_rng(5), 3)
+    with pytest.raises(NotAnEigenpair, match=r"^right eigenpair residual \S+ exceeds 1e-08$") as pal:
+        palindromic_shift(p, 0.5, 0.1, np.ones(3))
+    with pytest.raises(NotAnEigenpair) as right:
+        right_shift_poly(p, ShiftSpec(0.5, 0.1, np.ones(3)))
+    assert str(pal.value) == str(right.value)
+
+
 def test_palindromic_warns_on_unit_modulus_pair():
     # a unit-modulus eigenvalue is self-paired (lambda = 1/conj(lambda)); the
     # shift warns and, since the pair genuinely degenerates, refuses
