@@ -13,9 +13,10 @@ the chosen mode does not read is a usage error:
   --mu [--u]``); the determinant-ratio oracle re-checks every result;
 - ``factor INPUT [--quad [--both]] [--maxit --tol]``;
 - ``solve INPUT [--shift LAMBDA[,MU] [--u --v]] [--method cr|eigen [--seed]]
-  [--maxit --tol]``, where ``--shift`` runs cyclic reduction only and
-  ``--seed`` is read by ``--method eigen`` only; ``factor`` and ``solve``
-  require a finite ``--tol`` of at least 0 and a ``--maxit`` of at least 1;
+  [--maxit --tol]``, where ``--shift``, ``--maxit`` and ``--tol`` are read
+  by cyclic reduction only and ``--seed`` by ``--method eigen`` only;
+  ``factor`` and ``solve`` require a finite ``--tol`` of at least 0 (default
+  1e-14) and a ``--maxit`` of at least 1 (default 64);
 - ``check A B [--removed --added --samples --fit-constant --seed]``.
 
 Exit codes: 0 success; 2 usage, parse or file error (argparse's own,
@@ -92,6 +93,8 @@ from .spectra import null_vectors, polyeig, refine_pair
 
 ORACLE_SAMPLES = 16
 DEFAULT_SEED = 42
+DEFAULT_TOL = 1e-14
+DEFAULT_MAXIT = 64
 
 
 class UsageError(MpshiftError, ValueError):
@@ -404,21 +407,25 @@ def cmd_shift(args):
     return report
 
 
-def _check_iteration_args(args):
-    """``--tol`` must be finite and nonnegative, ``--maxit`` at least 1."""
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be finite and at least 0, got {args.tol!r}")
-    if args.maxit < 1:
-        raise UsageError(f"--maxit must be at least 1, got {args.maxit}")
+def _iteration_args(args):
+    """``(tol, maxit)`` with their defaults; ``--tol`` must be finite and nonnegative,
+    ``--maxit`` at least 1."""
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    maxit = DEFAULT_MAXIT if args.maxit is None else args.maxit
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be finite and at least 0, got {tol!r}")
+    if maxit < 1:
+        raise UsageError(f"--maxit must be at least 1, got {maxit}")
+    return tol, maxit
 
 
 def cmd_factor(args):
-    _check_iteration_args(args)
+    tol, maxit = _iteration_args(args)
     poly = read_poly(args.input)
     if args.quad:
         if (poly.lo, poly.hi) != (-1, 1):
             raise UsageError("--quad expects a Laurent polynomial with powers -1..1")
-        f = cr_quadratic(*poly.coeffs, tol=args.tol, maxit=args.maxit)
+        f = cr_quadratic(*poly.coeffs, tol=tol, maxit=maxit)
         fields = dict(iterations=f.iterations, residual=f.residual, rho_g=f.rho_g, rho_r=f.rho_r)
         lines = [
             f"cyclic reduction: {f.iterations} iterations, residual {f.residual:.3e}",
@@ -437,7 +444,7 @@ def cmd_factor(args):
         raise UsageError("factoring a Laurent polynomial requires --quad")
     if args.both:
         raise UsageError("--both applies to --quad factorizations only")
-    rep = solve_unilateral(poly, tol=args.tol, maxit=args.maxit)
+    rep = solve_unilateral(poly, tol=tol, maxit=maxit)
     pf = poly_factorization(poly, rep.g)
     return Report(
         dict(iterations=rep.iterations, residual=rep.residual, g=pf.g, ucoeffs=pf.ucoeffs),
@@ -451,7 +458,11 @@ def cmd_factor(args):
 
 
 def cmd_solve(args):
-    _check_iteration_args(args)
+    if args.method == "eigen":
+        for flag in ("tol", "maxit"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} applies only with --method cr")
+    tol, maxit = _iteration_args(args)
     poly = read_poly(args.input)
     if poly.lo != 0:
         raise UsageError("solve expects a matrix polynomial file (lo == 0)")
@@ -461,7 +472,7 @@ def cmd_solve(args):
         if args.u is not None or args.v is not None:
             raise UsageError("--u and --v apply only with --shift")
         rep = solve_unilateral(
-            poly, method=args.method, tol=args.tol, maxit=args.maxit,
+            poly, method=args.method, tol=tol, maxit=maxit,
             seed=DEFAULT_SEED if args.seed is None else args.seed,
         )
     else:
@@ -474,7 +485,7 @@ def cmd_solve(args):
         mu = parse_complex(parts[1]) if len(parts) == 2 else 0.0 + 0.0j
         u = _vector_arg(args.u, poly, lam)
         v = _dual_arg(args.v, poly.n)
-        rep = shift_accelerated_solve(poly, lam, u, v, mu, tol=args.tol, maxit=args.maxit)
+        rep = shift_accelerated_solve(poly, lam, u, v, mu, tol=tol, maxit=maxit)
     sigma = None if math.isnan(rep.sigma) else rep.sigma
     fields = {
         "iterations": rep.iterations,
@@ -537,7 +548,7 @@ def _add_common(sub, seed=True, tol=False):
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default 42)")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-14, help="iteration tolerance")
+        sub.add_argument("--tol", type=float, default=None, help="iteration tolerance")
     sub.add_argument(
         "--format", choices=("table", "json"), default="table", help="report format"
     )
@@ -597,7 +608,7 @@ def build_parser():
                     help="quadratic Laurent input: cyclic reduction factorization")
     sp.add_argument("--both", action="store_true",
                     help="also factor A(1/z) (requires --quad)")
-    sp.add_argument("--maxit", type=int, default=64)
+    sp.add_argument("--maxit", type=int, default=None)
     _add_common(sp, seed=False, tol=True)
     sp.set_defaults(func=cmd_factor)
 
@@ -606,7 +617,7 @@ def build_parser():
     sp.add_argument("--shift", default=None, metavar="LAMBDA[,MU]",
                     help="accelerate by shifting LAMBDA to MU (default MU=0) first")
     sp.add_argument("--method", choices=("cr", "eigen"), default="cr")
-    sp.add_argument("--maxit", type=int, default=64)
+    sp.add_argument("--maxit", type=int, default=None)
     sp.add_argument("--u", default=None, help="shift eigenvector (with --shift; default auto)")
     sp.add_argument("--v", default=None, help="shift dual vector (with --shift; default auto)")
     sp.add_argument("--seed", type=int, default=None,

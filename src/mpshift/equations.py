@@ -89,12 +89,11 @@ def reblock(p):
     if d < 2:
         raise DimensionMismatch("reblock needs degree >= 2")
     (coeffs,) = as_working(np.array(p.coeffs))  # A_0, ..., A_d stacked
-    if d == 2:
-        return ReblockedQuadratic(*coeffs)
     k = d - 1
     big = n * k
     bm1, b0, b1 = np.zeros((3, big, big), dtype=coeffs.dtype)
-    s_eye = np.abs(coeffs).sum(axis=2).max() * np.eye(n)  # s = max_i ||A_i||_inf
+    with np.errstate(over="ignore", invalid="ignore"):  # unused at degree 2; inf fails CR at step 0
+        s_eye = np.abs(coeffs).sum(axis=2).max() * np.eye(n)  # s = max_i ||A_i||_inf
     bm1[:n, :n] = coeffs[0]
     for j in range(k):
         b0[:n, j * n : (j + 1) * n] = coeffs[j + 1]

@@ -39,6 +39,7 @@ from .core import (
     LaurentPoly,
     MatrixPoly,
     _pow2_scaled,
+    _square_coeffs,
     _times,
     as_working,
     equation_residual,
@@ -145,11 +146,11 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     min(||B_{-1}||_inf, ||B_1||_inf) drops below tol (finite, >= 0) times the
     input scale; a norm that is not finite raises NoConvergence naming the
     step, as does reaching maxit (>= 1) steps.  Hhat tends to K+, and
-    G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  The factorization
-    residual's coefficients E_i (:func:`_residual_coeffs`) are formed once;
-    ||E_{-1}||, ||E_0|| and R+'s equation residual must be below 1e-10
-    relative, and so must their sum with ||E_1|| (:func:`_quad_fact_residual`,
-    a bound on the whole unit circle); NaN fails every gate.  The
+    G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  One gate, at 1e-10
+    relative, reads two residuals: the factorization residual
+    ||E_{-1}|| + ||E_0|| + ||E_1|| (:func:`_quad_fact_residual`, a bound on the
+    whole unit circle; E_{-1} is G+'s equation residual) and R+'s equation
+    residual, which the sum does not bound when ||R+|| > 1; NaN fails it.  The
     blocks are prescaled (:func:`~mpshift.core._pow2_scaled`, the gates'
     scale) and K+ multiplied back; G+ and R+ do not depend on the scale.
 
@@ -203,13 +204,12 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
         raise SingularPivot(k) from exc
     kplus = a0 + a1 @ gplus
 
-    em1, e0, e1 = _residual_coeffs(am1, a0, a1, gplus, rplus, kplus)
-    res_g, res_k = np.linalg.norm(em1) / scale, np.linalg.norm(e0) / scale
+    fact_res = _quad_fact_residual(*_residual_coeffs(am1, a0, a1, gplus, rplus, kplus), scale)
     res_r = np.linalg.norm(rplus @ (rplus @ am1 + a0) + a1) / scale
-    if not all(res <= 1e-10 for res in (res_g, res_r, res_k)):
+    if not (fact_res <= 1e-10 and res_r <= 1e-10):
         raise NoConvergence(
             f"cyclic reduction limit fails its residual checks "
-            f"(G: {res_g:.2e}, R: {res_r:.2e}, K: {res_k:.2e})"
+            f"(factorization residual {fact_res:.2e}, R+ residual {res_r:.2e})"
         )
     rho_g, rho_r = spectral_radius(gplus), spectral_radius(rplus)
     if strict_radius and not (rho_g < 1.0 - RADIUS_MARGIN and rho_r < 1.0 - RADIUS_MARGIN):
@@ -217,9 +217,6 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
             f"computed factors are not contractive (rho(G+)={rho_g:.6f}, "
             f"rho(R+)={rho_r:.6f}); no canonical factorization"
         )
-    fact_res = _quad_fact_residual(em1, e0, e1, scale)
-    if not fact_res <= 1e-10:
-        raise NoConvergence(f"factorization residual {fact_res:.2e} exceeds 1e-10")
     # G+ and R+ are minus a solve: promoting before the negation gives real
     # data the -0.0 imaginary parts that complex arithmetic writes to reports.
     gplus, rplus = (-m for m in _promote(-gplus, -rplus))
@@ -319,15 +316,6 @@ class CanonicalFactors:
         return horner(self.ucoeffs, z) @ horner(self.lcoeffs, 1.0 / z)
 
 
-def _coeff_tuple(coeffs):
-    out = tuple(np.asarray(c, dtype=complex) for c in coeffs)
-    n = out[0].shape[0]
-    for c in out:
-        if c.shape != (n, n):
-            raise DimensionMismatch("factor coefficients must be square and equal size")
-    return out
-
-
 def _shift_l(lcoeffs, spec):
     """Right shift of L(1/z) = sum_i z^{-i} L_i, a Laurent polynomial with hi = 0.
 
@@ -345,9 +333,12 @@ def _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec=None):
     right shift moves, det L~ must also have no root in the closed unit disk.
 
     Each shift gates its own eigenpair: ||L(1/lambda1) u|| and ||v* U(lambda2)||.
+    U and L pass the :class:`~mpshift.core.LaurentPoly` validator (read-only
+    complex copies, square, of one size, finite) and must match in size.
     """
-    ucoeffs = _coeff_tuple(ucoeffs)
-    lcoeffs = _coeff_tuple(lcoeffs)
+    ucoeffs, lcoeffs = _square_coeffs(ucoeffs), _square_coeffs(lcoeffs)
+    if len(ucoeffs[0]) != len(lcoeffs[0]):
+        raise DimensionMismatch(f"U has size {len(ucoeffs[0])} but L has size {len(lcoeffs[0])}")
     new_l = _shift_l(lcoeffs, right_spec)
     new_u, specs = ucoeffs, [right_spec]
     if left_spec is not None:
@@ -488,10 +479,10 @@ def poly_factorization(p, g):
     """Divide A(z) by (z I - g) for a minimal solvent g: A(z) = U(z) (z I - g).
 
     The quotient follows the backward recurrence U_{d-1} = A_d,
-    U_{i-1} = A_i + U_i g; A_0 + U_0 g is the equation residual, gated first.
-    The reconstruction residual sums the norms of the coefficients of
-    A(z) - U(z) (z I - g), exact for every degree.  Both run on prescaled
-    coefficients, and the U_i are multiplied back.
+    U_{i-1} = A_i + U_i g, on prescaled coefficients, and the U_i are
+    multiplied back.  A(z) - U(z) (z I - g) then has the coefficients
+    A_d - U_{d-1} = 0, A_i - U_{i-1} + U_i g = 0 and A_0 + U_0 g, the Horner
+    sum of the equation residual, which is the one gate on the quotient.
     """
     if p.lo != 0:
         raise DimensionMismatch("poly_factorization expects a matrix polynomial")
@@ -504,18 +495,11 @@ def poly_factorization(p, g):
     res = equation_residual(p, g)
     if not res <= 1e-10:
         raise NotASolvent(f"relative ||sum A_i g^i|| = {res:.2e} exceeds 1e-10")
-    coeffs, step, scale = _pow2_scaled(p.coeffs)
+    coeffs, step, _ = _pow2_scaled(p.coeffs)
     ucoeffs = np.empty((p.d, p.n, p.n), dtype=complex)
     ucoeffs[p.d - 1] = coeffs[p.d]
     for i in range(p.d - 1, 0, -1):
         ucoeffs[i - 1] = coeffs[i] + ucoeffs[i] @ g
-    # A(z) - U(z) (z I - g) has coefficients A_0 + U_0 g, A_i - U_{i-1} + U_i g, A_d - U_{d-1}
-    err = np.array(coeffs)
-    err[:-1] += ucoeffs @ g
-    err[1:] -= ucoeffs
-    worst = np.linalg.norm(err, axis=(1, 2)).sum() / scale
-    if not worst <= 1e-10:
-        raise NotASolvent(f"reconstruction residual {worst:.2e} exceeds 1e-10")
     return PolyFactorization(g, tuple(_times(c, 1 / step) for c in ucoeffs))
 
 

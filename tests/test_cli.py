@@ -760,11 +760,19 @@ def test_check_rejects_bad_values(tmp_path, capsys, flags, message, fmt):
         (("solve", "{p3}", "--seed", "1"), "--seed applies only with --method eigen"),
         (("solve", "{p3}", "--shift", "1,0", "--seed", "1"),
          "--seed applies only with --method eigen"),
+        (("solve", "{p3}", "--method", "eigen", "--tol", "5"), "--tol applies only with --method cr"),
+        (("solve", "{p3}", "--method", "eigen", "--maxit", "1"),
+         "--maxit applies only with --method cr"),
+        (("solve", "{p3}", "--method", "eigen", "--tol", "5", "--maxit", "1"),
+         "--tol applies only with --method cr"),
+        (("solve", "{p3}", "--method", "eigen", "--tol", "1e-14"),
+         "--tol applies only with --method cr"),
     ],
     ids=[
         "solve_u", "solve_v", "solve_eigen_shift", "shift_lambda2", "shift_mu2", "to_inf_mu",
         "from_inf_lambda", "multi_u", "palindromic_v", "double_side", "infinity_side_left",
-        "solve_seed", "solve_shift_seed",
+        "solve_seed", "solve_shift_seed", "solve_eigen_tol", "solve_eigen_maxit",
+        "solve_eigen_tol_maxit", "solve_eigen_default_tol",
     ],
 )
 def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, message):
@@ -773,6 +781,28 @@ def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, message
     code, out, err, paths = _run_template(tmp_path, capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{p3}"),
+        ("solve", "{p3}", "--shift", "1,0"),
+        ("factor", "{p1}"),
+        ("factor", "{quad}", "--quad", "--both"),
+    ],
+    ids=["solve", "solve_shift", "factor_poly", "factor_quad"],
+)
+def test_cyclic_reduction_reads_its_default_tol_and_maxit(tmp_path, capsys, argv):
+    # leaving --tol and --maxit out is the same run as passing their defaults
+    from conftest import critical_qbd
+
+    quad = tmp_path / "quad.mp.json"
+    write_poly(LaurentPoly(-1, critical_qbd(3, 6, 5e-3, 0.99)), quad)
+    argv = tuple(a.replace("{quad}", str(quad)) for a in argv) + ("--format", "json")
+    implicit = _run_template(tmp_path, capsys, argv)[:3]
+    explicit = _run_template(tmp_path, capsys, argv + ("--tol", "1e-14", "--maxit", "64"))[:3]
+    assert implicit[0] == 0 and implicit == explicit
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,22 @@ def test_reblock_degree_two_passthrough(p1):
     assert np.array_equal(rq.b1, p1.coeffs[2])
 
 
+@pytest.mark.filterwarnings("error")
+def test_reblock_degree_two_where_a_row_sum_overflows(p1):
+    # ||A_1||_inf of this multiple of p1 is beyond double range while every
+    # entry is finite; the degree-2 embedding has no s I block, so the blocks
+    # are the coefficients and the solve neither warns nor fails
+    big = MatrixPoly([1.2 * 2.0**1021 * c for c in p1.coeffs])
+    with np.errstate(over="ignore"):
+        assert np.abs(big.coeffs[1]).sum(axis=1).max() == math.inf
+    rq = reblock(big)
+    for b, c in zip((rq.bm1, rq.b0, rq.b1), big.coeffs):
+        assert np.array_equal(b, c)
+    rep, rep_1 = solve_unilateral(big), solve_unilateral(p1)
+    assert rep.iterations == rep_1.iterations and rep.residual <= 1e-15
+    assert np.linalg.norm(rep.g - rep_1.g) <= 1e-12 * np.linalg.norm(rep_1.g)
+
+
 def test_reblock_scalar_quartic_substitution_exact():
     # (z-1/2)(z-1/4)(z-3)(z-5): minimal solvent of the scalar equation is 1/4
     roots = [0.5, 0.25, 3.0, 5.0]

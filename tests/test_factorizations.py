@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mpshift import (
     reblock,
     reversed_factorization,
     right_shift_laurent,
+    right_shift_poly,
     shift_accelerated_solve,
     shifted_factorization_both,
     shifted_factorization_right,
@@ -31,6 +33,7 @@ from mpshift import (
 )
 from mpshift.errors import (
     DegenerateShift,
+    DimensionMismatch,
     ModulusConstraintViolated,
     NoConvergence,
     NotAnEigenpair,
@@ -270,6 +273,19 @@ def test_nan_factorization_residual_fails_every_gate(monkeypatch):
         reversed_factorization(am1, a0, a1, f)
     with pytest.raises(NoConvergence, match="nan"):
         shifted_factorization_both(am1, a0, a1, f, rf, lam, 0.0, u)
+
+
+def test_an_early_stopped_limit_fails_the_one_residual_gate():
+    # tol = 1e-2 stops CR before its limit meets the factorization identity;
+    # the gate that reads the factorization residual and R+'s equation
+    # residual catches it, in cr_quadratic and in the solve that reblocks p3
+    pattern = r"residual checks \(factorization residual (\S+), R\+ residual (\S+)\)"
+    with pytest.raises(NoConvergence, match=pattern) as caught:
+        cr_quadratic(*critical_qbd(3, 20, 5e-3, 0.99), tol=1e-2)
+    fact_res, res_r = map(float, re.search(pattern, str(caught.value)).groups())
+    assert fact_res > 1e-10 and res_r > 1e-10
+    with pytest.raises(SplittingFailure, match=pattern):
+        solve_unilateral(p3(), tol=1e-2)
 
 
 def test_nan_h0_fails_the_condition_gate(monkeypatch):
@@ -864,6 +880,46 @@ def test_right_and_both_updates_share_their_checks(lam, mu, error):
         shifted_factorization_both(am1, a0, a1, f, rf, *args)
 
 
+def _bad_factor_lists(ucoeffs, lcoeffs):
+    """(U, L, error, message) cases that the coefficient validator rejects."""
+    nan_u = (ucoeffs[0], np.full_like(ucoeffs[1], math.nan))
+    nan_l = (lcoeffs[0], np.full_like(lcoeffs[1], math.nan))
+    return [
+        ([c[:2, :2] for c in ucoeffs], lcoeffs, DimensionMismatch, "U has size 2 but L has size 3"),
+        (ucoeffs, [c[:2, :2] for c in lcoeffs], DimensionMismatch, "U has size 3 but L has size 2"),
+        ([], lcoeffs, DimensionMismatch, "at least one coefficient is required"),
+        (ucoeffs, [], DimensionMismatch, "at least one coefficient is required"),
+        ((ucoeffs[0], ucoeffs[1][:2]), lcoeffs, DimensionMismatch, "coefficient 1 is not square"),
+        (nan_u, lcoeffs, ValueError, "coefficient 1 contains non-finite entries"),
+        (ucoeffs, nan_l, ValueError, "coefficient 1 contains non-finite entries"),
+    ]
+
+
+def test_factor_updates_validate_their_coefficient_lists():
+    # U and L pass the LaurentPoly validator: a bad list is a typed error
+    # before any shift runs, and NaN in U is the ValueError NaN in L gives
+    (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
+    lam, u = _inside_eigenpair(f)
+    rs, ls = _double_specs(f)
+    for bad_u, bad_l, error, message in _bad_factor_lists(ucoeffs, lcoeffs):
+        with pytest.raises(error, match=message):
+            shifted_factorization_right(bad_u, bad_l, lam, 0.5 * lam, u)
+        with pytest.raises(error, match=message):
+            double_shift_factorization(bad_u, bad_l, rs, ls)
+
+
+def test_factor_updates_return_read_only_copies():
+    (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
+    lam, u = _inside_eigenpair(f)
+    ucoeffs, lcoeffs = [c.copy() for c in ucoeffs], [c.copy() for c in lcoeffs]
+    out = shifted_factorization_right(ucoeffs, lcoeffs, lam, 0.5 * lam, u)
+    kept = out.ucoeffs[0].copy()
+    ucoeffs[0][:] = 0.0  # the caller's arrays are not the result's
+    assert np.array_equal(out.ucoeffs[0], kept)
+    for c in out.ucoeffs + out.lcoeffs:
+        assert not c.flags.writeable
+
+
 # --- polynomial factorization from a solvent ---
 
 def test_poly_factorization_linear_pencil():
@@ -895,3 +951,44 @@ def test_poly_factorization_p3_shifted(p3):
 def test_poly_factorization_rejects_non_solvent(p3):
     with pytest.raises(NotASolvent):
         poly_factorization(p3, 0.5 * np.eye(5))
+
+
+def _split_poly(rng, n, d, real):
+    """A(z) = U(z) (z I - g) with rho(g) = 0.7 and U_0 dominating U(z) on the closed unit
+    disk, so that g is A's minimal solvent; U and g are seeded, real or complex."""
+    def draw():
+        m = rng.standard_normal((n, n))
+        return m if real else m + 1j * rng.standard_normal((n, n))
+
+    g = draw()
+    g *= 0.7 / spectral_radius(g)
+    u = [4.0 * np.eye(n) + 0.1 * draw()] + [0.3 / d * draw() for _ in range(d - 1)]
+    return MatrixPoly([-u[0] @ g] + [u[i - 1] - u[i] @ g for i in range(1, d)] + [u[-1]])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_poly_factorization_quotient_meets_the_polynomial(d, real):
+    # the quotient reproduces A(z) = U(z) (z I - g) at seeded points, with
+    # core.evaluate as the independent reference
+    rng = np.random.default_rng(40 + 2 * d + real)
+    p = _split_poly(rng, 4, d, real)
+    _check_quotient(p, solve_unilateral(p).g, rng)
+
+
+def test_poly_factorization_quotient_of_shifted_p3():
+    e = np.ones(5)
+    shifted = right_shift_poly(p3(), ShiftSpec(1.0, 0.0, e, e / 5))
+    _check_quotient(shifted, solve_unilateral(shifted).g, np.random.default_rng(53))
+
+
+def _check_quotient(p, g, rng):
+    pf = poly_factorization(p, g)
+    assert len(pf.ucoeffs) == p.d
+    z = 2.0 * rng.random(6) * np.exp(2j * np.pi * rng.random(6))
+    eye = np.eye(p.n)
+    for zk in z:
+        u_z = sum(c * zk**i for i, c in enumerate(pf.ucoeffs))
+        scale = sum(np.linalg.norm(c) * abs(zk) ** i for i, c in enumerate(p.coeffs))
+        err = np.linalg.norm(evaluate(p, zk) - u_z @ (zk * eye - g))
+        assert err <= 1e-12 * scale
