@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -38,6 +39,9 @@ FLOOR = 1e-300
 RANK_TOL = 1e-13
 ORACLE_RADII = (0.7, 1.3)  # the oracle's sample circles, straddling |z| = 1
 ORACLE_TOL = 1e-8  # the oracle passes when max |ratio / C - 1| <= ORACLE_TOL
+EIGENPAIR_TOL = 1e-8  # relative residual of an eigenpair or invariant pair
+RESIDUAL_TOL = 1e-10  # relative residual of a solvent, factorization or dual pair
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}  # of _check
 
 
 def _freeze(arr):
@@ -248,6 +252,19 @@ def _pow2_scaled(arrays):
     return scaled, step, max(sum(np.linalg.norm(a) for a in scaled), FLOOR)
 
 
+def _check(error, name, value, tol, message, *args, op="<=", step=None):
+    """Every numerical gate: raise ``error(message.format(*args))`` unless ``value op tol``.
+
+    Written as ``not value op tol`` (``op`` is ``"<="`` unless the gate is a
+    strict or a lower bound), so a NaN measurement fails it instead of passing.
+    The error carries the gate's stable ``name``, the ``value`` it compared,
+    ``tol`` and, for an iteration, ``step`` as fields.  The message is
+    formatted only on failure, so a passing gate costs one comparison.
+    """
+    if not _OPS[op](value, tol):
+        raise error(message.format(*args), name=name, value=value, tol=tol, step=step)
+
+
 def _in_disk(p, z):
     """``(w, coeffs)`` with sum_k w^k coeffs[k] = z^-lo A(z) when |z| <= 1, and
     z^-hi A(z) otherwise: the coefficients reversed at w = 1/z, or w = 0 at
@@ -369,8 +386,13 @@ def det_ratio_oracle(
         pts.append(z)
 
     ma = evaluate(a, pts)
-    if not any(rcond(m) > RANK_TOL for m in ma):
-        raise DegeneratePolynomial("det a(z) vanishes at every sample point")
+    rconds = []
+    for m in ma:  # up to the first regular sample
+        rconds.append(rcond(m))
+        if rconds[-1] > RANK_TOL:
+            break
+    _check(DegeneratePolynomial, "det_ratio_oracle.rank", float(np.fmax.reduce(rconds)),
+           RANK_TOL, "det a(z) vanishes at every sample point", op=">")
     sign_a, log_a = np.linalg.slogdet(ma)
     sign_t, log_t = np.linalg.slogdet(evaluate(a_tilde, pts))
 

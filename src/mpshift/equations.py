@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_working, equation_residual, is_infinite, rcond
+from .core import RESIDUAL_TOL, _check, as_working, equation_residual, is_infinite, rcond
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
@@ -62,18 +62,17 @@ class SolveReport:
 class ReblockedQuadratic:
     """Degree-2 block embedding of a degree-d unilateral equation.
 
-    With k = d-1, N = n k and s = max_i ||A_i||_inf: B_{-1} holds A_0 in
-    block (1,1); B_0 has first block row [A_1 ... A_{d-1}] and -s I on the
-    remaining diagonal; B_1 has A_d in block (1,k) and s I on the
-    subdiagonal.  The factor s makes the embedding of alpha A(z) alpha times
-    the embedding of A(z), so cyclic reduction on it does not depend on the
-    scale of the input (the inf-norm, a row sum, stays finite where a
-    Frobenius norm of entries above 1e154 overflows).  The blocks are real
-    for real coefficients.  If G
-    solves the original equation, the block column (G, G^2, ..., G^k)
-    padded with zeros solves the quadratic, and
-    det(B_{-1} + z B_0 + z^2 B_1) has the roots of det A(z) plus (d-2) n
-    zeros at the origin.
+    With k = d-1, N = n k and s = max_i ||A_i||_inf (the largest double if
+    that row sum overflows): B_{-1} holds A_0 in block (1,1); B_0 has first
+    block row [A_1 ... A_{d-1}] and -s I on the remaining diagonal; B_1 has
+    A_d in block (1,k) and s I on the subdiagonal.  The factor s makes the
+    embedding of alpha A(z) alpha times the embedding of A(z), so cyclic
+    reduction on it does not depend on the scale of the input (the inf-norm,
+    a row sum, stays finite where a Frobenius norm of entries above 1e154
+    overflows).  The blocks are real for real coefficients.  If G solves the
+    original equation, the block column (G, G^2, ..., G^k) padded with zeros
+    solves the quadratic, and det(B_{-1} + z B_0 + z^2 B_1) has the roots of
+    det A(z) plus (d-2) n zeros at the origin.
     """
 
     bm1: np.ndarray
@@ -92,8 +91,8 @@ def reblock(p):
     k = d - 1
     big = n * k
     bm1, b0, b1 = np.zeros((3, big, big), dtype=coeffs.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # unused at degree 2; inf fails CR at step 0
-        s_eye = np.abs(coeffs).sum(axis=2).max() * np.eye(n)  # s = max_i ||A_i||_inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a row sum beyond double range is capped
+        s_eye = min(np.abs(coeffs).sum(axis=2).max(), math.nextafter(math.inf, 0)) * np.eye(n)
     bm1[:n, :n] = coeffs[0]
     for j in range(k):
         b0[:n, j * n : (j + 1) * n] = coeffs[j + 1]
@@ -141,7 +140,7 @@ def _solve_cr(p, tol, maxit):
     except NoConvergence as exc:
         if exc.step is not None:  # non-finite blocks say nothing about the splitting
             raise
-        raise SplittingFailure(str(exc)) from exc
+        raise SplittingFailure(str(exc), name=exc.name, value=exc.value, tol=exc.tol) from exc
     return np.array(f.gplus[:n, :n]), f.iterations, f.rho_g * f.rho_r
 
 
@@ -159,21 +158,18 @@ def _solve_eigen(p, seed):
         raise SplittingFailure("infinite eigenvalue among the smallest n")
     gap_lo = abs(chosen[-1].value)
     gap_hi = abs(pairs[n].value) if len(pairs) > n else math.inf
-    if math.isfinite(gap_hi) and gap_hi - gap_lo <= BOUNDARY_TOL * max(gap_hi, 1.0):
-        raise SplittingFailure(
-            f"no circle separates moduli {gap_lo:.6f} and {gap_hi:.6f}"
-        )
+    if math.isfinite(gap_hi):
+        _check(SplittingFailure, "solve_eigen.gap", (gap_hi - gap_lo) / max(gap_hi, 1.0),
+               BOUNDARY_TOL, "no circle separates moduli {:.6f} and {:.6f}", gap_lo, gap_hi, op=">")
     vals = [complex(q.value) for q in chosen]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= 1e-12 * max(1.0, abs(vals[i])):
-                raise IllConditionedEigenbasis(
-                    f"selected eigenvalues {vals[i]} and {vals[j]} coincide"
-                )
+    gap, i, j = min(((abs(vals[i] - vals[j]) / max(1.0, abs(vals[i])), i, j)
+                     for i in range(n) for j in range(i + 1, n)), default=(math.inf, 0, 0))
+    _check(IllConditionedEigenbasis, "solve_eigen.distinct", gap, 1e-12,
+           "selected eigenvalues {} and {} coincide", vals[i], vals[j], op=">")
     vmat = np.column_stack([q.right for q in chosen])
     rc = rcond(vmat)
-    if not rc >= 1e-8:
-        raise IllConditionedEigenbasis(f"reciprocal condition of the eigenvector basis is {rc:.2e}")
+    _check(IllConditionedEigenbasis, "solve_eigen.rcond", rc, 1e-8,
+           "reciprocal condition of the eigenvector basis is {:.2e}", rc, op=">=")
     g = np.linalg.solve(vmat.T, (vmat @ np.diag(vals)).T).T
     return g, 1, gap_lo / gap_hi if p.d > 1 else math.nan
 
@@ -205,8 +201,8 @@ def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):
     else:
         raise ValueError(f"unknown method {method!r}")
     res = equation_residual(p, g)
-    if not res <= 1e-10:
-        raise NoConvergence(f"solvent residual {res:.2e} exceeds 1e-10")
+    _check(NoConvergence, "solve_unilateral.residual", res, RESIDUAL_TOL,
+           "solvent residual {:.2e} exceeds 1e-10", res)
     return SolveReport(g, iterations, res, sigma)
 
 
@@ -234,13 +230,11 @@ def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64):
     shifted = right_shift_poly(p, spec)  # gates the eigenpair (lam, u)
     g_shift, iterations, sigma = _solve_cr(shifted, tol, maxit)
     res_shift = equation_residual(shifted, g_shift)
-    if not res_shift <= 1e-10:
-        raise NoConvergence(f"shifted solvent residual {res_shift:.2e} exceeds 1e-10")
+    _check(NoConvergence, "shift_accelerated_solve.shifted", res_shift, RESIDUAL_TOL,
+           "shifted solvent residual {:.2e} exceeds 1e-10", res_shift)
     q = spec.q
     g = g_shift + (lam - mu) * q
     res_orig = equation_residual(p, g)
-    if not res_orig <= 1e-8:
-        raise NoConvergence(
-            f"recovered solvent fails the original equation: residual {res_orig:.2e}"
-        )
+    _check(NoConvergence, "shift_accelerated_solve.recovered", res_orig, 1e-8,
+           "recovered solvent fails the original equation: residual {:.2e}", res_orig)
     return SolveReport(g, iterations, res_orig, sigma, shifted=True, recovery=(lam, mu, q))

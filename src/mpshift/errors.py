@@ -1,12 +1,17 @@
 """Exception types raised across the package.
 
 Every error is a subclass of :class:`MpshiftError`, so callers can catch the
-whole family with one clause.  Names describe the violated condition.
+whole family with one clause.  Names describe the violated condition.  A
+failed gate sets the fields ``name``, ``value`` and ``tol``, an iteration ``step``.
 """
 
 
 class MpshiftError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, *args, name=None, value=None, tol=None, step=None):
+        super().__init__(*args)
+        self.name, self.value, self.tol, self.step = name, value, tol, step
 
 
 # --- file input / output ---
@@ -100,23 +105,12 @@ class ModulusConstraintViolated(MpshiftError):
 # --- factorizations and equations ---
 
 class SingularPivot(MpshiftError):
-    """Cyclic reduction hit a singular pivot block."""
-
-    def __init__(self, step, message=None):
-        self.step = step
-        super().__init__(message or f"singular pivot at cyclic reduction step {step}")
+    """Cyclic reduction hit a singular pivot block; ``step`` names the step."""
 
 
 class NoConvergence(MpshiftError):
-    """Iteration did not meet its stopping or residual criterion.
-
-    ``step`` is the step at which the iterates stopped being finite; it is
-    None for every other failure (the step limit, a residual or radius check).
-    """
-
-    def __init__(self, message, step=None):
-        self.step = step
-        super().__init__(message)
+    """Iteration did not meet its stopping or residual criterion; ``step`` is
+    set only where its iterates stopped being finite."""
 
 
 class SingularH0(MpshiftError):

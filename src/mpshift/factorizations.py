@@ -22,9 +22,8 @@ real); every factor they return is complex128 either way.
 
 A factorization residual is the sum of the Frobenius norms of its
 coefficients, a bound on the whole unit circle; a check with only a
-pointwise reference evaluates its points as one stack.  Every gate is
-written as ``not value <= tolerance`` (or ``not value >=`` for lower
-bounds), so a NaN measurement fails it instead of passing.
+pointwise reference evaluates its points as one stack.  Every gate is one
+call of :func:`~mpshift.core._check`.
 """
 
 from __future__ import annotations
@@ -36,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RESIDUAL_TOL,
     LaurentPoly,
     MatrixPoly,
+    _check,
     _pow2_scaled,
     _square_coeffs,
     _times,
@@ -145,8 +146,8 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     [B_{-1}; B_1] [X Y] give all four block products.  It stops when
     min(||B_{-1}||_inf, ||B_1||_inf) drops below tol (finite, >= 0) times the
     input scale; a norm that is not finite raises NoConvergence naming the
-    step, as does reaching maxit (>= 1) steps.  Hhat tends to K+, and
-    G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  One gate, at 1e-10
+    step, a test still failing after maxit (>= 1) steps one without.  Hhat
+    tends to K+, G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  One gate, at 1e-10
     relative, reads two residuals: the factorization residual
     ||E_{-1}|| + ||E_0|| + ||E_1|| (:func:`_quad_fact_residual`, a bound on the
     whole unit circle; E_{-1} is G+'s equation residual) and R+'s equation
@@ -173,16 +174,11 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     denom = norms[0] + np.linalg.norm(a0, np.inf) + norms[1]
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises NoConvergence below
-        while not norms.min() <= tol * denom:
-            if k >= maxit:
-                raise NoConvergence(
-                    f"cyclic reduction did not converge in {maxit} iterations "
-                    "(eigenvalues on the unit circle without a gap?)"
-                )
+        while not norms.min() <= tol * denom and k < maxit:
             try:
                 s = np.linalg.inv(b0)
             except np.linalg.LinAlgError as exc:
-                raise SingularPivot(k) from exc
+                raise SingularPivot(f"singular pivot at cyclic reduction step {k}", step=k) from exc
             # [B_-1; B_1] [X Y] = [[B_-1 X, B_-1 Y], [B_1 X, B_1 Y]]
             p = bs.reshape(2 * n, n) @ (s @ np.concatenate(bs, axis=1))
             b0 -= p[:n, n:] + p[n:, :n]
@@ -190,33 +186,30 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
             np.negative(p[:n, :n], out=bs[0])
             np.negative(p[n:, n:], out=bs[1])
             norms = np.abs(bs).sum(axis=2).max(axis=1)
-            if not norms.max() < math.inf:  # NaN fails too
-                raise NoConvergence(
-                    f"cyclic reduction blocks are not finite at step {k} "
-                    f"(||B_-1||: {norms[0]:.2e}, ||B_1||: {norms[1]:.2e})", step=k
-                )
+            _check(NoConvergence, "cr_quadratic.finite", norms.max(), math.inf,
+                   "cyclic reduction blocks are not finite at step {0} (||B_-1||: {1[0]:.2e}, "
+                   "||B_1||: {1[1]:.2e})", k, norms, op="<", step=k)
             k += 1
-
+    _check(NoConvergence, "cr_quadratic.stop", norms.min(), tol * denom,
+           "cyclic reduction did not converge in {} iterations "
+           "(eigenvalues on the unit circle without a gap?)", maxit)
     try:
         gplus = -np.linalg.solve(hhat, am1)
         rplus = -np.linalg.solve(hhat.T, a1.T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularPivot(k) from exc
+        raise SingularPivot(f"singular pivot at cyclic reduction step {k}", step=k) from exc
     kplus = a0 + a1 @ gplus
 
     fact_res = _quad_fact_residual(*_residual_coeffs(am1, a0, a1, gplus, rplus, kplus), scale)
     res_r = np.linalg.norm(rplus @ (rplus @ am1 + a0) + a1) / scale
-    if not (fact_res <= 1e-10 and res_r <= 1e-10):
-        raise NoConvergence(
-            f"cyclic reduction limit fails its residual checks "
-            f"(factorization residual {fact_res:.2e}, R+ residual {res_r:.2e})"
-        )
+    _check(NoConvergence, "cr_quadratic.residual", np.maximum(fact_res, res_r), RESIDUAL_TOL,
+           "cyclic reduction limit fails its residual checks "
+           "(factorization residual {:.2e}, R+ residual {:.2e})", fact_res, res_r)
     rho_g, rho_r = spectral_radius(gplus), spectral_radius(rplus)
-    if strict_radius and not (rho_g < 1.0 - RADIUS_MARGIN and rho_r < 1.0 - RADIUS_MARGIN):
-        raise NoConvergence(
-            f"computed factors are not contractive (rho(G+)={rho_g:.6f}, "
-            f"rho(R+)={rho_r:.6f}); no canonical factorization"
-        )
+    if strict_radius:
+        _check(NoConvergence, "cr_quadratic.radius", np.maximum(rho_g, rho_r), 1.0 - RADIUS_MARGIN,
+               "computed factors are not contractive (rho(G+)={:.6f}, "
+               "rho(R+)={:.6f}); no canonical factorization", rho_g, rho_r, op="<")
     # G+ and R+ are minus a solve: promoting before the negation gives real
     # data the -0.0 imaginary parts that complex arithmetic writes to reports.
     gplus, rplus = (-m for m in _promote(-gplus, -rplus))
@@ -236,18 +229,19 @@ def _h0(f):
     g, k, r = as_working(f.gplus, f.kplus, f.rplus)
     (k,), step, _ = _pow2_scaled([k])
     h = np.linalg.inv(k)
+    failure = "H_0 series did not reach its tail tolerance"
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(H0_MAXSTEPS):
             term = g @ h @ r
             h = h + term
             total = np.linalg.norm(h)
-            if not math.isfinite(total):
-                break
+            _check(NoConvergence, "h0.finite", total, math.inf, failure, op="<")
             if np.linalg.norm(term) <= 1e-16 * total:
                 return _times(h, step)
             g = g @ g
             r = r @ r
-    raise NoConvergence("H_0 series did not reach its tail tolerance")
+    # reached only when the tail test above failed at every step, so this raises
+    _check(NoConvergence, "h0.tail", np.linalg.norm(term), 1e-16 * total, failure)
 
 
 def inverse_coefficients(f, m):
@@ -277,16 +271,16 @@ def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
     """
     (h,), h_step, _ = _pow2_scaled([h])
     rc = rcond(h)
-    if not rc >= 1e-12:
-        raise error(f"reciprocal condition of {h_name} is {rc:.2e}")
+    _check(error, "similar_factors.rcond", rc, 1e-12,
+           "reciprocal condition of {} is {:.2e}", h_name, rc, op=">=")
     gminus = np.linalg.solve(h.T, (h @ rplus).T).T
     rminus = np.linalg.solve(h, gplus @ h)
     (a1, a0, am1), step, scale = _pow2_scaled((a1, a0, am1))
     k_a = a0 + am1 @ gminus
     k_b = a0 + rminus @ a1
     disagreement = np.linalg.norm(k_a - k_b)
-    if not disagreement <= 1e-10 * scale:
-        raise error(f"the two K- expressions disagree by {disagreement / step:.2e}")
+    _check(error, "similar_factors.k_minus", disagreement / scale, RESIDUAL_TOL,
+           "the two K- expressions disagree by {:.2e}", disagreement / step)
     fact_res = _factor_residual(a1, a0, am1, gminus, rminus, k_a)
     k_a, h = _times(k_a, 1 / step), _times(h, 1 / h_step)
     return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res)
@@ -296,8 +290,8 @@ def reversed_factorization(am1, a0, a1, f):
     """Canonical factorization of A(z^{-1}): :func:`_similar_factors` with a nonsingular H_0."""
     am1, a0, a1, gplus, rplus = as_working(am1, a0, a1, f.gplus, f.rplus)
     rf = _similar_factors(am1, a0, a1, gplus, rplus, _h0(f), SingularH0, "H_0")
-    if not rf.residual <= 1e-10:
-        raise SingularH0(f"reversed factorization residual {rf.residual:.2e} exceeds 1e-10")
+    _check(SingularH0, "reversed_factorization.residual", rf.residual, RESIDUAL_TOL,
+           "reversed factorization residual {:.2e} exceeds 1e-10", rf.residual)
     return rf
 
 
@@ -390,19 +384,17 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, specs):
         factor = eye + (spec.lam - spec.mu) / (z - spec.lam) * spec.q
         ref = ref @ factor if spec.side == "right" else factor @ ref
     worst = np.linalg.norm(shifted.value(z) - ref, axis=(1, 2)).max() / (u_scale * l_scale)
-    if not worst <= 1e-10:
-        raise NoConvergence(f"updated factors disagree with the shifted function: {worst:.2e}")
+    _check(NoConvergence, "shifted_factors.product", worst, RESIDUAL_TOL,
+           "updated factors disagree with the shifted function: {:.2e}", worst)
 
 
 def _check_l_outside_disk(lcoeffs):
     lpoly = MatrixPoly(lcoeffs)
     if lpoly.d == 0:
         return
-    finite = [abs(q.value) for q in polyeig(lpoly).finite()]
-    if finite and not min(finite) > 1.0 + RADIUS_MARGIN:
-        raise NoConvergence(
-            f"det L~ has a root of modulus {min(finite):.6f} inside the closed unit disk"
-        )
+    root = min((abs(q.value) for q in polyeig(lpoly).finite()), default=math.inf)
+    _check(NoConvergence, "shifted_factors.l_roots", root, 1.0 + RADIUS_MARGIN,
+           "det L~ has a root of modulus {:.6f} inside the closed unit disk", root, op=">")
 
 
 def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
@@ -432,18 +424,17 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     eye = np.eye(shifted.n, dtype=complex)
     resolvent_g = np.linalg.solve(eye - mu * rf.gminus, rf.gminus @ spec.vector)
     cond_val = (lam - mu) * (spec.dual.conj() @ resolvent_g)
-    if not abs(cond_val - 1.0) >= 1e-10:
-        raise DegenerateShift(f"(lam-mu) v* (I - mu G-)^-1 G- u = {cond_val:.6e} is too close to 1")
+    _check(DegenerateShift, "shifted_factorization_both.degenerate", abs(cond_val - 1.0), 1e-10,
+           "(lam-mu) v* (I - mu G-)^-1 G- u = {:.6e} is too close to 1", cond_val, op=">=")
 
     q = spec.q
     gplus_t = f.gplus + (mu - lam) * q
     w_t = rf.w + (mu - lam) * q @ rf.w @ np.linalg.solve(eye - mu * f.rplus, f.rplus)
     rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t, SingularWtilde, "W~")
     fact_res = _factor_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
-    if not (fact_res <= 1e-10 and rev.residual <= 1e-10):
-        raise NoConvergence(
-            f"shifted factorization residuals {fact_res:.2e}/{rev.residual:.2e} exceed 1e-10"
-        )
+    _check(NoConvergence, "shifted_factorization_both.residual",
+           np.maximum(fact_res, rev.residual), RESIDUAL_TOL,
+           "shifted factorization residuals {:.2e}/{:.2e} exceed 1e-10", fact_res, rev.residual)
     quad = QuadFactorization(
         gplus_t, f.rplus, f.kplus, f.iterations, fact_res, spectral_radius(gplus_t), f.rho_r
     )
@@ -490,11 +481,11 @@ def poly_factorization(p, g):
     if g.shape != (p.n, p.n):
         raise DimensionMismatch(f"solvent must be {p.n}x{p.n}")
     rho = spectral_radius(g)
-    if not rho < 1.0 - RADIUS_MARGIN:
-        raise NotASolvent(f"rho(g) = {rho:.8f} is not below one")
+    _check(NotASolvent, "poly_factorization.radius", rho, 1.0 - RADIUS_MARGIN,
+           "rho(g) = {:.8f} is not below one", rho, op="<")
     res = equation_residual(p, g)
-    if not res <= 1e-10:
-        raise NotASolvent(f"relative ||sum A_i g^i|| = {res:.2e} exceeds 1e-10")
+    _check(NotASolvent, "poly_factorization.residual", res, RESIDUAL_TOL,
+           "relative ||sum A_i g^i|| = {:.2e} exceeds 1e-10", res)
     coeffs, step, _ = _pow2_scaled(p.coeffs)
     ucoeffs = np.empty((p.d, p.n, p.n), dtype=complex)
     ucoeffs[p.d - 1] = coeffs[p.d]

@@ -46,7 +46,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    EIGENPAIR_TOL,
     INF,
+    RESIDUAL_TOL,
+    _check,
     _pow2_scaled,
     _times,
     is_infinite,
@@ -67,8 +70,6 @@ from .errors import (
     ZeroLambdaWithNegativePowers,
     ZeroMu,
 )
-
-EIGENPAIR_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +108,8 @@ class ShiftSpec:
         (vec_s,), step, vec_norm = _pow2_scaled([vec])
         (dual,), _, dual_norm = _pow2_scaled([dual])
         ip = np.vdot(vec_s, dual)
-        if abs(ip) <= 1e-14 * vec_norm * dual_norm:
-            raise DegenerateShift("dual vector is orthogonal to the shift vector")
+        _check(DegenerateShift, "ShiftSpec.dual", abs(ip) / (vec_norm * dual_norm), 1e-14,
+               "dual vector is orthogonal to the shift vector", op=">")
         dual = _times(dual / ip, step)  # v* u = 1 for the given u
         vec = vec.copy()
         vec.setflags(write=False)
@@ -130,7 +131,7 @@ class ShiftSpec:
 class MultiShiftSpec:
     """Invariant pair (U, Lambda) and target S for a simultaneous shift.
 
-    V defaults to U (U* U)^{-1}; it must satisfy ||V* U - I||_F <= 1e-10.
+    V defaults to U (U* U)^{-1}; it must satisfy ||V* U - I||_F <= RESIDUAL_TOL = 1e-10.
     Every entry must be finite (else DegenerateShift).
     """
 
@@ -153,8 +154,8 @@ class MultiShiftSpec:
             raise DegenerateShift("U, Lambda, S and V must be finite")
         v = np.linalg.pinv(u).conj().T if self.v is None else np.asarray(self.v, dtype=complex).reshape(n, m)
         gap = np.linalg.norm(v.conj().T @ u - np.eye(m))
-        if not gap <= 1e-10:
-            raise DimensionMismatch(f"||V* U - I||_F = {gap:.2e} exceeds 1e-10")
+        _check(DimensionMismatch, "MultiShiftSpec.dual", gap, RESIDUAL_TOL,
+               "||V* U - I||_F = {:.2e} exceeds 1e-10", gap)
         for name, arr in (("u", u), ("lam", lam), ("s", s), ("v", v)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -237,8 +238,8 @@ def right_shift_pencil(a, spec):
     _check_sides((spec,), ("right",))
     a = np.asarray(a, dtype=complex)
     res = _pencil_residual(a, spec.vector[:, None], np.array([[spec.lam]]))
-    if not res <= EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"||A u - lam u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+    _check(NotAnEigenpair, "right_shift_pencil.eigenpair", res, EIGENPAIR_TOL,
+           "||A u - lam u|| residual {:.2e} exceeds {}", res, EIGENPAIR_TOL)
     if spec.mu == spec.lam:
         return a.copy()
     return -_right([-a, np.eye(len(a))], 0, spec.lam, spec.mu, spec.vector, spec.dual)[0]
@@ -262,10 +263,10 @@ def _gate(p, spec, alone):
     if p.lo < 0 and spec.lam == 0:
         raise ZeroLambdaWithNegativePowers("lambda = 0 with negative powers present")
     res = pair_residual(p, spec.lam, spec.vector, spec.side)
-    if not res <= EIGENPAIR_TOL:
-        if lam_inf:
-            raise NotInKernel(f"||A_d u|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
-        raise NotAnEigenpair(f"{spec.side} eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+    error, name, what = ((NotInKernel, "shift.kernel", "||A_d u||") if lam_inf
+                         else (NotAnEigenpair, "shift.eigenpair", spec.side + " eigenpair"))
+    _check(error, name, res, EIGENPAIR_TOL, "{} residual {:.2e} exceeds {}", what, res,
+           EIGENPAIR_TOL)
 
 
 def _apply(coeffs, lo, spec):
@@ -336,8 +337,8 @@ def multishift_pencil(a, ms):
     """Move the eigenvalues of an invariant pair of A to those of S: A - U (Lambda - S) V*."""
     a = np.asarray(a, dtype=complex)
     res = _pencil_residual(a, ms.u, ms.lam)
-    if not res <= EIGENPAIR_TOL:
-        raise NotInvariant(f"||A U - U Lambda|| residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+    _check(NotInvariant, "multishift_pencil.invariant", res, EIGENPAIR_TOL,
+           "||A U - U Lambda|| residual {:.2e} exceeds {}", res, EIGENPAIR_TOL)
     if ms.m == 1:
         return right_shift_pencil(a, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
@@ -353,11 +354,11 @@ def multishift_laurent(p, ms):
     from .spectra import invariant_pair_residual
 
     if p.lo < 0:
-        if not rcond(ms.lam) > 1e-14:
-            raise SingularLambda("Lambda is singular; negative powers cannot be shifted")
+        _check(SingularLambda, "multishift.rank", rcond(ms.lam), 1e-14,
+               "Lambda is singular; negative powers cannot be shifted", op=">")
     res = invariant_pair_residual(p, ms.u, ms.lam)
-    if not res <= EIGENPAIR_TOL:
-        raise NotInvariant(f"invariant-pair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+    _check(NotInvariant, "multishift.invariant", res, EIGENPAIR_TOL,
+           "invariant-pair residual {:.2e} exceeds {}", res, EIGENPAIR_TOL)
     if ms.m == 1:
         # through ShiftSpec, so m = 1 matches right_shift_laurent bit for bit
         return right_shift_laurent(p, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
@@ -427,12 +428,12 @@ def palindromic_shift(p, lam, mu, u):
     if p.lo != 0:
         raise DimensionMismatch("palindromic shift acts on matrix polynomials")
     coeffs, step, scale, dev = _palindromic_gap(p.coeffs)
-    if not dev <= 1e-12 * scale:
-        raise NotPalindromic(f"||A_i - A_(d-i)*|| deviation {dev / step:.2e} exceeds 1e-12*scale")
+    _check(NotPalindromic, "palindromic_shift.input", dev / scale, 1e-12,
+           "||A_i - A_(d-i)*|| deviation {:.2e} exceeds 1e-12*scale", dev / step)
     lam, mu = complex(lam), complex(mu)
     res = pair_residual(p, lam, u)
-    if not res <= EIGENPAIR_TOL:
-        raise NotAnEigenpair(f"right eigenpair residual {res:.2e} exceeds {EIGENPAIR_TOL}")
+    _check(NotAnEigenpair, "palindromic_shift.eigenpair", res, EIGENPAIR_TOL,
+           "right eigenpair residual {:.2e} exceeds {}", res, EIGENPAIR_TOL)
     if mu == lam:
         return p
     if abs(lam * lam.conjugate() - 1.0) < 1e-8:
@@ -445,9 +446,7 @@ def palindromic_shift(p, lam, mu, u):
     if dev > 1e-12 * out_scale:
         warnings.warn(f"pre-symmetrization palindromic deviation {dev / step:.2e} "
                       "exceeds 1e-12*scale", stacklevel=2)
-    if not dev <= 1e-6 * out_scale:
-        raise NotAnEigenpair(
-            f"palindromic shift lost structure (deviation {dev / step:.2e}); "
-            "eigenpair too inaccurate"
-        )
+    _check(NotAnEigenpair, "palindromic_shift.output", dev / out_scale, 1e-6,
+           "palindromic shift lost structure (deviation {:.2e}); eigenpair too inaccurate",
+           dev / step)
     return replace(p, coeffs=[_times((a + b) / 2, 1 / step) for a, b in zip(out, _flip(out))])

@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EIGENPAIR_TOL,
     FLOOR,
     RANK_TOL,
     EigenPair,
+    _check,
     _in_disk,
     _pow2_scaled,
     horner,
@@ -140,23 +142,23 @@ def polyeig(p, seed=0, want_left=False):
         raise DimensionMismatch("polyeig expects a matrix polynomial")
     rng = np.random.default_rng(seed)
     pencil = companion_pencil(p) if p.d else None
-    nonsingular = False
+    rconds = []
     for _ in range(10):
         c = 0.9 * cmath.exp(2j * math.pi * rng.random())
         w, coeffs = _in_disk(p, c)
-        if not rcond(horner(coeffs, w)) > RANK_TOL:
+        rconds.append(rcond(horner(coeffs, w)))
+        if not rconds[-1] > RANK_TOL:
             continue
         if pencil is None:
             return Spectrum((), 0.0 + 0.0j)
-        nonsingular = True
         try:
             m = np.linalg.solve(pencil.c1 - c * pencil.c2, pencil.c2)
         except np.linalg.LinAlgError:
             continue
         break
     else:
-        if not nonsingular:
-            raise DegeneratePolynomial("det A(z) vanishes at all probe points")
+        _check(DegeneratePolynomial, "polyeig.rank", float(np.fmax.reduce(rconds)), RANK_TOL,
+               "det A(z) vanishes at all probe points", op=">")
         raise EigensolverFailure("no usable Cayley point after 10 attempts")
 
     try:
@@ -281,21 +283,19 @@ def invariant_pair(p, selected):
         raise DistinctnessViolated("invariant pairs are built from finite eigenvalues")
     values = [complex(q.value) for q in pairs]
     top = max(1.0, max(abs(v) for v in values))
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= 1e-12 * top:
-                raise DistinctnessViolated(
-                    f"eigenvalues {values[i]} and {values[j]} coincide"
-                )
+    gap, i, j = min(((abs(a - b) / top, i, j) for i, a in enumerate(values)
+                     for j, b in enumerate(values) if j > i), default=(math.inf, 0, 0))
+    _check(DistinctnessViolated, "invariant_pair.distinct", gap, 1e-12,
+           "eigenvalues {} and {} coincide", values[i], values[j], op=">")
     u = np.column_stack([q.right for q in pairs])
     if u.shape[1] >= u.shape[0]:
         raise DimensionMismatch("packet size m must be smaller than the dimension n")
     smin = np.linalg.svd(u, compute_uv=False)[-1]
-    if smin < 1e-8:
-        raise DependentEigenvectors(f"smallest singular value of U is {smin:.2e}")
+    _check(DependentEigenvectors, "invariant_pair.independent", smin, 1e-8,
+           "smallest singular value of U is {:.2e}", smin, op=">=")
     lam = np.diag(values)
     v = np.linalg.pinv(u).conj().T
     res = invariant_pair_residual(p, u, lam)
-    if not res <= 1e-8:
-        raise NotInvariant(f"invariant-pair residual {res:.2e} exceeds 1e-8")
+    _check(NotInvariant, "invariant_pair.residual", res, EIGENPAIR_TOL,
+           "invariant-pair residual {:.2e} exceeds 1e-8", res)
     return InvariantPair(u, lam, v, res)

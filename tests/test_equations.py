@@ -111,11 +111,15 @@ def test_reblock_scales_with_its_input(alpha, p3):
         assert np.abs(b_alpha - alpha * b).max() <= 1e-15 * alpha * np.abs(b).max()
 
 
-@pytest.mark.parametrize("alpha", [1e-20, 1e-12, 1e8, 1e20, 1e-300, 1e-160, 1e160, 1e300])
+@pytest.mark.parametrize(
+    "alpha", [1e-20, 1e-12, 1e8, 1e20, 1e-300, 1e-160, 1e160, 1e300, 2.0**1023 * (2.2 / 1.12)]
+)
 def test_scaled_p3_solves_like_p3(alpha):
     # alpha A(z) has the minimal solvent of A(z): the step counts, sigma and
     # G do not depend on alpha, and a perturbed solvent fails at every alpha;
-    # from 1e154 on, cyclic reduction's norms need its power-of-two prescale
+    # from 1e154 on, cyclic reduction's norms need its power-of-two prescale,
+    # and at the last alpha the row sum s of reblock is beyond double range
+    # (every entry is finite), so s is capped at the largest double
     _, plain_1, shifted_1 = _p3_solves(1.0)
     p, plain, shifted = _p3_solves(alpha)
     assert (plain.iterations, shifted.iterations) == (12, 5)
