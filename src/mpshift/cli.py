@@ -35,7 +35,8 @@ each ``{value residual borderline right left}``; shift ``mode output oracle``
 rho_r gplus rplus kplus``, with --both also ``gminus rminus kminus w
 reversed_residual``; factor of a polynomial ``iterations residual g
 ucoeffs``; solve ``iterations residual sigma shifted g``, and ``recovery``
-(``{lambda mu}``) when shifted; check ``passed max_rel_err samples``.
+(``{lambda mu}``) when shifted; check ``passed max_rel_err samples``
+(``max_rel_err`` is ``null`` when not finite).
 Matrices are nested lists of ``[re, im]`` pairs.  Output is deterministic
 given the inputs and ``--seed``; numbers print with shortest round-trip
 decimals.
@@ -393,7 +394,8 @@ def cmd_shift(args):
     _check_flags(args, mode, required, optional)
     shifted, removed, added, fit_constant, mode_note = handler(args, poly)
     write_poly(shifted, args.output)
-    oracle = _oracle_report(poly, shifted, removed, added, ORACLE_SAMPLES, args.seed, fit_constant)
+    rep = det_ratio_oracle(poly, shifted, removed, added, ORACLE_SAMPLES, args.seed, fit_constant)
+    oracle = _oracle_report(rep)
     report = Report(
         {"mode": mode_note, "output": args.output, "oracle": oracle.fields},
         [f"shift mode: {mode_note}", f"wrote {args.output}", *oracle.lines],
@@ -402,8 +404,7 @@ def cmd_shift(args):
     if mode == "single" and removed == added:
         report.warnings = ("mu equals lambda; the shift is a no-op",)
     if oracle.status:
-        err = oracle.fields["max_rel_err"]
-        report.error = f"determinant-ratio oracle FAILED (max rel err {err:.3e})"
+        report.error = f"determinant-ratio oracle FAILED (max rel err {rep.max_rel_err:.3e})"
     return report
 
 
@@ -520,12 +521,10 @@ def _finite_values(text, flag):
     return values
 
 
-def _oracle_report(a, b, removed, added, samples, seed, fit_constant):
-    """The determinant-ratio oracle on ``a`` and ``b``; exit status 1 when it fails."""
-    r = det_ratio_oracle(
-        a, b, removed=removed, added=added, samples=samples, seed=seed, fit_constant=fit_constant
-    )
-    fields = {"passed": r.passed, "max_rel_err": r.max_rel_err, "samples": r.samples}
+def _oracle_report(r):
+    """An oracle's report; exit status 1 when it failed, a non-finite error is null."""
+    err = r.max_rel_err if math.isfinite(r.max_rel_err) else None
+    fields = {"passed": r.passed, "max_rel_err": err, "samples": r.samples}
     return Report(fields, [f"oracle: {r}"], 0 if r.passed else 1)
 
 
@@ -536,7 +535,8 @@ def cmd_check(args):
     added = _finite_values(args.added, "--added")
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    return _oracle_report(a, b, removed, added, args.samples, args.seed, args.fit_constant)
+    r = det_ratio_oracle(a, b, removed, added, args.samples, args.seed, args.fit_constant)
+    return _oracle_report(r)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -119,6 +120,11 @@ class LaurentPoly:
     @property
     def d(self):
         return self.hi - self.lo
+
+    @cached_property
+    def _scaled(self):
+        """The coefficients stacked and prescaled once, for :func:`_in_disk`."""
+        return _freeze(_pow2_scaled([np.array(self.coeffs)])[0][0])
 
     def coeff(self, power):
         """Coefficient of z^power; zero matrix outside the stored range."""
@@ -266,17 +272,17 @@ def _check(error, name, value, tol, message, *args, op="<=", step=None):
 
 
 def _in_disk(p, z):
-    """``(w, coeffs)`` with sum_k w^k coeffs[k] = z^-lo A(z) when |z| <= 1, and
-    z^-hi A(z) otherwise: the coefficients reversed at w = 1/z, or w = 0 at
-    z = inf.  |w| <= 1, so a Horner sweep over the frame never overflows, and
-    its null vectors are those of A(z).  NaN z gives NaN w.
+    """``(w, coeffs)`` with sum_k w^k coeffs[k] = 2^-e z^-lo A(z) if |z| <= 1, else
+    2^-e z^-hi A(z): coeffs reversed at w = 1/z (0 at z = inf), one (d + 1, n, n)
+    array prescaled by :func:`_pow2_scaled`.  |w| <= 1 and no entry exceeds 1, so
+    a Horner sweep never overflows; its null vectors are those of A(z).  NaN z gives NaN w.
     """
     z = complex(z)
     if z == 0 and p.lo < 0:
         raise ZeroAtNegativePower("A(z) is undefined at radius 0 with negative powers")
     if abs(z) <= 1.0:
-        return z, p.coeffs
-    return (0j if cmath.isinf(z) else 1.0 / z), p.coeffs[::-1]
+        return z, p._scaled
+    return (0j if cmath.isinf(z) else 1.0 / z), p._scaled[::-1]
 
 
 def pair_residual(p, lam, u, side="right"):
@@ -285,17 +291,16 @@ def pair_residual(p, lam, u, side="right"):
     ||A(lam) u|| / (||u|| sum_i ||A_i||_F |lam|^i) for ``side="right"``,
     ||u* A(lam)|| / (the same) for ``side="left"``.  Both sums are divided by
     |lam|^lo when |lam| <= 1, and by |lam|^hi otherwise, so one Horner sweep
-    runs over the vectors C_k u (u* C_k) of the frame :func:`_in_disk` at w,
-    with |w| <= 1, and nothing overflows.  Infinite lam is w = 0:
-    ||A_hi u|| / (||A_hi||_F ||u||).  The coefficients and u are prescaled
-    apart (:func:`_pow2_scaled`).  A zero u gives inf.
+    runs over the vectors C_k u (u* C_k) of the prescaled frame
+    :func:`_in_disk` at w, with |w| <= 1, and nothing overflows.  Infinite lam
+    is w = 0: ||A_hi u|| / (||A_hi||_F ||u||).  u is prescaled apart
+    (:func:`_pow2_scaled`).  A zero u gives inf.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     if not u.any():
         return math.inf
     w, coeffs = _in_disk(p, lam)
     (u,), _, nu = _pow2_scaled([u])
-    (coeffs,), _, _ = _pow2_scaled([np.array(coeffs)])  # stacked, (d + 1, n, n)
     vecs = coeffs @ u if side == "right" else coeffs.transpose(0, 2, 1) @ u.conj()
     norms = np.linalg.norm(coeffs, axis=(1, 2))
     return float(np.linalg.norm(horner(vecs, w)) / (nu * max(horner(norms, abs(w)).real, FLOOR)))

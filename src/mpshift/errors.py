@@ -82,10 +82,6 @@ class ZeroLambdaWithNegativePowers(MpshiftError):
     """lambda = 0 cannot be shifted when negative powers are present."""
 
 
-class CoincidentEigenvalues(MpshiftError):
-    """Double shift with lambda1 = lambda2 is not supported."""
-
-
 class SingularLambda(MpshiftError):
     """Lambda must be nonsingular to shift negative-power coefficients."""
 

@@ -15,7 +15,8 @@ which read the side and any infinity off each :class:`ShiftSpec`:
   V = v); a multishift is the kernel with an m-column packet;
 * a left shift with factor y v* is the adjoint of a right shift of the
   adjoint coefficients A_i*, with conj(lambda) and conj(mu); a double shift
-  is one right shift and one left shift;
+  is a right shift and then a left shift of its result, each spec gated on
+  the function it transforms;
 * a right shift with lambda or mu infinite is, in the apply step, the right
   shift 1/lambda -> 1/mu (1/inf = 0) of the reversal z^d A(1/z), reversed
   back; :func:`shift_from_infinity` and :func:`shift_to_infinity` are two
@@ -58,7 +59,6 @@ from .core import (
     unit_vector,
 )
 from .errors import (
-    CoincidentEigenvalues,
     DegenerateShift,
     DimensionMismatch,
     NotAnEigenpair,
@@ -269,28 +269,27 @@ def _gate(p, spec, alone):
            EIGENPAIR_TOL)
 
 
-def _apply(coeffs, lo, spec):
-    """The coefficients after one gated shift.  An infinite lambda or mu is the
-    right shift 1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients."""
+def _apply(p, spec):
+    """p after one gated shift.  An infinite lambda or mu is the right shift
+    1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients."""
     if spec.mu == spec.lam:
-        return coeffs
+        return p
     if is_infinite(spec.lam) or is_infinite(spec.mu):
         lam, mu = (0j if is_infinite(z) else 1 / z for z in (spec.lam, spec.mu))
-        return _right(coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1]
+        return replace(p, coeffs=_right(p.coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1])
     shift = _right if spec.side == "right" else _left
-    return shift(coeffs, lo, spec.lam, spec.mu, spec.vector, spec.dual)
+    return replace(p, coeffs=shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual))
 
 
 def _shift(p, specs, sides):
-    """Every single and double shift: check the sides, gate each spec on p, then
-    apply them in order.  A shift whose every spec has mu = lambda returns p."""
+    """Every single and double shift: check the sides, then gate each spec on the
+    function it transforms (p, or the result of the specs before it) and apply it.
+    A shift whose every spec has mu = lambda returns p."""
     _check_sides(specs, sides)
     for spec in specs:
         _gate(p, spec, len(specs) == 1)
-    coeffs = p.coeffs
-    for spec in specs:
-        coeffs = _apply(coeffs, p.lo, spec)
-    return p if coeffs is p.coeffs else replace(p, coeffs=coeffs)
+        p = _apply(p, spec)
+    return p
 
 
 def right_shift_laurent(p, spec):
@@ -318,14 +317,11 @@ left_shift_poly = left_shift_laurent
 
 
 def double_shift_laurent(p, right_spec, left_spec):
-    """Shift two distinct eigenvalues at once: a right shift followed by a left shift.
+    """A right shift, then a left shift of its result, on which the left spec is gated.
 
-    The composition order does not matter (both yield the same series); this
-    routine applies the right shift first.  lambda1 = lambda2 is rejected.
-    Both eigenpairs are checked on ``p`` before either shift is applied.
-    """
-    if right_spec.lam == left_spec.lam:
-        raise CoincidentEigenvalues("double shift requires lambda1 != lambda2")
+    So lambda1 = lambda2 clears both copies of a defective double eigenvalue: a left
+    null vector w of A(lambda) stays one after the right shift iff w* A'(lambda) u = 0.
+    For distinct eigenvalues the order does not matter."""
     return _shift(p, (right_spec, left_spec), ("right", "left"))
 
 

@@ -485,6 +485,60 @@ def test_shift_double_cli(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_shift_double_cli_at_a_double_root(tmp_path, capsys):
+    # equal lambdas: the automatic left vector of A(1) is one of the
+    # right-shifted function, since p1's double root 1 is defective
+    path = tmp_path / "p1.mp.json"
+    write_poly(fixture_p1(), path)
+    code, out, err = run(
+        capsys, "shift", str(path), "--double", "--lambda", "1", "--mu", "0.2",
+        "--lambda2", "1", "--mu2", "3", "-o", str(tmp_path / "d.mp.json"), "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"]["passed"]
+
+
+def _p3big(tmp_path):
+    """p3 times 2^1023 * 2.2 / 1.12: every entry finite, near the top of double range."""
+    from mpshift.fixtures import p3
+
+    path = tmp_path / "p3big.mp.json"
+    write_poly(MatrixPoly([2.0**1023 * (2.2 / 1.12) * c for c in p3().coeffs]), path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [["eig"], ["eig", "--left"], ["solve", "--method", "eigen"]])
+def test_eigen_paths_near_the_top_of_double_range(tmp_path, capsys, argv):
+    # the eigenvector SVDs run on the prescaled in-disk frame, so no Horner
+    # sweep overflows; eig reports the eigenvalues of p3 itself
+    from conftest import match_moduli
+    from mpshift.fixtures import p3
+
+    code, out, err = run(capsys, argv[0], str(_p3big(tmp_path)), *argv[1:], "--format", "json")
+    assert (code, err) == (0, "")
+    if argv[0] == "eig":
+        rows = json.loads(out)["eigenvalues"]
+        assert max(r["residual"] for r in rows) <= 1e-14
+        expected = cli.polyeig(p3()).values()
+        assert match_moduli([complex(*r["value"]) for r in rows], expected) <= 1e-10
+
+
+def test_shift_report_is_strict_json_when_the_oracle_overflows(tmp_path, capsys):
+    # the oracle's determinants overflow here (a false FAIL); its error is
+    # then non-finite, which the report writes as null, not NaN
+    def no_constant(name):
+        raise ValueError(f"not JSON: {name}")
+
+    argv = ["shift", str(_p3big(tmp_path)), "--lambda", "1", "--mu", "0.25",
+            "-o", str(tmp_path / "s.mp.json")]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    oracle = json.loads(out, parse_constant=no_constant)["oracle"]
+    assert code == 1 and oracle == {"passed": False, "max_rel_err": None, "samples": 16}
+    assert err.endswith("error: determinant-ratio oracle FAILED (max rel err nan)\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "oracle: FAIL (max rel err nan over 16 samples" in out
+
+
 def test_shift_palindromic_cli(tmp_path, capsys):
     rng = np.random.default_rng(401)
     a0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -9,6 +9,7 @@ from mpshift import (
     MatrixPoly,
     MultiShiftSpec,
     ShiftSpec,
+    cr_quadratic,
     det_ratio_oracle,
     double_shift_laurent,
     evaluate,
@@ -29,7 +30,6 @@ from mpshift import (
 )
 from mpshift.core import INF
 from mpshift.errors import (
-    CoincidentEigenvalues,
     DegenerateShift,
     DimensionMismatch,
     NotAnEigenpair,
@@ -41,8 +41,10 @@ from mpshift.errors import (
     ZeroLambdaWithNegativePowers,
     ZeroMu,
 )
+from mpshift.spectra import null_vectors
 
 from conftest import (
+    critical_qbd,
     crandn,
     match_moduli,
     palindromic_quad,
@@ -366,14 +368,16 @@ def _double_shift_instance(seed, lo=-1):
 
 
 def test_double_shift_matches_composition_exactly():
-    p, (l1, u), (l2, v) = _double_shift_instance(83)
-    rs = ShiftSpec(l1, 0.1 + 0.1j, u)
-    ls = ShiftSpec(l2, -1.5, v, side="left")
-    both = double_shift_laurent(p, rs, ls)
-    composed = left_shift_laurent(right_shift_laurent(p, rs), ls)
-    assert coeffs_equal(both, composed)
-    rep = det_ratio_oracle(p, both, removed=[l1, l2], added=[0.1 + 0.1j, -1.5])
-    assert rep.passed
+    # a double shift is a right shift and then a left shift of its result, bit for bit
+    for seed, lo in [(83, -1), (89, -1), (97, -1), (83, 0), (89, 0), (97, 0)]:
+        p, (l1, u), (l2, v) = _double_shift_instance(seed, lo)
+        rs = ShiftSpec(l1, 0.1 + 0.1j, u)
+        ls = ShiftSpec(l2, -1.5, v, side="left")
+        both = double_shift_laurent(p, rs, ls)
+        composed = left_shift_laurent(right_shift_laurent(p, rs), ls)
+        assert coeffs_equal(both, composed)
+        rep = det_ratio_oracle(p, both, removed=[l1, l2], added=[0.1 + 0.1j, -1.5])
+        assert rep.passed
 
 
 def test_double_shift_order_independent_to_1e13():
@@ -412,12 +416,53 @@ def test_double_shift_identity():
     assert coeffs_equal(double_shift_laurent(p, rs, ls), p)
 
 
-def test_double_shift_rejects_coincident():
+def test_double_shift_equal_lambda_on_a_simple_eigenvalue_fails_the_left_gate():
+    # the left spec is gated on the right-shifted function, where a simple
+    # lambda has moved to mu: no left vector makes it an eigenpair there, not
+    # even the left null vector of A(lambda), which passes the gate on p
     p, (l1, u), (_, v) = _double_shift_instance(103)
+    w = unit_vector(np.linalg.svd(evaluate(p, l1))[0][:, -1])
     rs = ShiftSpec(l1, 0.1, u)
-    ls = ShiftSpec(l1, 0.2, v, side="left")
-    with pytest.raises(CoincidentEigenvalues):
-        double_shift_laurent(p, rs, ls)
+    left_shift_laurent(p, ShiftSpec(l1, 0.2, w, side="left"))
+    for y in (v, w):
+        with pytest.raises(NotAnEigenpair, match="left eigenpair residual") as info:
+            double_shift_laurent(p, rs, ShiftSpec(l1, 0.2, y, side="left"))
+        assert info.value.name == "shift.eigenpair" and info.value.value > info.value.tol
+
+
+def test_double_shift_clears_both_copies_of_p1s_double_root(p1):
+    # p1's eigenvalue 1 is defective (w* A'(1) u = 0), so its left null vector
+    # is also one of the right-shifted function at 1
+    u, w = null_vectors(p1, 1.0, left=True)
+    out = double_shift_laurent(p1, ShiftSpec(1.0, 0.2, u), ShiftSpec(1.0, 3.0, w, side="left"))
+    assert match_moduli(polyeig(out).values(), [0.2, 1 / 3, 0.5, 3.0]) <= 1e-12
+    assert det_ratio_oracle(p1, out, removed=[1, 1], added=[0.2, 3]).passed
+
+
+def _qbd_double_shift(n, drift):
+    """Right shift 1 -> 0 with (e, e/n), then left shift 1 -> 4 of a critical QBD."""
+    p = LaurentPoly(-1, critical_qbd(3, n, drift))
+    e = np.ones(n)
+    w = null_vectors(p, 1.0, left=True)[1]
+    return p, double_shift_laurent(p, ShiftSpec(1.0, 0.0, e, e / n),
+                                   ShiftSpec(1.0, 4.0, w, side="left"))
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_double_shift_clears_the_double_root_of_a_drift_zero_qbd(n):
+    # at drift 0, z = 1 is a double root: after both shifts strict cyclic
+    # reduction finds a canonical factorization
+    p, out = _qbd_double_shift(n, 0.0)
+    assert det_ratio_oracle(p, out, removed=[1, 1], added=[0, 4]).passed
+    f = cr_quadratic(*out.coeffs)
+    assert f.iterations <= 6 and max(f.rho_g, f.rho_r) < 1
+
+
+@pytest.mark.parametrize("drift", [5e-4, -5e-4])
+def test_double_shift_at_a_simple_qbd_root_fails_the_left_gate(drift):
+    with pytest.raises(NotAnEigenpair) as info:
+        _qbd_double_shift(20, drift)
+    assert info.value.name == "shift.eigenpair"
 
 
 # --- the side rule: every shift reads ShiftSpec.side ---
