@@ -1,23 +1,15 @@
 """Batch command-line front end ``mpshift``.
 
 Each ``cmd_*`` returns one :class:`Report` and prints nothing; :func:`main`
-renders it as a table or, with ``--format json``, as one JSON object.  Every
-subcommand takes ``--format`` and only the other flags it reads, and a flag
-the chosen mode does not read is a usage error:
+renders it as a table or, with ``--format json``, as one JSON object.
 
-- ``fixture NAME [-o PATH]``; ``eig INPUT [--left --seed]``;
-- ``shift INPUT -o PATH [--seed]`` in one mode: single (``--lambda --mu
-  [--side --u --v]``), ``--double`` (``--lambda --mu --lambda2 --mu2 [--u
-  --v]``), ``--multi FILE``, ``--from-inf`` (``--mu [--u --v]``),
-  ``--to-inf`` (``--lambda [--u --v]``) or ``--palindromic`` (``--lambda
-  --mu [--u]``); the determinant-ratio oracle re-checks every result;
-- ``factor INPUT [--quad [--both]] [--maxit --tol]``;
-- ``solve INPUT [--shift LAMBDA[,MU] [--u --v]] [--method cr|eigen [--seed]]
-  [--maxit --tol]``, where ``--shift``, ``--maxit`` and ``--tol`` are read
-  by cyclic reduction only and ``--seed`` by ``--method eigen`` only;
-  ``factor`` and ``solve`` require a finite ``--tol`` of at least 0 (default
-  1e-14) and a ``--maxit`` of at least 1 (default 64);
-- ``check A B [--removed --added --samples --fit-constant --seed]``.
+One table drives every command: :data:`MODES` gives, for each command and
+mode, the flag that selects the mode, the flags it requires, the other flags it
+reads and the INPUT it accepts (anything, ``lo = 0`` or powers -1..1), and
+:data:`FLAGS` declares each flag once, with its default and its check.  The
+parser is built from both, so a subcommand takes ``--format`` and only the
+flags its modes read; :func:`run` checks the flags before INPUT is read and
+INPUT's kind after.  The determinant-ratio oracle re-checks every shift.
 
 Exit codes: 0 success; 2 usage, parse or file error (argparse's own,
 ``UsageError``, ``ParseError``, ``DimensionMismatch``, ``UnknownFixture``,
@@ -56,6 +48,7 @@ import math
 import re
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +57,7 @@ from . import fixtures
 from .core import (
     INF,
     _json_pairs,
+    _read_object,
     det_ratio_oracle,
     is_infinite,
     read_poly,
@@ -93,9 +87,6 @@ from .shifts import (
 from .spectra import null_vectors, polyeig, refine_pair
 
 ORACLE_SAMPLES = 16
-DEFAULT_SEED = 42
-DEFAULT_TOL = 1e-14
-DEFAULT_MAXIT = 64
 
 
 class UsageError(MpshiftError, ValueError):
@@ -262,10 +253,7 @@ def cmd_fixture(args):
 
 
 def cmd_eig(args):
-    poly = read_poly(args.input)
-    if poly.lo != 0:
-        raise UsageError("eig expects a matrix polynomial file (lo == 0)")
-    pairs = polyeig(poly, seed=args.seed, want_left=args.left).pairs
+    pairs = polyeig(args.poly, seed=args.seed, want_left=args.left).pairs
     rows = [
         {
             "value": "inf" if q.is_infinite else [q.value.real, q.value.imag],
@@ -284,54 +272,27 @@ def cmd_eig(args):
     return Report({"eigenvalues": rows}, lines)
 
 
-def _shift_mode(args):
-    """The SHIFT_MODES entry whose selector flag is set; none selects 'single'."""
-    active = [m for m in SHIFT_MODES if m != "single" and getattr(args, m.replace("-", "_"))]
-    if len(active) > 1:
-        raise UsageError(f"conflicting shift modes: {', '.join(active)}")
-    return active[0] if active else "single"
-
-
-# shift flag -> its attribute on the parsed arguments (None when not given)
-_SHIFT_FLAGS = {
-    "lambda": "lam", "mu": "mu", "lambda2": "lam2", "mu2": "mu2",
-    "side": "side", "u": "u", "v": "v",
-}
-
-
-def _check_flags(args, mode, required, optional):
-    given = {name for name, dest in _SHIFT_FLAGS.items() if getattr(args, dest) is not None}
-    for name in required:
-        if name not in given:
-            raise UsageError(f"--{name} is required for {mode} shifts")
-    for name in _SHIFT_FLAGS:
-        if name in given and name not in required + optional:
-            raise UsageError(f"--{name} does not apply to {mode} shifts")
-
-
 # Each shift handler returns (shifted, removed, added, fit_constant, mode note).
 
 def _shift_single(args, poly):
     """Single shifts; --from-inf and --to-inf are single shifts with lambda or mu infinite."""
-    lam = INF if args.from_inf else args.lam
-    mu = INF if args.to_inf else args.mu
-    side = args.side or "right"
+    lam = INF if args.mode == "from-inf" else args.lam
+    mu = INF if args.mode == "to-inf" else args.mu
     infinite = is_infinite(lam) or is_infinite(mu)
     if infinite:
         if poly.lo != 0:
             raise UsageError("infinity shifts need a matrix polynomial input")
-        if side == "left":
+        if args.side == "left":
             raise UsageError("--side left does not apply to infinity shifts")
-    left = side == "left"
+    left = args.side == "left"
     vector, dual = (args.v, args.u) if left else (args.u, args.v)
-    spec = ShiftSpec(lam, mu, _vector_arg(vector, poly, lam, left), _dual_arg(dual, poly.n), side)
+    spec = ShiftSpec(lam, mu, _vector_arg(vector, poly, lam, left), _dual_arg(dual, poly.n),
+                     args.side)
     shifted = (left_shift_poly if left else right_shift_poly)(poly, spec)
-    if args.from_inf:
-        note = "from infinity"
-    elif args.to_inf:
-        note = "to infinity"
+    if args.mode != "single":
+        note = args.mode.replace("-inf", " infinity")  # from infinity, to infinity
     else:
-        note = "single (routed to infinity shift)" if infinite else f"single {side}"
+        note = "single (routed to infinity shift)" if infinite else f"single {args.side}"
     removed = [] if is_infinite(lam) else [lam]
     added = [] if is_infinite(mu) else [mu]
     return shifted, removed, added, infinite, note
@@ -345,22 +306,16 @@ def _shift_double(args, poly):
 
 
 def _shift_multi(args, poly):
-    with open(args.multi, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.multi}: {exc.msg} at line {exc.lineno}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{args.multi}: top-level value must be an object")
-    try:
+    try:  # a packet's parse errors name the file
+        payload = _read_object(args.multi, ("lambdas", "targets"))
         raw = payload["lambdas"], payload["targets"]
-    except KeyError as exc:
-        raise ParseError(f"{args.multi}: missing key {exc}") from exc
-    if not all(isinstance(r, list) for r in raw) or len(raw[0]) != len(raw[1]) or not raw[0]:
-        raise ParseError(f"{args.multi}: lambdas and targets must be equal-length non-empty lists")
-    lams, targets = ([parse_complex(str(s)) for s in r] for r in raw)
-    if any(map(is_infinite, lams + targets)):
-        raise ParseError(f"{args.multi}: lambdas and targets must be finite")
+        if not all(isinstance(r, list) for r in raw) or len(raw[0]) != len(raw[1]) or not raw[0]:
+            raise ParseError("lambdas and targets must be equal-length non-empty lists")
+        lams, targets = ([parse_complex(str(s)) for s in r] for r in raw)
+        if any(map(is_infinite, lams + targets)):
+            raise ParseError("lambdas and targets must be finite")
+    except ParseError as exc:
+        raise ParseError(f"{args.multi}: {exc}") from exc
     cols = [refine_pair(poly, lam, null_vectors(poly, lam)[0]).right for lam in lams]
     ms = MultiShiftSpec(np.column_stack(cols), np.diag(lams), np.diag(targets))
     return multishift_poly(poly, ms), lams, targets, False, f"multishift m={len(lams)}"
@@ -374,25 +329,13 @@ def _shift_palindromic(args, poly):
     return shifted, removed, added, True, "palindromic"
 
 
-# mode -> (handler, required flags, optional flags, matrix polynomial input only)
-SHIFT_MODES = {
-    "single": (_shift_single, ("lambda", "mu"), ("side", "u", "v"), False),
-    "double": (_shift_double, ("lambda", "mu", "lambda2", "mu2"), ("u", "v"), False),
-    "multi": (_shift_multi, (), (), False),
-    "from-inf": (_shift_single, ("mu",), ("u", "v"), True),
-    "to-inf": (_shift_single, ("lambda",), ("u", "v"), True),
-    "palindromic": (_shift_palindromic, ("lambda", "mu"), ("u",), True),
-}
+_SHIFTS = {"single": _shift_single, "double": _shift_double, "multi": _shift_multi,
+           "from-inf": _shift_single, "to-inf": _shift_single, "palindromic": _shift_palindromic}
 
 
 def cmd_shift(args):
-    poly = read_poly(args.input)
-    mode = _shift_mode(args)
-    handler, required, optional, poly_only = SHIFT_MODES[mode]
-    if poly_only and poly.lo != 0:
-        raise UsageError(f"{mode} shifts need a matrix polynomial input")
-    _check_flags(args, mode, required, optional)
-    shifted, removed, added, fit_constant, mode_note = handler(args, poly)
+    poly = args.poly
+    shifted, removed, added, fit_constant, mode_note = _SHIFTS[args.mode](args, poly)
     write_poly(shifted, args.output)
     rep = det_ratio_oracle(poly, shifted, removed, added, ORACLE_SAMPLES, args.seed, fit_constant)
     oracle = _oracle_report(rep)
@@ -401,31 +344,16 @@ def cmd_shift(args):
         [f"shift mode: {mode_note}", f"wrote {args.output}", *oracle.lines],
         oracle.status,
     )
-    if mode == "single" and removed == added:
+    if args.mode == "single" and removed == added:
         report.warnings = ("mu equals lambda; the shift is a no-op",)
     if oracle.status:
         report.error = f"determinant-ratio oracle FAILED (max rel err {rep.max_rel_err:.3e})"
     return report
 
 
-def _iteration_args(args):
-    """``(tol, maxit)`` with their defaults; ``--tol`` must be finite and nonnegative,
-    ``--maxit`` at least 1."""
-    tol = DEFAULT_TOL if args.tol is None else args.tol
-    maxit = DEFAULT_MAXIT if args.maxit is None else args.maxit
-    if not (math.isfinite(tol) and tol >= 0):
-        raise UsageError(f"--tol must be finite and at least 0, got {tol!r}")
-    if maxit < 1:
-        raise UsageError(f"--maxit must be at least 1, got {maxit}")
-    return tol, maxit
-
-
 def cmd_factor(args):
-    tol, maxit = _iteration_args(args)
-    poly = read_poly(args.input)
-    if args.quad:
-        if (poly.lo, poly.hi) != (-1, 1):
-            raise UsageError("--quad expects a Laurent polynomial with powers -1..1")
+    poly, tol, maxit = args.poly, args.tol, args.maxit
+    if args.mode == "quad":
         f = cr_quadratic(*poly.coeffs, tol=tol, maxit=maxit)
         fields = dict(iterations=f.iterations, residual=f.residual, rho_g=f.rho_g, rho_r=f.rho_r)
         lines = [
@@ -441,10 +369,6 @@ def cmd_factor(args):
                                       ("kminus", "K-", rf.kminus), ("w", "W", rf.w)])
             fields["reversed_residual"] = rf.residual
         return Report(fields, lines)
-    if poly.lo != 0:
-        raise UsageError("factoring a Laurent polynomial requires --quad")
-    if args.both:
-        raise UsageError("--both applies to --quad factorizations only")
     rep = solve_unilateral(poly, tol=tol, maxit=maxit)
     pf = poly_factorization(poly, rep.g)
     return Report(
@@ -459,34 +383,13 @@ def cmd_factor(args):
 
 
 def cmd_solve(args):
-    if args.method == "eigen":
-        for flag in ("tol", "maxit"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag} applies only with --method cr")
-    tol, maxit = _iteration_args(args)
-    poly = read_poly(args.input)
-    if poly.lo != 0:
-        raise UsageError("solve expects a matrix polynomial file (lo == 0)")
-    if args.seed is not None and args.method != "eigen":
-        raise UsageError("--seed applies only with --method eigen")
-    if args.shift is None:
-        if args.u is not None or args.v is not None:
-            raise UsageError("--u and --v apply only with --shift")
-        rep = solve_unilateral(
-            poly, method=args.method, tol=tol, maxit=maxit,
-            seed=DEFAULT_SEED if args.seed is None else args.seed,
-        )
-    else:
-        if args.method == "eigen":
-            raise UsageError("--shift runs cyclic reduction; --method eigen does not apply")
-        parts = args.shift.split(",")
-        if not 1 <= len(parts) <= 2:
-            raise UsageError("--shift expects LAMBDA or LAMBDA,MU")
-        lam = parse_complex(parts[0])
-        mu = parse_complex(parts[1]) if len(parts) == 2 else 0.0 + 0.0j
-        u = _vector_arg(args.u, poly, lam)
-        v = _dual_arg(args.v, poly.n)
+    poly, tol, maxit = args.poly, args.tol, args.maxit
+    if args.mode == "shift":
+        lam, mu = args.shift
+        u, v = _vector_arg(args.u, poly, lam), _dual_arg(args.v, poly.n)
         rep = shift_accelerated_solve(poly, lam, u, v, mu, tol=tol, maxit=maxit)
+    else:
+        rep = solve_unilateral(poly, method=args.mode, tol=tol, maxit=maxit, seed=args.seed)
     sigma = None if math.isnan(rep.sigma) else rep.sigma
     fields = {
         "iterations": rep.iterations,
@@ -511,16 +414,6 @@ def cmd_solve(args):
     return Report(fields, lines)
 
 
-def _finite_values(text, flag):
-    values = [parse_complex(s) for s in text.split(",") if s.strip()]
-    if any(is_infinite(w) for w in values):
-        raise UsageError(
-            f"{flag} takes finite values; for a shift at infinity leave the value out "
-            "and pass --fit-constant"
-        )
-    return values
-
-
 def _oracle_report(r):
     """An oracle's report; exit status 1 when it failed, a non-finite error is null."""
     err = r.max_rel_err if math.isfinite(r.max_rel_err) else None
@@ -529,30 +422,196 @@ def _oracle_report(r):
 
 
 def cmd_check(args):
-    a = read_poly(args.a)
-    b = read_poly(args.b)
-    removed = _finite_values(args.removed, "--removed")
-    added = _finite_values(args.added, "--added")
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    r = det_ratio_oracle(a, b, removed, added, args.samples, args.seed, args.fit_constant)
+    r = det_ratio_oracle(read_poly(args.a), read_poly(args.b), args.removed, args.added,
+                         args.samples, args.seed, args.fit_constant)
     return _oracle_report(r)
+
+
+# ---------------------------------------------------------------------------
+# the mode table
+# ---------------------------------------------------------------------------
+
+def _finite_values(text, flag, hint=""):
+    """Comma-separated complex literals, each finite."""
+    values = [parse_complex(s) for s in text.split(",") if s.strip()]
+    if any(map(is_infinite, values)):
+        raise UsageError(f"{flag} takes finite values{hint}")
+    return values
+
+
+def _shift_values(text, flag):
+    """``--shift LAMBDA[,MU]`` as the pair (lambda, mu), mu 0 by default."""
+    values = _finite_values(text, flag)
+    if not 1 <= len(values) <= 2:
+        raise UsageError(f"{flag} expects LAMBDA or LAMBDA,MU")
+    return values[0], values[1] if len(values) == 2 else 0j
+
+
+def _rule(text, holds):
+    """The check of a value that must be ``text``, as ``holds`` tests it."""
+    def check(value, flag):
+        if not holds(value):
+            raise UsageError(f"{flag} must be {text}, got {value!r}")
+        return value
+    return check
+
+
+# An option: its argparse names and keywords, its default and its check, which
+# maps a given value to the one to use or raises UsageError.  The parser leaves
+# every option not given at None, so :func:`run` tells it from one given as its
+# default.  The help text ends with the default.
+Flag = namedtuple("Flag", "names kwargs default check")
+
+
+def _flag(*names, default=None, check=None, **kwargs):
+    kwargs.setdefault("dest", names[-1][2:].replace("-", "_"))
+    if default not in (None, ()):
+        kwargs["help"] += f" (default {default})"
+    elif kwargs.get("action") == "store_true":
+        default = False
+    return names[-1][2:], Flag(names, {**kwargs, "default": None}, default, check)
+
+
+_AT_LEAST_ONE = _rule("at least 1", lambda n: n >= 1)
+_ORACLE_VALUES = functools.partial(
+    _finite_values, hint="; for a shift at infinity leave the value out and pass --fit-constant")
+
+# every flag of every command, each declared once, in the order --help lists them
+FLAGS = dict((
+    _flag("-o", "--output", help="output .mp.json path (fixture: default NAME.mp.json)"),
+    _flag("--left", action="store_true", help="also compute left eigenvectors"),
+    _flag("--lambda", dest="lam", type=parse_complex,
+          help="eigenvalue to move (complex literal, or 'inf')"),
+    _flag("--mu", type=parse_complex, help="target value"),
+    _flag("--side", default="right", choices=("right", "left"), help="single shift side"),
+    _flag("--quad", action="store_true", help="quadratic Laurent input: cyclic reduction"),
+    _flag("--both", action="store_true", help="also factor A(1/z) (requires --quad)"),
+    _flag("--shift", metavar="LAMBDA[,MU]", check=_shift_values,
+          help="accelerate by shifting LAMBDA to MU (default MU=0) first"),
+    _flag("--method", default="cr", choices=("cr", "eigen"), help="solver"),
+    _flag("--maxit", type=int, default=64, check=_AT_LEAST_ONE, help="iteration limit"),
+    _flag("--u", help="right vector / dual as comma-separated complex, or 'auto' (default)"),
+    _flag("--v", help="left vector / dual as comma-separated complex, or 'auto' (default)"),
+    _flag("--double", action="store_true", help="double shift (right then left)"),
+    _flag("--lambda2", dest="lam2", type=parse_complex, help="left-shift eigenvalue for --double"),
+    _flag("--mu2", type=parse_complex, help="left-shift target for --double"),
+    _flag("--multi", help="JSON file with 'lambdas' and 'targets' lists for a multishift"),
+    _flag("--from-inf", action="store_true", help="replace an infinite eigenvalue by --mu"),
+    _flag("--to-inf", action="store_true", help="send --lambda to infinity"),
+    _flag("--palindromic", action="store_true", help="shift lambda and 1/conj(lambda) together"),
+    _flag("--removed", default=(), check=_ORACLE_VALUES,
+          help="comma-separated removed eigenvalues"),
+    _flag("--added", default=(), check=_ORACLE_VALUES, help="comma-separated added eigenvalues"),
+    _flag("--samples", type=int, default=ORACLE_SAMPLES, check=_AT_LEAST_ONE, help="sample points"),
+    _flag("--fit-constant", action="store_true", help="fit the ratio's constant at one sample"),
+    _flag("--seed", type=int, default=42, help="random seed"),
+    _flag("--tol", type=float, default=1e-14, help="iteration tolerance",
+          check=_rule("finite and at least 0", lambda t: math.isfinite(t) and t >= 0)),
+))
+
+# For each command and mode: the flag that selects the mode (given, or given
+# the value after "="; a command's first row is its default mode), the flags it
+# requires and the other flags it reads, and the INPUT it accepts (None: the
+# command has no INPUT).  A flag all modes of a command require is the parser's.
+Mode = namedtuple("Mode", "command name selected_by required optional input")
+MODES = tuple(Mode(c, m, s, r.split(), o.split(), i) for c, m, s, r, o, i in (
+    # command   mode           selected by     required, optional, input
+    ("fixture", "fixture",     "",             "", "output", None),
+    ("eig",     "polynomial",  "",             "", "left seed", "lo = 0"),
+    ("shift",   "single",      "",             "output lambda mu", "side u v seed", "any"),
+    ("shift",   "double",      "double",       "output lambda mu lambda2 mu2", "u v seed", "any"),
+    ("shift",   "multi",       "multi",        "output", "seed", "any"),
+    ("shift",   "from-inf",    "from-inf",     "output mu", "u v seed", "lo = 0"),
+    ("shift",   "to-inf",      "to-inf",       "output lambda", "u v seed", "lo = 0"),
+    ("shift",   "palindromic", "palindromic",  "output lambda mu", "u seed", "lo = 0"),
+    ("factor",  "polynomial",  "",             "", "maxit tol", "lo = 0"),
+    ("factor",  "quad",        "quad",         "", "both maxit tol", "powers -1..1"),
+    ("solve",   "cr",          "",             "", "method maxit tol", "lo = 0"),
+    ("solve",   "shift",       "shift",        "", "method u v maxit tol", "lo = 0"),
+    ("solve",   "eigen",       "method=eigen", "", "seed", "lo = 0"),
+    ("check",   "oracle",      "",             "", "removed added samples fit-constant seed",
+     None),
+))
+
+# input kind -> (whether a polynomial is of that kind, what a mode of that kind needs)
+INPUTS = {
+    "any": (lambda p: True, ""),
+    "lo = 0": (lambda p: p.lo == 0, "a matrix polynomial input"),
+    "powers -1..1": (lambda p: (p.lo, p.hi) == (-1, 1), "a Laurent polynomial with powers -1..1"),
+}
+
+# command -> (handler, help, what errors call its modes as in "cr solves", positional arguments)
+_INPUT = (("input", {}),)
+COMMANDS = {
+    "fixture": (cmd_fixture, "write a built-in example polynomial", "fixtures",
+                (("name", dict(choices=sorted(fixtures.FIXTURES), help="fixture name")),)),
+    "eig": (cmd_eig, "eigenvalues sorted by modulus, infinity last", "eigenvalue problems", _INPUT),
+    "shift": (cmd_shift, "apply an eigenvalue shift (oracle-checked)", "shifts", _INPUT),
+    "factor": (cmd_factor, "canonical factorization", "factorizations", _INPUT),
+    "solve": (cmd_solve, "minimal solvent of sum_i A_i X^i = 0", "solves", _INPUT),
+    "check": (cmd_check, "standalone determinant-ratio oracle", "checks",
+              (("a", dict(help="original polynomial")),
+               ("b", dict(help="transformed polynomial")))),
+}
+
+
+def _reads(mode):
+    return {mode.selected_by.partition("=")[0], *mode.required, *mode.optional} - {""}
+
+
+# command -> every flag one of its modes reads, in FLAGS order: its parser's options
+_FLAGS_OF = {command: [name for name in FLAGS if any(
+    name in _reads(m) for m in MODES if m.command == command)] for command in COMMANDS}
+
+
+def _value(args, name):
+    return getattr(args, FLAGS[name].kwargs["dest"])
+
+
+def _selects(args, mode):
+    name, _, wanted = mode.selected_by.partition("=")
+    return _value(args, name) == wanted if wanted else _value(args, name) is not None
+
+
+def run(command, args):
+    """Run ``command`` on ``args`` in the mode they select, checked against the mode table.
+
+    At most one mode may be selected; none selects the command's first row.
+    Each flag the mode requires must be given, and none it does not read.  A
+    flag left out takes its default, a given one passes its check.  Only then
+    is INPUT read into ``args.poly``, which must be of the mode's kind.  Each
+    failure is a UsageError.  The handler reads ``args.mode``.
+    """
+    modes = [m for m in MODES if m.command == command]
+    chosen = [m for m in modes[1:] if _selects(args, m)]
+    if len(chosen) > 1:
+        raise UsageError(f"conflicting {command} modes: {', '.join(m.name for m in chosen)}")
+    mode = chosen[0] if chosen else modes[0]
+    handler, _, noun, _ = COMMANDS[command]
+    label, reads = f"{mode.name} {noun}", _reads(mode)
+    for name in _FLAGS_OF[command]:
+        flag, value = FLAGS[name], _value(args, name)
+        if value is None:
+            if name in mode.required:
+                raise UsageError(f"--{name} is required for {label}")
+            value = flag.default
+        elif name not in reads:
+            raise UsageError(f"--{name} does not apply to {label}")
+        elif flag.check:
+            value = flag.check(value, f"--{name}")
+        setattr(args, flag.kwargs["dest"], value)
+    args.mode = mode.name
+    if mode.input:
+        args.poly = read_poly(args.input)
+        accepts, needs = INPUTS[mode.input]
+        if not accepts(args.poly):
+            raise UsageError(f"{label} need {needs}")
+    return handler(args)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_common(sub, seed=True, tol=False):
-    """``--format`` for every subcommand; ``--seed`` and ``--tol`` where they are read."""
-    if seed:
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default 42)")
-    if tol:
-        sub.add_argument("--tol", type=float, default=None, help="iteration tolerance")
-    sub.add_argument(
-        "--format", choices=("table", "json"), default="table", help="report format"
-    )
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -561,81 +620,16 @@ def build_parser():
         "for matrix polynomials (.mp.json files)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("fixture", help="write a built-in example polynomial")
-    sp.add_argument("name", choices=sorted(fixtures.FIXTURES), help="fixture name")
-    sp.add_argument("-o", "--output", default=None, help="output path (default NAME.mp.json)")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_fixture)
-
-    sp = subs.add_parser("eig", help="eigenvalues sorted by modulus, infinity last")
-    sp.add_argument("input")
-    sp.add_argument("--left", action="store_true", help="also compute left eigenvectors")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_eig)
-
-    sp = subs.add_parser("shift", help="apply an eigenvalue shift (oracle-checked)")
-    sp.add_argument("input")
-    sp.add_argument("-o", "--output", required=True, help="output .mp.json path")
-    sp.add_argument("--lambda", dest="lam", type=parse_complex, default=None,
-                    help="eigenvalue to move (complex literal, or 'inf')")
-    sp.add_argument("--mu", type=parse_complex, default=None, help="target value")
-    sp.add_argument("--side", choices=("right", "left"), default=None,
-                    help="single shift side (default right)")
-    sp.add_argument("--u", default=None,
-                    help="right vector / dual as comma-separated complex, or 'auto' (default)")
-    sp.add_argument("--v", default=None,
-                    help="left vector / dual as comma-separated complex, or 'auto' (default)")
-    sp.add_argument("--double", action="store_true", help="double shift (right then left)")
-    sp.add_argument("--lambda2", dest="lam2", type=parse_complex, default=None,
-                    help="left-shift eigenvalue for --double")
-    sp.add_argument("--mu2", type=parse_complex, default=None,
-                    help="left-shift target for --double")
-    sp.add_argument("--multi", default=None,
-                    help="JSON file with 'lambdas' and 'targets' lists for a multishift")
-    sp.add_argument("--from-inf", dest="from_inf", action="store_true",
-                    help="replace an infinite eigenvalue by --mu")
-    sp.add_argument("--to-inf", dest="to_inf", action="store_true",
-                    help="send --lambda to infinity")
-    sp.add_argument("--palindromic", action="store_true",
-                    help="structure-preserving shift of the pair (lambda, 1/conj(lambda))")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_shift)
-
-    sp = subs.add_parser("factor", help="canonical factorization")
-    sp.add_argument("input")
-    sp.add_argument("--quad", action="store_true",
-                    help="quadratic Laurent input: cyclic reduction factorization")
-    sp.add_argument("--both", action="store_true",
-                    help="also factor A(1/z) (requires --quad)")
-    sp.add_argument("--maxit", type=int, default=None)
-    _add_common(sp, seed=False, tol=True)
-    sp.set_defaults(func=cmd_factor)
-
-    sp = subs.add_parser("solve", help="minimal solvent of sum_i A_i X^i = 0")
-    sp.add_argument("input")
-    sp.add_argument("--shift", default=None, metavar="LAMBDA[,MU]",
-                    help="accelerate by shifting LAMBDA to MU (default MU=0) first")
-    sp.add_argument("--method", choices=("cr", "eigen"), default="cr")
-    sp.add_argument("--maxit", type=int, default=None)
-    sp.add_argument("--u", default=None, help="shift eigenvector (with --shift; default auto)")
-    sp.add_argument("--v", default=None, help="shift dual vector (with --shift; default auto)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="random seed for --method eigen (default 42)")
-    _add_common(sp, seed=False, tol=True)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = subs.add_parser("check", help="standalone determinant-ratio oracle")
-    sp.add_argument("a", help="original polynomial")
-    sp.add_argument("b", help="transformed polynomial")
-    sp.add_argument("--removed", default="", help="comma-separated removed eigenvalues")
-    sp.add_argument("--added", default="", help="comma-separated added eigenvalues")
-    sp.add_argument("--samples", type=int, default=ORACLE_SAMPLES)
-    sp.add_argument("--fit-constant", dest="fit_constant", action="store_true",
-                    help="fit the proportionality constant at one sample")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_check)
-
+    for command, (_, text, _, positionals) in COMMANDS.items():
+        sp = subs.add_parser(command, help=text)
+        for name, kwargs in positionals:
+            sp.add_argument(name, **kwargs)
+        for name in _FLAGS_OF[command]:
+            required = all(name in m.required for m in MODES if m.command == command)
+            sp.add_argument(*FLAGS[name].names, required=required, **FLAGS[name].kwargs)
+        sp.add_argument("--format", choices=("table", "json"), default="table",
+                        help="report format")
+        sp.set_defaults(func=functools.partial(run, command))
     return parser
 
 
@@ -656,20 +650,16 @@ def main(argv=None):
             report, error = args.func(args), None
         except (MpshiftError, OSError) as exc:
             report, error = None, exc
-    raised = [str(w.message) for w in caught]
     if error is not None:
-        for text in raised:
-            print(f"warning: {text}", file=sys.stderr)
-        print(f"error: {error}", file=sys.stderr)
-        return 2 if isinstance(error, USAGE_ERRORS) else 1
-    if args.format == "json":
+        report = Report({}, [], 2 if isinstance(error, USAGE_ERRORS) else 1, str(error))
+    elif args.format == "json":
         print(report_json({"command": args.command, **report.fields}))
     else:
         for line in report.lines:
             print(line if isinstance(line, str) else f"{line[0]} =\n{fmt_matrix(line[1])}")
-    for text in (*raised, *report.warnings):
+    for text in (*(str(w.message) for w in caught), *report.warnings):
         print(f"warning: {text}", file=sys.stderr)
-    if report.error:
+    if report.error is not None:
         print(f"error: {report.error}", file=sys.stderr)
     return report.status
 

@@ -360,8 +360,10 @@ def det_ratio_oracle(
     log|det a|) * prod(z - removed) / prod(z - added), comes from one stacked
     pivoted-LU ``slogdet`` per operand over all samples (phase and log
     magnitude, so no power of a norm overflows) and is independent of any
-    shift formula.  C is 1, or with ``fit_constant`` the ratio at the sample
-    with the largest log|det a(z) prod(z - added)|.
+    shift formula.  Both operands are evaluated times one power of two
+    (:func:`_pow2_scaled` of both), so no evaluation overflows and the ratio is
+    unchanged.  C is 1, or with ``fit_constant`` the ratio at the sample with
+    the largest log|det a(z) prod(z - added)|.
 
     Raises DegeneratePolynomial when rcond(a(z)) <= RANK_TOL at every sample.
     Returns an :class:`OracleReport`; ``passed`` means max |ratio / C - 1| <= ORACLE_TOL.
@@ -390,6 +392,8 @@ def det_ratio_oracle(
             continue
         pts.append(z)
 
+    (ca, ct), _, _ = _pow2_scaled([np.array(a.coeffs), np.array(a_tilde.coeffs)])
+    a, a_tilde = replace(a, coeffs=ca), replace(a_tilde, coeffs=ct)
     ma = evaluate(a, pts)
     rconds = []
     for m in ma:  # up to the first regular sample
@@ -512,6 +516,23 @@ def _reject_coeffs(raw, n):
     raise ParseError("field 'coeffs': not an array of [re, im] pairs")
 
 
+def _read_object(path, keys):
+    """The JSON object in a UTF-8 file, which must have ``keys``; else ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal beyond Python's digit limit
+        raise ParseError(str(exc)) from exc
+    if not isinstance(payload, dict):
+        raise ParseError("top-level value must be an object")
+    for key in keys:
+        if key not in payload:
+            raise ParseError(f"missing key {key!r}")
+    return payload
+
+
 def read_poly(path):
     """Read a ``.mp.json`` file; returns MatrixPoly when lo == 0, else LaurentPoly.
 
@@ -520,19 +541,7 @@ def read_poly(path):
     ``coeffs[k][i][j]``; entries must be finite JSON numbers within double
     range.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
-        raise ParseError(str(exc)) from exc
-    if not isinstance(payload, dict):
-        raise ParseError("top-level value must be an object")
-    for key in ("n", "lo", "coeffs"):
-        if key not in payload:
-            raise ParseError(f"missing field {key!r}")
+    payload = _read_object(path, ("n", "lo", "coeffs"))
     n, lo, raw = payload["n"], payload["lo"], payload["coeffs"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"field 'n': expected a positive integer, got {n!r}")

@@ -523,20 +523,38 @@ def test_eigen_paths_near_the_top_of_double_range(tmp_path, capsys, argv):
         assert match_moduli([complex(*r["value"]) for r in rows], expected) <= 1e-10
 
 
-def test_shift_report_is_strict_json_when_the_oracle_overflows(tmp_path, capsys):
-    # the oracle's determinants overflow here (a false FAIL); its error is
-    # then non-finite, which the report writes as null, not NaN
+def test_shift_oracle_passes_near_the_top_of_double_range(tmp_path, capsys):
+    # the oracle's determinants overflowed here (seven warnings, a false FAIL
+    # with error nan); both operands are now prescaled by one power of two
+    argv = ["shift", str(_p3big(tmp_path)), "--lambda", "1", "--mu", "0.25",
+            "-o", str(tmp_path / "s.mp.json"), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    oracle = json.loads(out)["oracle"]
+    assert (code, err) == (0, "") and oracle["passed"] and oracle["max_rel_err"] <= 1e-14
+    # a wrong added value at that scale still fails, with a finite error
+    code, out, err = run(capsys, "check", argv[1], argv[7], "--removed", "1", "--added", "0.3",
+                         "--format", "json")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and not report["passed"] and 1e-2 < report["max_rel_err"] < 1
+
+
+def test_oracle_report_is_strict_json_when_the_ratio_overflows(tmp_path, capsys):
+    # det(1e300 p3) / det(p3) = 1e1500 is beyond double range; the oracle's
+    # error is then non-finite, which the report writes as null, not NaN
+    from mpshift.fixtures import p3
+
     def no_constant(name):
         raise ValueError(f"not JSON: {name}")
 
-    argv = ["shift", str(_p3big(tmp_path)), "--lambda", "1", "--mu", "0.25",
-            "-o", str(tmp_path / "s.mp.json")]
-    code, out, err = run(capsys, *argv, "--format", "json")
-    oracle = json.loads(out, parse_constant=no_constant)["oracle"]
-    assert code == 1 and oracle == {"passed": False, "max_rel_err": None, "samples": 16}
-    assert err.endswith("error: determinant-ratio oracle FAILED (max rel err nan)\n")
-    code, out, _ = run(capsys, *argv)
-    assert code == 1 and "oracle: FAIL (max rel err nan over 16 samples" in out
+    a, b = tmp_path / "p3.mp.json", tmp_path / "p3x1e300.mp.json"
+    write_poly(p3(), a)
+    write_poly(MatrixPoly([1e300 * c for c in p3().coeffs]), b)
+    code, out, err = run(capsys, "check", str(a), str(b), "--format", "json")
+    report = json.loads(out, parse_constant=no_constant)
+    assert (code, err) == (1, "")
+    assert report == {"command": "check", "passed": False, "max_rel_err": None, "samples": 16}
+    code, out, _ = run(capsys, "check", str(a), str(b))
+    assert code == 1 and out.startswith("oracle: FAIL (max rel err ")
 
 
 def test_shift_palindromic_cli(tmp_path, capsys):
@@ -792,10 +810,10 @@ def test_check_rejects_bad_values(tmp_path, capsys, flags, message, fmt):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("solve", "{p3}", "--u", "1,1,1,1,1"), "--u and --v apply only with --shift"),
-        (("solve", "{p3}", "--v", "auto"), "--u and --v apply only with --shift"),
+        (("solve", "{p3}", "--u", "1,1,1,1,1"), "--u does not apply to cr solves"),
+        (("solve", "{p3}", "--v", "auto"), "--v does not apply to cr solves"),
         (("solve", "{p3}", "--method", "eigen", "--shift", "1,0"),
-         "--shift runs cyclic reduction; --method eigen does not apply"),
+         "conflicting solve modes: shift, eigen"),
         (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--lambda2", "0.5"),
          "--lambda2 does not apply to single shifts"),
         (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--mu2", "2"),
@@ -811,16 +829,16 @@ def test_check_rejects_bad_values(tmp_path, capsys, flags, message, fmt):
           "--mu2", "2", "--side", "left"), "--side does not apply to double shifts"),
         (("shift", "{p2}", "--lambda", "inf", "--mu", "1", "--side", "left"),
          "--side left does not apply to infinity shifts"),
-        (("solve", "{p3}", "--seed", "1"), "--seed applies only with --method eigen"),
+        (("solve", "{p3}", "--seed", "1"), "--seed does not apply to cr solves"),
         (("solve", "{p3}", "--shift", "1,0", "--seed", "1"),
-         "--seed applies only with --method eigen"),
-        (("solve", "{p3}", "--method", "eigen", "--tol", "5"), "--tol applies only with --method cr"),
+         "--seed does not apply to shift solves"),
+        (("solve", "{p3}", "--method", "eigen", "--tol", "5"), "--tol does not apply to eigen solves"),
         (("solve", "{p3}", "--method", "eigen", "--maxit", "1"),
-         "--maxit applies only with --method cr"),
+         "--maxit does not apply to eigen solves"),
         (("solve", "{p3}", "--method", "eigen", "--tol", "5", "--maxit", "1"),
-         "--tol applies only with --method cr"),
+         "--maxit does not apply to eigen solves"),
         (("solve", "{p3}", "--method", "eigen", "--tol", "1e-14"),
-         "--tol applies only with --method cr"),
+         "--tol does not apply to eigen solves"),
     ],
     ids=[
         "solve_u", "solve_v", "solve_eigen_shift", "shift_lambda2", "shift_mu2", "to_inf_mu",
@@ -951,9 +969,12 @@ def test_parse_vector_rejects_non_finite_components(text):
          "complex literal '1e400' is out of double range"),
         (("check", "{p1}", "{p1}", "--removed", "1e400"),
          "complex literal '1e400' is out of double range"),
+        # an infinite --shift value is a usage error, as an infinite --removed is
+        (("solve", "{p3}", "--shift", "inf"), "--shift takes finite values"),
+        (("solve", "{p3}", "--shift", "1,inf"), "--shift takes finite values"),
     ],
     ids=["solve_mu", "solve_lambda", "solve_u_inf", "solve_u_overflow", "solve_v_inf",
-         "shift_u_inf", "shift_v_overflow", "check_removed"],
+         "shift_u_inf", "shift_v_overflow", "check_removed", "solve_lambda_inf", "solve_mu_inf"],
 )
 def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv, message):
     code, out, err, paths = _run_template(tmp_path, capsys, argv)
@@ -1033,8 +1054,6 @@ def test_far_multi_packet_fails_the_invariant_pair_gate(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("solve", "{p3}", "--shift", "inf"), "finite lambda and mu are required here"),
-        (("solve", "{p3}", "--shift", "1,inf"), "finite lambda and mu are required here"),
         (("shift", "{p1}", "--to-inf", "--lambda", "0", "-o", "{out}"), "lambda must be nonzero"),
         (("shift", "{p1}", "--to-inf", "--lambda", "inf", "-o", "{out}"),
          "both lambda and mu are infinite; nothing to shift"),
@@ -1045,7 +1064,7 @@ def test_far_multi_packet_fails_the_invariant_pair_gate(tmp_path, capsys):
         (("shift", "{p1}", "--to-inf", "--lambda", "0.7", "--u", "1,0", "-o", "{out}"),
          "right eigenpair residual 4.83e-02 exceeds 1e-08"),
     ],
-    ids=["solve_lambda_inf", "solve_mu_inf", "to_inf_zero", "to_inf_inf", "single_inf_inf",
+    ids=["to_inf_zero", "to_inf_inf", "single_inf_inf",
          "from_inf_kernel", "to_inf_eigenpair"],
 )
 def test_infinity_error_paths_exit_1(tmp_path, capsys, argv, message):

@@ -69,6 +69,7 @@ FAILURES = {
     "eig_missing_file": ["eig", "{dir}/nope.mp.json"],
     "eig_empty_file": ["eig", "{empty}"],
     "eig_nonfinite_entry": ["eig", "{nonfinite}"],
+    "eig_not_utf8": ["eig", "{not_utf8}"],
     "eig_laurent": ["eig", "{quad}"],
     "shift_conflicting_modes": ["shift", "{p1}", "--from-inf", "--to-inf", "--mu", "1", "-o", "{out}"],
     "shift_missing_mu": ["shift", "{p1}", "--lambda", "1", "-o", "{out}"],
@@ -76,6 +77,8 @@ FAILURES = {
     "shift_zero_vector": ["shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "0,0", "-o", "{out}"],
     "shift_multi_dependent": ["shift", "{p2}", "--multi", "{packet_dependent}", "-o", "{out}"],
     "shift_multi_missing_key": ["shift", "{p1}", "--multi", "{packet_bad}", "-o", "{out}"],
+    "shift_multi_not_utf8": ["shift", "{p1}", "--multi", "{packet_not_utf8}", "-o", "{out}"],
+    "shift_multi_huge_int": ["shift", "{p1}", "--multi", "{packet_huge_int}", "-o", "{out}"],
     "shift_palindromic_laurent": ["shift", "{quad}", "--palindromic", "--lambda", "1", "--mu", "0", "-o", "{out}"],
     "factor_quad_on_polynomial": ["factor", "{p1}", "--quad"],
     "factor_both_without_quad": ["factor", "{p1}", "--both"],
@@ -85,6 +88,8 @@ FAILURES = {
     "shift_mu_overflow": ["shift", "{p1}", "--lambda", "1", "--mu", "1e400", "-o", "{out}"],
     "shift_u_overflow": ["shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "1e400,0", "-o", "{out}"],
     "solve_shift_overflow": ["solve", "{p3}", "--shift", "1,1e400"],
+    "solve_shift_inf": ["solve", "{p3}", "--shift", "inf"],
+    "solve_flag_before_missing_file": ["solve", "{dir}/nope.mp.json", "--seed", "3"],
     "solve_shift_u_inf": ["solve", "{p3}", "--shift", "1,0", "--u", "inf,0,0,0,0"],
     "solve_shift_v_inf": ["solve", "{p3}", *P3_SHIFT[:4], "--v", "inf,0,0,0,0"],
     "check_missing_file": ["check", "{p1}", "{dir}/nope.mp.json"],
@@ -143,9 +148,16 @@ def write_inputs(d):
         "packet_dependent": json.dumps({"lambdas": ["0+1i", "0-1i"], "targets": ["0.3", "-0.3"]}),
         "packet_bad": json.dumps({"lambdas": ["1"]}),
     }
+    blobs = {
+        "not_utf8": b'{"n": 1, "lo": 0, "coeffs": [[[[1, 0]]]]}\xff',
+        "packet_not_utf8": b'{"lambdas": ["1\xff"], "targets": ["0"]}',
+        "packet_huge_int": b'{"lambdas": [1' + b"0" * 5000 + b'], "targets": [0]}',
+    }
     for name, text in texts.items():
+        blobs[name] = text.encode("utf-8")
+    for name, blob in blobs.items():
         paths[name] = str(d / f"{name}.json")
-        Path(paths[name]).write_text(text, encoding="utf-8")
+        Path(paths[name]).write_bytes(blob)
     paths["pal_lam"] = f"{pal_lam.real!r}{'+' if pal_lam.imag >= 0 else '-'}{abs(pal_lam.imag)!r}i"
     return paths
 

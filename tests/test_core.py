@@ -594,7 +594,14 @@ def test_oracle_shared_kernel_vector_is_degenerate():
 
 
 def _per_sample_oracle(a, a_tilde, removed, added, seed=0, fit_constant=False, samples=16):
-    """The oracle one sample at a time: evaluate, rank test and slogdet per point."""
+    """The oracle one sample at a time: evaluate, rank test and slogdet per point.
+
+    Both operands are first multiplied by the power of two that brings their
+    largest entry into [0.5, 1), as the oracle does.
+    """
+    step = 2.0 ** -math.frexp(max(np.abs(c).max() for c in a.coeffs + a_tilde.coeffs))[1]
+    a = LaurentPoly(a.lo, [step * c for c in a.coeffs])
+    a_tilde = LaurentPoly(a_tilde.lo, [step * c for c in a_tilde.coeffs])
     avoid = np.array(removed + added, dtype=complex)
     rng = np.random.default_rng(seed)
     pts = []

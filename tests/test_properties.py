@@ -1,5 +1,6 @@
 """Property-based checks of the structural invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -13,10 +14,15 @@ from mpshift import (
     MatrixPoly,
     MultiShiftSpec,
     ShiftSpec,
+    cli,
     cr_quadratic,
+    det_ratio_oracle,
+    double_shift_laurent,
+    equation_residual,
     evaluate,
     fixtures,
     invariant_pair,
+    left_shift_poly,
     multishift_pencil,
     palindromic_shift,
     poly_factorization,
@@ -27,6 +33,8 @@ from mpshift import (
     right_shift_laurent,
     right_shift_pencil,
     right_shift_poly,
+    shift_from_infinity,
+    shift_to_infinity,
     shifted_factorization_both,
     solve_unilateral,
     unit_vector,
@@ -34,7 +42,7 @@ from mpshift import (
 )
 from mpshift.errors import NotAnEigenpair, NotASolvent, NotInvariant, NotPalindromic, SingularH0
 from mpshift.factorizations import QuadFactorization, _factor_residual
-from mpshift.spectra import invariant_pair_residual
+from mpshift.spectra import invariant_pair_residual, null_vectors
 
 from conftest import (
     critical_qbd,
@@ -176,8 +184,8 @@ def test_scaled_fixture_has_the_same_eigenvalues(name, alpha):
 # signed zeros included.  The alphas reach past 1e+-154, where a Frobenius
 # norm of the raw coefficients under- or overflows.
 
-ALPHAS = [2.0**-1000, 1e-300, 1e-160, 1e-150, 1e160, 1e300, 2.0**1000]
-ALPHA_IDS = ["2^-1000", "1e-300", "1e-160", "1e-150", "1e160", "1e300", "2^1000"]
+ALPHAS = [2.0**-1000, 1e-300, 1e-160, 1e-150, 1e-20, 1e20, 1e160, 1e300, 2.0**1000]
+ALPHA_IDS = ["2^-1000", "1e-300", "1e-160", "1e-150", "1e-20", "1e20", "1e160", "1e300", "2^1000"]
 
 
 def _assert_scaled(got, want, alpha, power=1):
@@ -329,3 +337,91 @@ def test_pencil_shifts_do_not_depend_on_the_scale(alpha):
         right_shift_pencil(alpha * a, ShiftSpec(1.1 * alpha * vals[0], 0.0, vecs[:, 0]))
     with pytest.raises(NotInvariant):
         multishift_pencil(alpha * a, MultiShiftSpec(vecs[:, :2], 1.1 * ms.lam, ms.s))
+
+
+# --- the oracle-checked shifts, check and eigen solves of p3 under scaling ---
+#
+# p3's largest entry is 0.98, so p3 times P3BIG has every entry finite and
+# within 3% of the largest double.
+
+P3BIG = 2.0**1023 * (2.2 / 1.12)
+P3_SCALES = [1.0] + ALPHAS + [P3BIG]
+P3_SCALE_IDS = ["1"] + ALPHA_IDS + ["p3big"]
+P3_SHIFTS = ["left", "laurent", "double", "to-inf", "from-inf"]
+
+
+def _p3_shift(kind, alpha):
+    """``(a, shift, removed, added, fit_constant)``: a shift of p3 times alpha the oracle
+    re-checks, ``shift()`` applying it; vectors come from p3 itself."""
+    p3, e = fixtures.p3(), np.ones(5)
+    p = MatrixPoly([alpha * c for c in p3.coeffs])
+    if kind == "left":
+        y = null_vectors(p3, 1.0, left=True)[1]
+        return p, lambda: left_shift_poly(p, ShiftSpec(1.0, 0.25, y, side="left")), [1.0], [0.25], False
+    if kind in ("laurent", "double"):
+        q = LaurentPoly(-1, p.coeffs)  # z^-1 A(z): the same eigenvalues
+        rspec = ShiftSpec(1.0, 0.25, e)
+        if kind == "laurent":
+            return q, lambda: right_shift_laurent(q, rspec), [1.0], [0.25], False
+        lam2 = max(polyeig(p3).finite(), key=lambda pair: pair.value.real).value.real  # 3.749
+        lspec = ShiftSpec(lam2, 0.5, null_vectors(p3, lam2, left=True)[1], side="left")
+        return q, lambda: double_shift_laurent(q, rspec, lspec), [1.0, lam2], [0.25, 0.5], False
+    if kind == "to-inf":
+        return p, lambda: shift_to_infinity(p, 1.0, e), [1.0], [], True
+    t = shift_to_infinity(p, 1.0, e)  # from-inf: the eigenvalue infinity of t back to 0.25
+    u = np.linalg.svd(shift_to_infinity(p3, 1.0, e).coeffs[-1])[2][-1].conj()
+    return t, lambda: shift_from_infinity(t, 0.25, u), [], [0.25], True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", P3_SCALES, ids=P3_SCALE_IDS)
+@pytest.mark.parametrize("kind", P3_SHIFTS)
+def test_oracle_checked_shifts_do_not_depend_on_the_scale(kind, alpha):
+    # the shift of alpha A(z) is alpha times the shift of A(z), its oracle
+    # passes, and a wrong added value fails with a finite error; the oracle's
+    # evaluations overflowed near the top of double range (a false FAIL)
+    a1, shift1, removed, added, fit = _p3_shift(kind, 1.0)
+    want = shift1().coeffs
+    a, shift, _, _, _ = _p3_shift(kind, alpha)
+    if math.isinf(max(float(np.abs(c).max()) for c in want) * alpha):
+        # alpha times the result is beyond double range, so the shift must
+        # fail; it does, but through numpy's overflow, not a typed error
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            shift()
+        return
+    shifted = shift()
+    for got, b in zip(shifted.coeffs, want):
+        _assert_scaled(got, b, alpha)
+    wrong = [w + 0.05 for w in added] or [0.3]
+    for adds, passes in ((added, True), (wrong, False)):
+        rep = det_ratio_oracle(a, shifted, removed, adds, 16, 42, fit)
+        rep1 = det_ratio_oracle(a1, shift1(), removed, adds, 16, 42, fit)
+        assert rep.passed == passes and math.isfinite(rep.max_rel_err)
+        assert rep.max_rel_err == pytest.approx(rep1.max_rel_err, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", P3_SCALES, ids=P3_SCALE_IDS)
+def test_check_does_not_depend_on_the_scale(tmp_path, capsys, alpha):
+    a, shift, _, _, _ = _p3_shift("left", alpha)
+    paths = [str(tmp_path / "a.mp.json"), str(tmp_path / "b.mp.json")]
+    write_poly(a, paths[0])
+    write_poly(shift(), paths[1])
+    for added, status in (("0.25", 0), ("0.3", 1)):
+        code = cli.main(["check", *paths, "--removed", "1", "--added", added, "--format", "json"])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (code, err, report["passed"]) == (status, "", status == 0)
+        assert report["max_rel_err"] < (1e-12 if status == 0 else 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", P3_SCALES, ids=P3_SCALE_IDS)
+def test_eigen_solve_does_not_depend_on_the_scale(alpha):
+    # alpha A(z) has the minimal solvent of A(z); a perturbed one fails at every scale
+    g1 = solve_unilateral(fixtures.p3(), method="eigen").g
+    p = MatrixPoly([alpha * c for c in fixtures.p3().coeffs])
+    rep = solve_unilateral(p, method="eigen")
+    assert rep.residual <= 1e-14
+    assert np.linalg.norm(rep.g - g1) <= 1e-11 * np.linalg.norm(g1)
+    off = rep.g + 1e-6 * np.linalg.norm(rep.g) * np.eye(5)
+    assert equation_residual(p, off) > 1e-10
