@@ -35,8 +35,10 @@ decimals.
 
 Rendering costs little more than the float conversions and keeps the bytes:
 :func:`report_json` is ``json.dumps(fields, default=matrix_json)`` with each
-top-level array filled in as one ``%r`` template for its shape
-(:func:`array_json`).  Table matrices print one :func:`fmt_complex` per entry.
+top-level array filled in as one template for its shape (:func:`array_json`)
+from the repr texts of its floats, which orjson writes in one call
+(:func:`~mpshift.core.float_texts`).  Table matrices print one
+:func:`fmt_complex` per entry.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 from . import fixtures
 from .core import (
     INF,
-    _json_pairs,
+    _pair_texts,
     _read_object,
     det_ratio_oracle,
     is_infinite,
@@ -186,29 +188,31 @@ def matrix_json(mat):
 
 
 def array_json(mat):
-    """``json.dumps(matrix_json(mat))``, filled in as one ``%r`` template.
+    """``json.dumps(matrix_json(mat))``, filled in as one ``%s`` template for its shape.
 
-    When every imaginary part is a zero of one sign, as for results computed
-    from real data, the pair is ``[%r, 0.0]`` (or ``-0.0``) and only the real
-    parts are formatted (:func:`~mpshift.core._json_pairs`).  A finite float's
-    repr has no ``n``, so an ``n`` in the text means an ``inf`` or ``nan``
-    entry, which goes through ``json.dumps`` for its ``Infinity`` and ``NaN``
-    spellings.
+    The slots take the floats' ``repr`` texts, which orjson writes in one call
+    (:func:`~mpshift.core._pair_texts`): when every imaginary part is a zero of
+    one sign, as for results computed from real data, the pair is ``[%s, 0.0]``
+    (or ``-0.0``) and only the real parts are converted.
+    A finite float's repr has no ``n``, so an ``n`` in the text means an
+    ``inf`` or ``nan`` entry, which goes through ``json.dumps`` for its
+    ``Infinity`` and ``NaN`` spellings.
     """
     mat = np.asarray(mat, dtype=complex)
-    imag, floats = _json_pairs(mat)
-    leaf = f"[%r, {imag}]"
+    imag, texts = _pair_texts(mat)
+    leaf = f"[%s, {imag}]"
     for width in reversed(mat.shape):
         leaf = "[" + ", ".join([leaf] * width) + "]"
-    text = leaf % tuple(floats)
+    text = leaf % tuple(texts)
     return json.dumps(matrix_json(mat)) if "n" in text else text
 
 
 def report_json(fields):
     """``json.dumps(fields, default=matrix_json)`` for a dict with string keys.
 
-    Each top-level array goes through :func:`array_json`, every other value,
-    arrays nested in it included, through ``json.dumps``.
+    Each top-level array goes through :func:`array_json` (its floats converted
+    by orjson), every other value, arrays nested in it included, through
+    ``json.dumps``.
     """
     return "{" + ", ".join(
         f"{json.dumps(key)}: "

@@ -25,10 +25,12 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import (
     DegeneratePolynomial,
     DimensionMismatch,
+    MpshiftError,
     ParseError,
     ZeroAtNegativePower,
 )
@@ -419,16 +421,36 @@ def det_ratio_oracle(
 # serialization (.mp.json)
 # ---------------------------------------------------------------------------
 
-def _json_pairs(arr):
-    """``(imag, floats)`` for a template of ``[%r, imag]`` pairs: imag is the literal
-    ``0.0`` or ``-0.0`` when every imaginary part is that zero (as from real data), and
-    ``%r`` otherwise; floats fills the template's ``%r`` slots in order."""
+def float_texts(values):
+    """``[repr(x) for x in values.tolist()]`` for a 1-d float64 array, from one orjson call.
+
+    orjson writes the shortest round-trip digits that ``repr`` writes, and lays
+    them out the same way for zero and 1e-4 <= |x| < 1e16; the other entries
+    (``1e-05``, ``1e+16``, which orjson writes ``0.00001``, ``1e16``, and ``inf``
+    and ``nan``, which it writes ``null``) are formatted again through one
+    ``%r`` template.
+    """
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    texts = text.split(",") if text else []
+    size = np.abs(values)
+    redo = np.flatnonzero(~((size < 1e16) & ((size >= 1e-4) | (size == 0))))
+    if redo.size:
+        again = ("%r," * redo.size % tuple(values[redo].tolist())).split(",")
+        for i, text in zip(redo.tolist(), again):
+            texts[i] = text
+    return texts
+
+
+def _pair_texts(arr):
+    """``(imag, texts)`` for a layout of ``[re, im]`` pairs with ``%s`` slots: imag is the
+    literal ``0.0`` or ``-0.0`` when every imaginary part is that zero (as from real
+    data), and ``%s`` otherwise; texts (:func:`float_texts`) fill the slots in order."""
     arr = np.ascontiguousarray(arr, dtype=complex)
     imag = arr.imag.tobytes()
     for literal in ("0.0", "-0.0"):
         if imag == np.float64(literal).tobytes() * arr.size:
-            return literal, arr.real.ravel().tolist()
-    return "%r", arr.view(float).ravel().tolist()
+            return literal, float_texts(arr.real.ravel())
+    return "%s", float_texts(arr.view(float).ravel())
 
 
 def write_poly(p, path):
@@ -436,18 +458,18 @@ def write_poly(p, path):
 
     The bytes are those of ``json.dump(payload, indent=1)`` plus a newline,
     with every entry a ``[re, im]`` pair of shortest round-trip floats.  The
-    layout is filled in as one template rather than through the encoder,
-    whose ``indent`` mode runs in pure Python per value.
+    layout is filled in as one template from :func:`_pair_texts` rather than
+    through the encoder, whose ``indent`` mode runs in pure Python per value.
     """
     n = p.n
-    imag, floats = _json_pairs(p.coeffs)
-    pair = f"    [\n     %r,\n     {imag}\n    ]"
+    imag, texts = _pair_texts(p.coeffs)
+    pair = f"    [\n     %s,\n     {imag}\n    ]"
     row = "   [\n" + ",\n".join([pair] * n) + "\n   ]"
     mat = "  [\n" + ",\n".join([row] * n) + "\n  ]"
     body = ",\n".join([mat] * len(p.coeffs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "n": {json.dumps(n)},\n "lo": {json.dumps(p.lo)},\n "coeffs": [\n')
-        fh.write(body % tuple(floats))
+        fh.write(body % tuple(texts))
         fh.write("\n ]\n}\n")
 
 
@@ -516,6 +538,19 @@ def _reject_coeffs(raw, n):
     raise ParseError("field 'coeffs': not an array of [re, im] pairs")
 
 
+_POLY_KEYS = ("n", "lo", "coeffs")
+
+
+def _object(payload, keys):
+    """``payload`` if it is a JSON object with ``keys``; else ParseError."""
+    if not isinstance(payload, dict):
+        raise ParseError("top-level value must be an object")
+    for key in keys:
+        if key not in payload:
+            raise ParseError(f"missing key {key!r}")
+    return payload
+
+
 def _read_object(path, keys):
     """The JSON object in a UTF-8 file, which must have ``keys``; else ParseError."""
     try:
@@ -525,24 +560,13 @@ def _read_object(path, keys):
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # not UTF-8, or an integer literal beyond Python's digit limit
         raise ParseError(str(exc)) from exc
-    if not isinstance(payload, dict):
-        raise ParseError("top-level value must be an object")
-    for key in keys:
-        if key not in payload:
-            raise ParseError(f"missing key {key!r}")
-    return payload
+    return _object(payload, keys)
 
 
-def read_poly(path):
-    """Read a ``.mp.json`` file; returns MatrixPoly when lo == 0, else LaurentPoly.
-
-    Malformed input raises :class:`ParseError` (or :class:`DimensionMismatch`
-    for a size that disagrees with ``n``) naming the first offending
-    ``coeffs[k][i][j]``; entries must be finite JSON numbers within double
-    range.
-    """
-    payload = _read_object(path, ("n", "lo", "coeffs"))
-    n, lo, raw = payload["n"], payload["lo"], payload["coeffs"]
+def _poly(payload):
+    """The polynomial a ``.mp.json`` object (from :func:`_object`) holds, or the error of
+    the first check of :func:`read_poly` that it fails."""
+    n, lo, raw = (payload[key] for key in _POLY_KEYS)
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"field 'n': expected a positive integer, got {n!r}")
     if not isinstance(lo, int):
@@ -560,3 +584,24 @@ def read_poly(path):
     if lo == 0:
         return MatrixPoly(tuple(coeffs))
     return LaurentPoly(lo, tuple(coeffs))
+
+
+def read_poly(path):
+    """Read a ``.mp.json`` file; returns MatrixPoly when lo == 0, else LaurentPoly.
+
+    Malformed input raises :class:`ParseError` (or :class:`DimensionMismatch`
+    for a size that disagrees with ``n``) naming the first offending
+    ``coeffs[k][i][j]``; entries must be finite JSON numbers within double
+    range.  The bytes are parsed by orjson, which gives the floats the stdlib
+    parser gives; if that parse or any check fails, the file is read again
+    through the stdlib ``json`` module, whose result or error stands, so
+    ``NaN`` literals, integers beyond 64 bits, a BOM and every error message
+    behave as that parser makes them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _poly(_object(orjson.loads(data), _POLY_KEYS))
+    except (orjson.JSONDecodeError, MpshiftError):
+        pass
+    return _poly(_read_object(path, _POLY_KEYS))

@@ -90,6 +90,10 @@ class DegenerateShift(MpshiftError):
     """Shift parameters violate a non-degeneracy condition."""
 
 
+class ShiftOverflow(MpshiftError):
+    """A shifted coefficient has an entry beyond double range."""
+
+
 class ShiftOutsideDisk(MpshiftError):
     """lambda or mu lies outside the open unit disk required here."""
 

@@ -65,6 +65,7 @@ from .errors import (
     NotInKernel,
     NotInvariant,
     NotPalindromic,
+    ShiftOverflow,
     SingularLambda,
     ZeroLambda,
     ZeroLambdaWithNegativePowers,
@@ -271,14 +272,21 @@ def _gate(p, spec, alone):
 
 def _apply(p, spec):
     """p after one gated shift.  An infinite lambda or mu is the right shift
-    1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients."""
+    1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients.  A shifted entry
+    beyond double range raises ShiftOverflow, not numpy's warnings."""
     if spec.mu == spec.lam:
         return p
-    if is_infinite(spec.lam) or is_infinite(spec.mu):
-        lam, mu = (0j if is_infinite(z) else 1 / z for z in (spec.lam, spec.mu))
-        return replace(p, coeffs=_right(p.coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1])
-    shift = _right if spec.side == "right" else _left
-    return replace(p, coeffs=shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual))
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate below reports them
+        if is_infinite(spec.lam) or is_infinite(spec.mu):
+            lam, mu = (0j if is_infinite(z) else 1 / z for z in (spec.lam, spec.mu))
+            coeffs = _right(p.coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1]
+        else:
+            shift = _right if spec.side == "right" else _left
+            coeffs = shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
+    bad = sum(int(np.count_nonzero(~np.isfinite(c))) for c in coeffs)
+    _check(ShiftOverflow, "shift.finite", bad, 0,
+           "{} shifted coefficient entries are beyond double range", bad)
+    return replace(p, coeffs=coeffs)
 
 
 def _shift(p, specs, sides):

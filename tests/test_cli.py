@@ -538,6 +538,19 @@ def test_shift_oracle_passes_near_the_top_of_double_range(tmp_path, capsys):
     assert (code, err) == (1, "") and not report["passed"] and 1e-2 < report["max_rel_err"] < 1
 
 
+def test_shift_from_infinity_beyond_double_range_is_one_error_line(tmp_path, capsys):
+    # p3big with 1 sent to infinity, brought back to 0.25: the shifted
+    # coefficients overflow, which is a typed error, not a traceback
+    mid, out = tmp_path / "t.mp.json", tmp_path / "x.mp.json"
+    code, _, err = run(capsys, "shift", str(_p3big(tmp_path)), "--to-inf", "--lambda", "1",
+                       "--u", "1,1,1,1,1", "-o", str(mid))
+    assert (code, err) == (0, "")
+    code, stdout, err = run(capsys, "shift", str(mid), "--from-inf", "--mu", "0.25", "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"error: \d+ shifted coefficient entries are beyond double range\n", err)
+    assert not out.exists()
+
+
 def test_oracle_report_is_strict_json_when_the_ratio_overflows(tmp_path, capsys):
     # det(1e300 p3) / det(p3) = 1e1500 is beyond double range; the oracle's
     # error is then non-finite, which the report writes as null, not NaN

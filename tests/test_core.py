@@ -30,6 +30,7 @@ from mpshift.errors import (
     ZeroAtNegativePower,
 )
 from mpshift import core
+from mpshift.cli import array_json, matrix_json
 
 from conftest import crandn, mp_json_reference, plant_right, rand_laurent, rand_poly, shared_kernel_poly
 
@@ -489,7 +490,94 @@ def test_write_poly_zero_imaginary_parts_match_per_entry_encoder(tmp_path, imag)
     assert path.read_bytes() == mp_json_reference(p).encode("utf-8")
     back = read_poly(path)
     assert np.array_equal(np.array(back.coeffs).view(np.uint64), coeffs.view(np.uint64))
-    assert core._json_pairs(coeffs)[0] == {"plus_zero": "0.0", "minus_zero": "-0.0"}.get(imag, "%r")
+
+
+# --- float text: orjson's digits against repr ---
+
+def _neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+def float_text_corpus():
+    """Seeded finite doubles: random bit patterns, the extremes, the edges of the
+    re-formatted ranges and the 1-ulp neighbours of the powers of ten around them."""
+    bits = np.random.default_rng(2024).integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False)
+    random = bits.view(float)
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             9.999999999999999e-05, 1e-4, 1e-5, 9999999999999998.0, 1e16]
+    tens = [x for k in range(-6, 18) for x in _neighbours(10.0**k)]
+    corpus = np.concatenate([random[np.isfinite(random)], edges, tens])
+    return np.concatenate([corpus, -corpus])
+
+
+def test_float_texts_equal_repr():
+    # a change of orjson's layout fails here, not in a written file
+    corpus = float_text_corpus()
+    assert corpus.size >= 400_000
+    assert core.float_texts(corpus) == [repr(x) for x in corpus.tolist()]
+    assert core.float_texts(np.array([math.inf, -math.inf, math.nan])) == ["inf", "-inf", "nan"]
+    assert core.float_texts(np.array([], dtype=float)) == []
+
+
+def reference_pairs(arr):
+    """The ``%r`` renderer's ``(imag, floats)``: imag a zero literal or ``%r``."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    imag = arr.imag.tobytes()
+    for literal in ("0.0", "-0.0"):
+        if imag == np.float64(literal).tobytes() * arr.size:
+            return literal, arr.real.ravel().tolist()
+    return "%r", arr.view(float).ravel().tolist()
+
+
+def reference_array_json(mat):
+    """``cli.array_json`` as one ``%r`` template, before the orjson texts."""
+    mat = np.asarray(mat, dtype=complex)
+    imag, floats = reference_pairs(mat)
+    leaf = f"[%r, {imag}]"
+    for width in reversed(mat.shape):
+        leaf = "[" + ", ".join([leaf] * width) + "]"
+    text = leaf % tuple(floats)
+    return json.dumps(matrix_json(mat)) if "n" in text else text
+
+
+def reference_write_poly(p):
+    """The ``.mp.json`` text of ``core.write_poly`` as one ``%r`` template."""
+    n = p.n
+    imag, floats = reference_pairs(p.coeffs)
+    pair = f"    [\n     %r,\n     {imag}\n    ]"
+    row = "   [\n" + ",\n".join([pair] * n) + "\n   ]"
+    mat = "  [\n" + ",\n".join([row] * n) + "\n  ]"
+    body = ",\n".join([mat] * len(p.coeffs))
+    return f'{{\n "n": {n},\n "lo": {p.lo},\n "coeffs": [\n' + body % tuple(floats) + "\n ]\n}\n"
+
+
+def _text_cases():
+    rng = np.random.default_rng(77)
+    real = rng.standard_normal((3, 4, 4)) * 10.0 ** rng.integers(-8, 20, (3, 4, 4))
+    cases = {"real": real.astype(complex),
+             "complex": real + 1j * rng.standard_normal((3, 4, 4)),
+             "tiny": (rng.random((3, 4, 4)) * 1e-5) * (1 - 2j),
+             "huge": rng.standard_normal((3, 4, 4)) * 1e300 + 1e17j}
+    for name, zero in (("plus_zero", 0.0), ("minus_zero", -0.0)):
+        cases[name] = real.astype(complex)
+        cases[name].imag = zero
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_text_cases()))
+def test_writers_equal_the_repr_template_renderer(tmp_path, case):
+    coeffs = _text_cases()[case]
+    assert array_json(coeffs) == reference_array_json(coeffs)
+    assert array_json(coeffs[0]) == reference_array_json(coeffs[0])
+    p = LaurentPoly(-1, coeffs)
+    write_poly(p, tmp_path / "w.mp.json")
+    assert (tmp_path / "w.mp.json").read_text(encoding="utf-8") == reference_write_poly(p)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3, 3)])
+def test_array_json_of_an_empty_array_equals_the_reference(shape):
+    for dtype in (float, complex):
+        assert array_json(np.zeros(shape, dtype)) == reference_array_json(np.zeros(shape, dtype))
 
 
 def test_valid_file_read_without_per_entry_walk(tmp_path, monkeypatch, p3):

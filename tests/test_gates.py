@@ -36,6 +36,7 @@ from mpshift import (
     right_shift_poly,
     shift_accelerated_solve,
     shift_from_infinity,
+    shift_to_infinity,
     shifted_factorization_both,
     shifted_factorization_right,
     solve_unilateral,
@@ -57,6 +58,7 @@ from mpshift.errors import (
     NotInKernel,
     NotInvariant,
     NotPalindromic,
+    ShiftOverflow,
     SingularH0,
     SingularLambda,
     SplittingFailure,
@@ -147,6 +149,13 @@ def _shift_eigenpair(mp):
 
 def _shift_kernel(mp):
     shift_from_infinity(fx.p2(), 1.0, [0.0, 1.0, 0.0])
+
+
+def _shift_finite(mp):
+    # p3 near the top of double range with 1 sent to infinity; 1/mu = 4 overflows
+    p = MatrixPoly([2.0**1023 * (2.2 / 1.12) * c for c in fx.p3().coeffs])
+    t = shift_to_infinity(p, 1.0, np.ones(5))
+    shift_from_infinity(t, 0.25, np.linalg.svd(t.coeffs[-1] / 2.0**1023)[2][-1].conj())
 
 
 def _palindromic_input(mp):
@@ -368,6 +377,8 @@ GATES = [
      lambda e: f"right eigenpair residual {e.value:.2e} exceeds 1e-08"),
     ("shift.kernel", _shift_kernel, NotInKernel, EIGENPAIR_TOL, "<=",
      lambda e: f"||A_d u|| residual {e.value:.2e} exceeds 1e-08"),
+    ("shift.finite", _shift_finite, ShiftOverflow, 0, "<=",
+     lambda e: f"{e.value} shifted coefficient entries are beyond double range"),
     ("palindromic_shift.input", _palindromic_input, NotPalindromic, 1e-12, "<=",
      lambda e: _relative(e, r"\|\|A_i - A_\(d-i\)\*\|\| deviation (\S+) exceeds 1e-12\*scale",
                          P1_SCALE)),

@@ -2,7 +2,9 @@
 
 ``cli.report_json`` must give the bytes of
 ``json.dumps(fields, default=matrix_json)``; ``core._coeff_array`` must accept, return and refuse
-exactly what the nested-sequence version kept here as the oracle does.
+exactly what the nested-sequence version kept here as the oracle does; ``core.read_poly``,
+which parses with orjson first, must give the stdlib reader's result or error on each file
+of ``READ_CASES``.
 """
 
 import json
@@ -172,3 +174,83 @@ def test_reader_parity_covers_accepted_and_refused_trees():
                 [[[[1, 2, 3]]]], [[[[1]]]], [[[[[1], [2]]]]], [[[[10**400, 0]]]],
                 [[[[math.nan, 0]]]], [[[[1, 0]], [[1, 0], [2, 0]]]]):
         assert core._coeff_array(bad, 1) is None and nested_coeff_array(bad, 1) is None, bad
+
+
+# --- read_poly: the orjson parse against the stdlib reader's outcome ---
+
+ONE = '{"n": 1, "lo": 0, "coeffs": [[[[%s, %s]]]]}'
+ONE_ONE = (ONE % (1, 0)).encode()
+PARSE, DIMENSION = "ParseError", "DimensionMismatch"
+
+# name: (file bytes, the stdlib reader's (error class, message) or the
+# coefficient bits (float.hex) of the polynomial it returns)
+READ_CASES = {
+    "nan": ((ONE % ("NaN", 0)).encode(),
+            (PARSE, "coeffs[0][0][0]: non-finite entry, got [nan, 0]")),
+    "infinity": ((ONE % (1, "Infinity")).encode(),
+                 (PARSE, "coeffs[0][0][0]: non-finite entry, got [1, inf]")),
+    "1e400": ((ONE % ("1e400", 0)).encode(),
+              (PARSE, "coeffs[0][0][0]: non-finite entry, got [inf, 0]")),
+    "int-400-digits": ((ONE % ("1" + "0" * 399, 0)).encode(),
+                       (PARSE, f"coeffs[0][0][0]: entry out of double range, got [1{'0' * 399}, 0]")),
+    "int-beyond-64-bits-and-minus-zero-int": (
+        (ONE % ("12345678901234567890123", "-0")).encode(),
+        ["0x1.4ea15b273b38ap+73", "0x0.0p+0"]),
+    "n-beyond-64-bits": (
+        b'{"n": 18446744073709551616, "lo": 0, "coeffs": [[[[1, 0]]]]}',
+        (DIMENSION, "coeffs[0]: shape 1x1, expected 18446744073709551616x18446744073709551616")),
+    "lo-float": (b'{"n": 1, "lo": 0.0, "coeffs": [[[[1, 0]]]]}',
+                 (PARSE, "field 'lo': expected an integer, got 0.0")),
+    "bom": (b"\xef\xbb\xbf" + ONE_ONE,
+            (PARSE, "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")),
+    "invalid-utf8": (ONE_ONE + b"\xff",
+                     (PARSE, "'utf-8' codec can't decode byte 0xff in position 41: "
+                             "invalid start byte")),
+    "trailing-data": (ONE_ONE + b" []", (PARSE, "line 1, column 43: Extra data")),
+    "duplicate-n": (b'{"n": 1, "lo": 0, "n": 2, "coeffs": [[[[1, 0]]]]}',
+                    (DIMENSION, "coeffs[0]: shape 1x1, expected 2x2")),
+    "true-entry": ((ONE % (1, "true")).encode(),
+                   (PARSE, "coeffs[0][0][0]: expected a [re, im] pair, got [1, True]")),
+    "minus-zero": ((ONE % ("-0.0", "-0.0")).encode(), ["-0x0.0p+0", "-0x0.0p+0"]),
+    "crlf": (b'{\r\n "n": 1,\r\n "lo": 0,\r\n "coeffs": [[[[0.1, -2.5e-7]]]]\r\n}\r\n',
+             ["0x1.999999999999ap-4", "-0x1.0c6f7a0b5ed8dp-22"]),
+    "top-level-array": (b"[1, 2]", (PARSE, "top-level value must be an object")),
+    "empty": (b"", (PARSE, "line 1, column 1: Expecting value")),
+    "lone-surrogate-key": (b'{"\\ud800": 1, "n": 1, "lo": 0, "coeffs": [[[[3, 4]]]]}',
+                           ["0x1.8000000000000p+1", "0x1.0000000000000p+2"]),
+}
+
+
+def read_outcome(path):
+    try:
+        p = core.read_poly(path)
+    except MpshiftError as exc:
+        return type(exc).__name__, str(exc)
+    return [x.hex() for x in np.array(p.coeffs).view(float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_read_poly_keeps_the_stdlib_readers_outcome(tmp_path, case):
+    data, want = READ_CASES[case]
+    path = tmp_path / "case.mp.json"
+    path.write_bytes(data)
+    assert read_outcome(path) == want
+
+
+def test_a_failed_fast_parse_reads_through_the_stdlib_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(path, keys):
+        calls.append(keys)
+        return read_object(path, keys)
+
+    read_object = core._read_object
+    monkeypatch.setattr(core, "_read_object", counted)
+    path = tmp_path / "case.mp.json"
+    path.write_bytes(READ_CASES["nan"][0])
+    with pytest.raises(core.ParseError):
+        core.read_poly(path)
+    assert calls == [("n", "lo", "coeffs")]
+    path.write_bytes(ONE_ONE)
+    core.read_poly(path)
+    assert len(calls) == 1  # a file orjson parses and the checks accept is read once

@@ -40,7 +40,14 @@ from mpshift import (
     unit_vector,
     write_poly,
 )
-from mpshift.errors import NotAnEigenpair, NotASolvent, NotInvariant, NotPalindromic, SingularH0
+from mpshift.errors import (
+    NotAnEigenpair,
+    NotASolvent,
+    NotInvariant,
+    NotPalindromic,
+    ShiftOverflow,
+    SingularH0,
+)
 from mpshift.factorizations import QuadFactorization, _factor_residual
 from mpshift.spectra import invariant_pair_residual, null_vectors
 
@@ -385,8 +392,8 @@ def test_oracle_checked_shifts_do_not_depend_on_the_scale(kind, alpha):
     a, shift, _, _, _ = _p3_shift(kind, alpha)
     if math.isinf(max(float(np.abs(c).max()) for c in want) * alpha):
         # alpha times the result is beyond double range, so the shift must
-        # fail; it does, but through numpy's overflow, not a typed error
-        with pytest.raises(RuntimeWarning, match="overflow"):
+        # fail, with a typed error and no numpy warning
+        with pytest.raises(ShiftOverflow, match="beyond double range"):
             shift()
         return
     shifted = shift()
