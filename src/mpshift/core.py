@@ -20,6 +20,7 @@ import cmath
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -30,7 +31,6 @@ import orjson
 from .errors import (
     DegeneratePolynomial,
     DimensionMismatch,
-    MpshiftError,
     ParseError,
     ZeroAtNegativePower,
 )
@@ -541,16 +541,6 @@ def _reject_coeffs(raw, n):
 _POLY_KEYS = ("n", "lo", "coeffs")
 
 
-def _object(payload, keys):
-    """``payload`` if it is a JSON object with ``keys``; else ParseError."""
-    if not isinstance(payload, dict):
-        raise ParseError("top-level value must be an object")
-    for key in keys:
-        if key not in payload:
-            raise ParseError(f"missing key {key!r}")
-    return payload
-
-
 def _read_object(path, keys):
     """The JSON object in a UTF-8 file, which must have ``keys``; else ParseError."""
     try:
@@ -560,16 +550,28 @@ def _read_object(path, keys):
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # not UTF-8, or an integer literal beyond Python's digit limit
         raise ParseError(str(exc)) from exc
-    return _object(payload, keys)
+    if not isinstance(payload, dict):
+        raise ParseError("top-level value must be an object")
+    for key in keys:
+        if key not in payload:
+            raise ParseError(f"missing key {key!r}")
+    return payload
+
+
+def _container(lo, coeffs):
+    """MatrixPoly when lo == 0, else LaurentPoly, of a (k, n, n) coefficient array."""
+    if lo == 0:
+        return MatrixPoly(tuple(coeffs))
+    return LaurentPoly(lo, tuple(coeffs))
 
 
 def _poly(payload):
-    """The polynomial a ``.mp.json`` object (from :func:`_object`) holds, or the error of
-    the first check of :func:`read_poly` that it fails."""
+    """The polynomial a ``.mp.json`` object (from :func:`_read_object`) holds, or the error
+    of the first check of :func:`read_poly` that it fails."""
     n, lo, raw = (payload[key] for key in _POLY_KEYS)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"field 'n': expected a positive integer, got {n!r}")
-    if not isinstance(lo, int):
+    if not isinstance(lo, int) or isinstance(lo, bool):
         raise ParseError(f"field 'lo': expected an integer, got {lo!r}")
     if not isinstance(raw, list) or not raw:
         raise ParseError("field 'coeffs': expected a non-empty array")
@@ -581,9 +583,70 @@ def _poly(payload):
     coeffs = _coeff_array(raw, n)
     if coeffs is None:
         _reject_coeffs(raw, n)
-    if lo == 0:
-        return MatrixPoly(tuple(coeffs))
-    return LaurentPoly(lo, tuple(coeffs))
+    return _container(lo, coeffs)
+
+
+# The documented layout: keys n, lo, coeffs in this order, any JSON whitespace.
+# n and lo are capped at 18 digits so int() never meets Python's digit limit;
+# a longer one is left to the stdlib reader.
+_WS = b" \t\n\r"
+_NUMBER = b"0123456789.-+eE"
+_HEAD = re.compile(rb"[ \t\n\r]*".join([
+    b"", rb"\{", rb'"n"', b":", rb"([1-9][0-9]{0,17})", b",",
+    rb'"lo"', b":", rb"(0|-[1-9][0-9]{0,17})", b",", rb'"coeffs"', b":",
+]))
+_HEAD_SHAPE = b'{"n":,"lo":,"coeffs":'.translate(None, _NUMBER)  # as _shape leaves it
+_FLAT = bytes.maketrans(b"[]:}", b"  []")  # from the coeffs colon on: one flat array
+_EMPTY_SLOTS = [int.from_bytes(pair, "little") for pair in (b"[,", b",]")]  # as "<u2"
+
+
+def _skeleton(k, n):
+    """``[[[[,],...],...],...]``: k n x n matrices of ``[re, im]`` pairs, numbers left out."""
+    row = b"[" + b",".join([b"[,]"] * n) + b"]"
+    mat = b"[" + b",".join([row] * n) + b"]"
+    return b"[" + b",".join([mat] * k) + b"]"
+
+
+def _shape(data):
+    """``data`` without whitespace and number characters, or None if that would hide an
+    empty ``[re, im]`` slot, the only place a number outside its slot can come from."""
+    packed = data.translate(None, _WS)
+    if len(packed) < 1 << 12:  # two bytes searches, cheaper than numpy's calls up to ~5 KB
+        empty = b"[," in packed or b",]" in packed
+    else:  # both pairs as 16-bit words at both byte offsets: one numpy pass each
+        empty = any((np.frombuffer(packed, "<u2", (len(packed) - i) // 2, i) == word).any()
+                    for i in (0, 1) for word in _EMPTY_SLOTS)
+    return None if empty else packed.translate(None, _NUMBER)
+
+
+def _flat_poly(data):
+    """The polynomial of a file in the documented layout, from one flat parse; else None.
+
+    The structure is checked as bytes: no ``[re, im]`` slot may be empty, and
+    what remains without whitespace and number characters (:func:`_shape`)
+    must be the header and :func:`_skeleton` of k coefficients.  Then every
+    number sits in a slot and every comma separates two slots, so with the
+    brackets blanked out orjson reads the coefficients as one flat array, and
+    its grammar refuses every token that is not a JSON number in double range.
+    None leaves the file to the stdlib reader.
+    """
+    head = _HEAD.match(data)
+    shape = _shape(data) if head else None
+    if shape is None:
+        return None
+    n, lo = int(head[1]), int(head[2])
+    # a skeleton is k * (4n^2 + 2n + 2) + 1 bytes: lengths first, so a huge n allocates nothing
+    k, rest = divmod(len(shape) - len(_HEAD_SHAPE) - 2, 4 * n * n + 2 * n + 2)
+    if rest or k < 1 or lo + k - 1 < 0 or shape != _HEAD_SHAPE + _skeleton(k, n) + b"}":
+        return None
+    try:
+        values = orjson.loads(memoryview(data.translate(_FLAT))[head.end() - 1:])
+    except orjson.JSONDecodeError:
+        return None
+    arr = np.fromiter(values, float, len(values))
+    if not np.isfinite(arr).all():
+        return None
+    return _container(lo, arr.view(complex).reshape(k, n, n))
 
 
 def read_poly(path):
@@ -592,16 +655,14 @@ def read_poly(path):
     Malformed input raises :class:`ParseError` (or :class:`DimensionMismatch`
     for a size that disagrees with ``n``) naming the first offending
     ``coeffs[k][i][j]``; entries must be finite JSON numbers within double
-    range.  The bytes are parsed by orjson, which gives the floats the stdlib
-    parser gives; if that parse or any check fails, the file is read again
-    through the stdlib ``json`` module, whose result or error stands, so
-    ``NaN`` literals, integers beyond 64 bits, a BOM and every error message
-    behave as that parser makes them.
+    range.  A file in the documented layout (``{"n": N, "lo": L, "coeffs":
+    ...}``, these keys in this order, any JSON whitespace, as :func:`write_poly`
+    and ``json.dump`` write it) is read in one flat orjson parse
+    (:func:`_flat_poly`).  Every other file, and any file that route refuses,
+    is read through the stdlib ``json`` module, whose result or error stands,
+    so ``NaN`` literals, integers beyond 64 bits, a BOM and every error
+    message behave as that parser makes them.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return _poly(_object(orjson.loads(data), _POLY_KEYS))
-    except (orjson.JSONDecodeError, MpshiftError):
-        pass
-    return _poly(_read_object(path, _POLY_KEYS))
+        poly = _flat_poly(fh.read())
+    return poly if poly is not None else _poly(_read_object(path, _POLY_KEYS))

@@ -3,12 +3,14 @@
 ``cli.report_json`` must give the bytes of
 ``json.dumps(fields, default=matrix_json)``; ``core._coeff_array`` must accept, return and refuse
 exactly what the nested-sequence version kept here as the oracle does; ``core.read_poly``,
-which parses with orjson first, must give the stdlib reader's result or error on each file
-of ``READ_CASES``.
+which reads the documented layout in one flat orjson parse, must give the stdlib reader's
+result or error on each file of ``READ_CASES`` and on seeded, mutated files.
 """
 
 import json
 import math
+import random
+import re
 import sys
 from itertools import chain
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mpshift import cli, core
+from mpshift import LaurentPoly, cli, core, write_poly
 from mpshift.errors import MpshiftError
 
 import test_cli_layout as layout
@@ -182,6 +184,14 @@ ONE = '{"n": 1, "lo": 0, "coeffs": [[[[%s, %s]]]]}'
 ONE_ONE = (ONE % (1, 0)).encode()
 PARSE, DIMENSION = "ParseError", "DimensionMismatch"
 
+
+
+def long_poly(first, last):
+    """A degree-501 polynomial in n = 1, past the size at which the empty-slot check
+    switches to numpy: ``first`` and ``last`` are its outer coefficients."""
+    return b'{"n": 1, "lo": 0, "coeffs": [' + first + b", [[[1, 0]]]" * 500 + b", " + last + b"]}"
+
+
 # name: (file bytes, the stdlib reader's (error class, message) or the
 # coefficient bits (float.hex) of the polynomial it returns)
 READ_CASES = {
@@ -218,12 +228,60 @@ READ_CASES = {
     "empty": (b"", (PARSE, "line 1, column 1: Expecting value")),
     "lone-surrogate-key": (b'{"\\ud800": 1, "n": 1, "lo": 0, "coeffs": [[[[3, 4]]]]}',
                            ["0x1.8000000000000p+1", "0x1.0000000000000p+2"]),
+    "n-true": (b'{"n": true, "lo": 0, "coeffs": [[[[1, 0]]]]}',
+               (PARSE, "field 'n': expected a positive integer, got True")),
+    "lo-false": (b'{"n": 1, "lo": false, "coeffs": [[[[1, 0]]]]}',
+                 (PARSE, "field 'lo': expected an integer, got False")),
+    "lo-true": (b'{"n": 1, "lo": true, "coeffs": [[[[1, 0]], [[2, 0]]]]}',
+                (PARSE, "field 'lo': expected an integer, got True")),
+    "pair-of-three-beside-a-pair-of-one": (
+        b'{"n": 2, "lo": 0, "coeffs": [[[[1, 2, 3], [4]], [[1, 0], [0, 1]]]]}',
+        (PARSE, "coeffs[0][0][0]: expected a [re, im] pair, got [1, 2, 3]")),
+    "empty-slot": ((ONE % ("", 1)).encode(), (PARSE, "line 1, column 33: Expecting value")),
+    "entry-1.": ((ONE % ("1.", 0)).encode(), (PARSE, "line 1, column 34: Expecting ',' delimiter")),
+    "entry-+1": ((ONE % ("+1", 0)).encode(), (PARSE, "line 1, column 33: Expecting value")),
+    "entry-01": ((ONE % ("01", 0)).encode(), (PARSE, "line 1, column 34: Expecting ',' delimiter")),
+    "entry-.5": ((ONE % (".5", 0)).encode(), (PARSE, "line 1, column 33: Expecting value")),
+    "entry-1e": ((ONE % ("1e", 0)).encode(), (PARSE, "line 1, column 34: Expecting ',' delimiter")),
+    "entry-1-2": ((ONE % ("1-2", 0)).encode(), (PARSE, "line 1, column 34: Expecting ',' delimiter")),
+    "entry---1": ((ONE % ("--1", 0)).encode(), (PARSE, "line 1, column 33: Expecting value")),
+    "two-numbers-between-commas": (b'{"n": 1, "lo": 0, "coeffs": [[[[1 2, 0]]]]}',
+                                   (PARSE, "line 1, column 35: Expecting ',' delimiter")),
+    # a number moved out of its emptied slot into a gap between brackets
+    "number-before-a-bracket": (b'{"n": 1, "lo": 0, "coeffs": [7[[[ , 0]]]]}',
+                                (PARSE, "line 1, column 31: Expecting ',' delimiter")),
+    "number-after-a-bracket": (b'{"n": 1, "lo": 0, "coeffs": [[[[1, ]]]5]}',
+                               (PARSE, "line 1, column 36: Expecting value")),
+    "long-number-before-a-bracket": (long_poly(b"7[[[ , 0]]]", b"[[[1, 0]]]"),
+                                     (PARSE, "line 1, column 31: Expecting ',' delimiter")),
+    "long-number-before-a-bracket-odd": (long_poly(b"17[[[ , 0]]]", b"[[[1, 0]]]"),
+                                         (PARSE, "line 1, column 32: Expecting ',' delimiter")),
+    "long-number-after-a-bracket": (long_poly(b"[[[1, 0]]]", b"[[[1, ]]]5"),
+                                    (PARSE, "line 1, column 6048: Expecting value")),
+    "long-number-after-a-bracket-odd": (long_poly(b"[[[10, 0]]]", b"[[[1, ]]]5"),
+                                        (PARSE, "line 1, column 6049: Expecting value")),
+    "coEffs-key": (b'{"n": 1, "lo": 0, "coEffs": [[[[1, 0]]]]}', (PARSE, "missing key 'coeffs'")),
+    "n-1e12-over-1x1": (
+        b'{"n": 1000000000000, "lo": 0, "coeffs": [[[[1, 0]]]]}',
+        (DIMENSION, "coeffs[0]: shape 1x1, expected 1000000000000x1000000000000")),
+    "lo-minus-zero": (b'{"n": 1, "lo": -0, "coeffs": [[[[1.5, -2]]]]}',
+                      ["0x1.8000000000000p+0", "-0x1.0000000000000p+1"]),
+    "extra-key": (b'{"n": 1, "lo": 0, "coeffs": [[[[1.5, -2]]]], "note": "x"}',
+                  ["0x1.8000000000000p+0", "-0x1.0000000000000p+1"]),
+    "keys-reordered": (b'{"coeffs": [[[[0.5, 0]]], [[[2, 0.25]]]], "lo": -1, "n": 1}',
+                       ["0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p+1",
+                        "0x1.0000000000000p-2"]),
 }
 
 
-def read_outcome(path):
+def stdlib_read(path):
+    """The reference reader: Python's ``json`` and the checks of ``core._poly``."""
+    return core._poly(core._read_object(path, core._POLY_KEYS))
+
+
+def read_outcome(path, read=core.read_poly):
     try:
-        p = core.read_poly(path)
+        p = read(path)
     except MpshiftError as exc:
         return type(exc).__name__, str(exc)
     return [x.hex() for x in np.array(p.coeffs).view(float).ravel().tolist()]
@@ -237,20 +295,97 @@ def test_read_poly_keeps_the_stdlib_readers_outcome(tmp_path, case):
     assert read_outcome(path) == want
 
 
-def test_a_failed_fast_parse_reads_through_the_stdlib_once(tmp_path, monkeypatch):
+def counting_read_object(monkeypatch):
+    """Count the stdlib reads of ``core.read_poly`` from here on: the list of their keys."""
     calls = []
+    read_object = core._read_object
 
     def counted(path, keys):
         calls.append(keys)
         return read_object(path, keys)
 
-    read_object = core._read_object
     monkeypatch.setattr(core, "_read_object", counted)
+    return calls
+
+
+def test_a_failed_fast_parse_reads_through_the_stdlib_once(tmp_path, monkeypatch):
+    calls = counting_read_object(monkeypatch)
     path = tmp_path / "case.mp.json"
+    write_poly(LaurentPoly(-1, [np.eye(2), -2 * np.eye(2), np.ones((2, 2))]), path)
+    core.read_poly(path)
+    path.write_bytes(ONE_ONE)
+    core.read_poly(path)
+    assert calls == []  # the documented layout takes the flat parse alone
+    path.write_bytes(READ_CASES["keys-reordered"][0])
+    core.read_poly(path)
+    assert calls == [("n", "lo", "coeffs")]
     path.write_bytes(READ_CASES["nan"][0])
     with pytest.raises(core.ParseError):
         core.read_poly(path)
-    assert calls == [("n", "lo", "coeffs")]
-    path.write_bytes(ONE_ONE)
-    core.read_poly(path)
-    assert len(calls) == 1  # a file orjson parses and the checks accept is read once
+    assert len(calls) == 2  # a file the flat parse refuses is read once more
+
+
+# --- read_poly against the stdlib reader on seeded, mutated files ---
+
+EDIT_BYTES = b'0123456789.-+eE[], \n\t\r{}":'
+ENTRIES = [0.0, -0.0, 1.0, 7.0, 0.1, -2.5e-7, 1e-05, 1e16, 5e-324, sys.float_info.max, 123.456]
+
+
+def random_poly(rng):
+    """n = 9 puts most files past the size at which the empty-slot check switches to numpy."""
+    k, n = rng.randint(1, 3), rng.choice((1, 2, 3, 9))
+    coeffs = [[[complex(rng.choice(ENTRIES) * rng.choice((1, -1)),
+                        rng.choice((0.0, -0.0, rng.uniform(-9, 9))))
+                for _ in range(n)] for _ in range(n)] for _ in range(k)]
+    return LaurentPoly(-rng.randint(0, k - 1), coeffs)
+
+
+def layouts(text):
+    """``write_poly``'s text and other layouts of its payload, by name."""
+    payload = json.loads(text)
+    compact = json.dumps(payload)
+    return {
+        "write_poly": text,
+        "compact": compact,
+        "no-spaces": json.dumps(payload, separators=(",", ":")),
+        "indent-0": json.dumps(payload, indent=0),
+        "indent-2": json.dumps(payload, indent=2),
+        "indent-tab": json.dumps(payload, indent="\t"),
+        "crlf": text.replace("\n", "\r\n"),
+        "integers": re.sub(r"\.0(?=[],])", "", compact),  # 1.0 as 1, -0.0 as -0
+        "keys-reordered": json.dumps({key: payload[key] for key in ("lo", "coeffs", "n")}),
+        "extra-key": json.dumps({**payload, "x": [1, 2]}),
+    }
+
+
+def mutated(rng, data):
+    """``data`` after 0-3 random insertions, deletions or replacements of one byte."""
+    data = bytearray(data)
+    for _ in range(rng.randint(0, 3)):
+        i, byte = rng.randrange(len(data) + 1), rng.choice(EDIT_BYTES)
+        edit = rng.choice(("insert", "delete", "replace")) if i < len(data) else "insert"
+        if edit == "insert":
+            data.insert(i, byte)
+        elif edit == "delete":
+            del data[i]
+        else:
+            data[i] = byte
+    return bytes(data)
+
+
+def test_read_poly_matches_the_stdlib_reader_on_mutated_files(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    path = tmp_path / "case.mp.json"
+    stdlib_reads = counting_read_object(monkeypatch)
+    cases = accepted = flat = 0
+    for _ in range(400):
+        write_poly(random_poly(rng), path)
+        for text in layouts(path.read_text(encoding="utf-8")).values():
+            path.write_bytes(mutated(rng, text.encode()))
+            want = read_outcome(path, stdlib_read)
+            before = len(stdlib_reads)
+            assert read_outcome(path) == want, path.read_bytes()
+            cases += 1
+            accepted += isinstance(want, list)
+            flat += len(stdlib_reads) == before
+    assert flat > cases // 4 and accepted > flat + cases // 20, (cases, accepted, flat)
