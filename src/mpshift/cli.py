@@ -37,8 +37,9 @@ Rendering costs little more than the float conversions and keeps the bytes:
 :func:`report_json` is ``json.dumps(fields, default=matrix_json)`` with each
 top-level array filled in as one template for its shape (:func:`array_json`)
 from the repr texts of its floats, which orjson writes in one call
-(:func:`~mpshift.core.float_texts`).  Table matrices print one
-:func:`fmt_complex` per entry.
+(:func:`~mpshift.core.float_texts`).  Tables take the same texts: :func:`complex_texts`
+spells every entry of an array as ``RE+IMi`` from two such calls, and
+:func:`fmt_matrix` joins them into rows.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .core import (
     _pair_texts,
     _read_object,
     det_ratio_oracle,
+    float_texts,
     is_infinite,
     read_poly,
     write_poly,
@@ -107,9 +109,9 @@ class Report:
     """One subcommand's result as plain data; :func:`main` prints it.
 
     ``fields`` are the JSON report's keys after ``"command"``, with numpy
-    arrays left as arrays.  ``lines`` are the table's lines; a ``(name,
-    matrix)`` pair prints as ``name =`` followed by the matrix.  ``warnings``
-    and ``error`` go to stderr.
+    arrays left as arrays.  ``lines`` are the table's lines; a callable among
+    them prints as the text it returns, so numbers and matrices are formatted
+    only for a table.  ``warnings`` and ``error`` go to stderr.
     """
 
     fields: dict
@@ -143,8 +145,17 @@ def parse_complex(text):
     return z
 
 
+def _components(text, what):
+    """The comma-separated components of a flag value, none for an empty one; an empty
+    component is a UsageError naming ``what`` and the value."""
+    parts = text.split(",") if text.strip() else []
+    if not all(s.strip() for s in parts):
+        raise UsageError(f"{what} {text!r} has an empty component")
+    return parts
+
+
 def parse_vector(text, n):
-    parts = [s for s in text.split(",") if s.strip()]
+    parts = _components(text, "vector")
     if len(parts) != n:
         raise UsageError(f"vector {text!r} has {len(parts)} components, expected {n}")
     vec = np.array([parse_complex(s) for s in parts], dtype=complex)
@@ -159,20 +170,20 @@ def fmt_float(x):
     return repr(float(x))
 
 
-def fmt_complex(z):
-    if is_infinite(z):
-        return "Inf"
-    re_part = fmt_float(z.real)
-    im = float(z.imag)
-    sign = "+" if (im > 0 or (im == 0 and not math.copysign(1.0, im) < 0)) else "-"
-    return f"{re_part}{sign}{fmt_float(abs(im))}i"
+def complex_texts(values):
+    """``RE+IMi`` or ``RE-IMi`` per entry of a complex array (flattened), ``Inf`` if not finite."""
+    z = np.asarray(values, dtype=complex).ravel()
+    signs = np.where(np.signbit(z.imag), "-", "+").tolist()
+    texts = [f"{re}{sign}{im}i" for re, sign, im in
+             zip(float_texts(np.ascontiguousarray(z.real)), signs, float_texts(np.abs(z.imag)))]
+    for i in np.flatnonzero(~np.isfinite(z)).tolist():
+        texts[i] = "Inf"
+    return texts
 
 
 def fmt_matrix(mat, indent="  "):
-    lines = []
-    for row in np.asarray(mat):
-        lines.append(indent + "  ".join(fmt_complex(v) for v in row))
-    return "\n".join(lines)
+    texts, width = complex_texts(mat), np.shape(mat)[1]
+    return "\n".join(indent + "  ".join(texts[i:i + width]) for i in range(0, len(texts), width))
 
 
 def matrix_json(mat):
@@ -235,11 +246,16 @@ def _dual_arg(text, n):
     return None if text in (None, "auto") else parse_vector(text, n)
 
 
+def _matrix_line(label, mat):
+    """A table line printing as ``label =`` followed by the matrix."""
+    return lambda: f"{label} =\n{fmt_matrix(mat)}"
+
+
 def _matrices(fields, lines, named):
     """Add ``(key, label, matrix)`` triples to a report's fields and lines."""
     for key, label, mat in named:
         fields[key] = mat
-        lines.append((label, mat))
+        lines.append(_matrix_line(label, mat))
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +284,17 @@ def cmd_eig(args):
         }
         for q in pairs
     ]
+    return Report({"eigenvalues": rows}, [functools.partial(_eig_table, pairs)])
+
+
+def _eig_table(pairs):
+    """The eig table: one row per eigenvalue, the values from one :func:`complex_texts` call."""
     lines = [f"{'value':<48} {'modulus':<24} residual"]
-    for q in pairs:
+    for q, value in zip(pairs, complex_texts([p.value for p in pairs])):
         mod = "Inf" if q.is_infinite else fmt_float(abs(q.value))
         flag = " (borderline)" if q.borderline else ""
-        lines.append(f"{fmt_complex(q.value):<48} {mod:<24} {q.residual:.3e}{flag}")
-    return Report({"eigenvalues": rows}, lines)
+        lines.append(f"{value:<48} {mod:<24} {q.residual:.3e}{flag}")
+    return "\n".join(lines)
 
 
 # Each shift handler returns (shifted, removed, added, fit_constant, mode note).
@@ -315,10 +336,14 @@ def _shift_multi(args, poly):
         raw = payload["lambdas"], payload["targets"]
         if not all(isinstance(r, list) for r in raw) or len(raw[0]) != len(raw[1]) or not raw[0]:
             raise ParseError("lambdas and targets must be equal-length non-empty lists")
+        for s in raw[0] + raw[1]:
+            if isinstance(s, bool) or not isinstance(s, (int, float, str)):
+                raise ParseError(f"lambdas and targets must hold numbers or complex literals, "
+                                 f"got {json.dumps(s)}")
         lams, targets = ([parse_complex(str(s)) for s in r] for r in raw)
         if any(map(is_infinite, lams + targets)):
             raise ParseError("lambdas and targets must be finite")
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         raise ParseError(f"{args.multi}: {exc}") from exc
     cols = [refine_pair(poly, lam, null_vectors(poly, lam)[0]).right for lam in lams]
     ms = MultiShiftSpec(np.column_stack(cols), np.diag(lams), np.diag(targets))
@@ -380,8 +405,8 @@ def cmd_factor(args):
         [
             f"minimal solvent via cyclic reduction: {rep.iterations} iterations, "
             f"residual {rep.residual:.3e}",
-            ("G", pf.g),
-            *((f"U{i}", c) for i, c in enumerate(pf.ucoeffs)),
+            _matrix_line("G", pf.g),
+            *(_matrix_line(f"U{i}", c) for i, c in enumerate(pf.ucoeffs)),
         ],
     )
 
@@ -406,13 +431,13 @@ def cmd_solve(args):
         f"iterations: {rep.iterations}",
         f"residual:   {rep.residual:.3e}",
         f"sigma:      {'n/a' if sigma is None else fmt_float(sigma)}",
-        ("G", rep.g),
+        _matrix_line("G", rep.g),
     ]
     if rep.shifted:
         lam, mu, _ = rep.recovery
         fields["recovery"] = {"lambda": [lam.real, lam.imag], "mu": [mu.real, mu.imag]}
-        lines.insert(-1, (
-            f"recovered from shifted equation ({fmt_complex(lam)} -> {fmt_complex(mu)}); "
+        lines.insert(-1, lambda: (
+            f"recovered from shifted equation ({' -> '.join(complex_texts([lam, mu]))}); "
             f"original-equation residual verified"
         ))
     return Report(fields, lines)
@@ -437,7 +462,7 @@ def cmd_check(args):
 
 def _finite_values(text, flag, hint=""):
     """Comma-separated complex literals, each finite."""
-    values = [parse_complex(s) for s in text.split(",") if s.strip()]
+    values = [parse_complex(s) for s in _components(text, flag)]
     if any(map(is_infinite, values)):
         raise UsageError(f"{flag} takes finite values{hint}")
     return values
@@ -660,7 +685,7 @@ def main(argv=None):
         print(report_json({"command": args.command, **report.fields}))
     else:
         for line in report.lines:
-            print(line if isinstance(line, str) else f"{line[0]} =\n{fmt_matrix(line[1])}")
+            print(line if isinstance(line, str) else line())
     for text in (*(str(w.message) for w in caught), *report.warnings):
         print(f"warning: {text}", file=sys.stderr)
     if report.error is not None:

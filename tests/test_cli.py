@@ -1,6 +1,8 @@
 """Command-line front end: commands, exit codes, determinism, formats."""
 
+import cmath
 import json
+import math
 import re
 
 import numpy as np
@@ -707,6 +709,53 @@ def test_matrix_json_matches_per_entry_encoding():
         assert json.dumps(cli.matrix_json(m)) == json.dumps(_per_entry_json(m))
 
 
+def _per_entry_complex(z):
+    """Reference table text of one entry: ``RE+IMi`` or ``RE-IMi`` from two reprs, or ``Inf``."""
+    if not cmath.isfinite(complex(z)):
+        return "Inf"
+    re_part = repr(float(z.real))
+    im = float(z.imag)
+    sign = "+" if (im > 0 or (im == 0 and not math.copysign(1.0, im) < 0)) else "-"
+    return f"{re_part}{sign}{abs(im)!r}i"
+
+
+def _per_entry_matrix(mat, indent="  "):
+    """Reference table matrix: one :func:`_per_entry_complex` per entry."""
+    lines = []
+    for row in np.asarray(mat):
+        lines.append(indent + "  ".join(_per_entry_complex(v) for v in row))
+    return "\n".join(lines)
+
+
+def _table_corpus():
+    """Seeded complex matrices, n <= 7, over the layouts repr uses: real parts over 1e+-20,
+    the 1e-4 and 1e16 switches to exponent form, 5e-324, signed zeros, inf and nan."""
+    rng = np.random.default_rng(26)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0),
+             -1e-05, 1.7976931348623157e308, 0.1, 1.0]
+    imags = [0.0, -0.0, 1e-5, -1e-5, 1.0, -3.0, 1e17, 5e-324, -1e-4, 1e16]
+    specials = [math.inf, -math.inf, math.nan]
+    for _ in range(400):
+        shape = tuple(rng.integers(1, 8, size=2))
+        re = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        re = np.where(rng.random(shape) < 0.2, rng.choice(edges, shape), re)
+        im = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), rng.choice(imags, shape))
+        mat = re + 1j * im
+        for part in (mat.real, mat.imag):  # 20% signed zeros, a few non-finite entries
+            part[rng.random(shape) < 0.2] = rng.choice([0.0, -0.0])
+            part[rng.random(shape) < 0.03] = rng.choice(specials)
+        yield mat
+
+
+def test_table_texts_match_per_entry_formatting():
+    for mat in _table_corpus():
+        for m in (mat, mat.T, mat.real):
+            assert cli.complex_texts(m) == [_per_entry_complex(z) for z in m.ravel()]
+            assert cli.fmt_matrix(m) == _per_entry_matrix(m)
+    assert cli.complex_texts([]) == []
+    assert cli.complex_texts([complex(-0.0, -0.0), 1e16 - 1e-5j]) == ["-0.0-0.0i", "1e+16-1e-05i"]
+
+
 def _report_commands(tmp_path):
     from mpshift.fixtures import p3
 
@@ -734,6 +783,24 @@ def test_json_reports_match_per_entry_encoding(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "array_json", lambda m: json.dumps(_per_entry_json(m)))
     for argv, out in zip(_report_commands(tmp_path), reports):
         assert run(capsys, *argv, "--format", "json")[1] == out
+
+
+def test_table_reports_match_per_entry_formatting(tmp_path, capsys, monkeypatch):
+    from conftest import critical_qbd
+    from mpshift.fixtures import p2
+
+    p2_path, qbd = tmp_path / "p2.mp.json", tmp_path / "qbd50.mp.json"
+    write_poly(p2(), p2_path)
+    write_poly(LaurentPoly(-1, critical_qbd(3, 50, 5e-3, 0.99)), qbd)
+    commands = [*_report_commands(tmp_path), ["eig", str(p2_path)],
+                ["factor", str(qbd), "--quad", "--both"]]
+    reports = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _, _ in reports)
+    assert "Inf" in reports[-2][1] and "recovered from" in reports[1][1]
+    monkeypatch.setattr(cli, "fmt_matrix", _per_entry_matrix)
+    monkeypatch.setattr(cli, "complex_texts", lambda v: list(map(_per_entry_complex, np.ravel(v))))
+    for argv, report in zip(commands, reports):
+        assert run(capsys, *argv) == report
 
 
 # --- usage errors and error exits ---
@@ -959,9 +1026,18 @@ def test_parse_complex_keeps_the_largest_double():
     assert parse_complex("1.7976931348623157e308-1e-320i") == complex(1.7976931348623157e308, -1e-320)
 
 
-@pytest.mark.parametrize("text", ["inf,0", "0,inf", "Infinity,1"])
-def test_parse_vector_rejects_non_finite_components(text):
-    with pytest.raises(cli.UsageError, match="non-finite component"):
+_BAD_VECTORS = [("inf,0", "non-finite component"), ("0,inf", "non-finite component"),
+                ("Infinity,1", "non-finite component"),
+                # an empty component was dropped: '1,,0' read as (1, 0)
+                ("1,,0", "vector '1,,0' has an empty component"),
+                (",1", "vector ',1' has an empty component"),
+                ("1,0,", "vector '1,0,' has an empty component"),
+                ("1, ,0", "vector '1, ,0' has an empty component")]
+
+
+@pytest.mark.parametrize("text, message", _BAD_VECTORS, ids=[t for t, _ in _BAD_VECTORS])
+def test_parse_vector_rejects_non_finite_components(text, message):
+    with pytest.raises(cli.UsageError, match=re.escape(message)):
         cli.parse_vector(text, 2)
 
 
@@ -985,9 +1061,18 @@ def test_parse_vector_rejects_non_finite_components(text):
         # an infinite --shift value is a usage error, as an infinite --removed is
         (("solve", "{p3}", "--shift", "inf"), "--shift takes finite values"),
         (("solve", "{p3}", "--shift", "1,inf"), "--shift takes finite values"),
+        # an empty component was dropped: ',1' ran as lambda 1, '1,,0' as u = (1, 0)
+        (("solve", "{p3}", "--shift", ",1"), "--shift ',1' has an empty component"),
+        (("shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "1,,0", "-o", "{out}"),
+         "vector '1,,0' has an empty component"),
+        (("check", "{p1}", "{p1}", "--removed", "1,,", "--added", ",0"),
+         "--removed '1,,' has an empty component"),
+        (("check", "{p1}", "{p1}", "--removed", "1", "--added", ",0"),
+         "--added ',0' has an empty component"),
     ],
     ids=["solve_mu", "solve_lambda", "solve_u_inf", "solve_u_overflow", "solve_v_inf",
-         "shift_u_inf", "shift_v_overflow", "check_removed", "solve_lambda_inf", "solve_mu_inf"],
+         "shift_u_inf", "shift_v_overflow", "check_removed", "solve_lambda_inf", "solve_mu_inf",
+         "solve_shift_empty", "shift_u_empty", "check_removed_empty", "check_added_empty"],
 )
 def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv, message):
     code, out, err, paths = _run_template(tmp_path, capsys, argv)
@@ -1027,11 +1112,21 @@ def test_multi_packet_with_an_infinite_value_exits_2(tmp_path, capsys, packet):
     [([1, 2], "top-level value must be an object"),
      ({"lambdas": 1, "targets": ["0"]}, "lambdas and targets must be equal-length non-empty lists"),
      ({"lambdas": "12", "targets": ["0", "0.5"]},
-      "lambdas and targets must be equal-length non-empty lists")],
-    ids=["top_level_array", "lambdas_number", "lambdas_string"],
+      "lambdas and targets must be equal-length non-empty lists"),
+     ({"lambdas": [True], "targets": [0]},
+      "lambdas and targets must hold numbers or complex literals, got true"),
+     ({"lambdas": [1], "targets": [None]},
+      "lambdas and targets must hold numbers or complex literals, got null"),
+     ({"lambdas": [[1, 0]], "targets": [0]},
+      "lambdas and targets must hold numbers or complex literals, got [1, 0]"),
+     ({"lambdas": ["1+"], "targets": [0]}, "cannot parse complex literal '1+'"),
+     ({"lambdas": [1], "targets": ["1e400"]}, "complex literal '1e400' is out of double range")],
+    ids=["top_level_array", "lambdas_number", "lambdas_string", "lambda_true", "target_null",
+         "lambda_list", "lambda_bad_literal", "target_overflow"],
 )
 def test_malformed_multi_packet_exits_2(tmp_path, capsys, packet, message):
-    # an array or number raised a TypeError traceback; a string was read as its characters
+    # an array or number raised a TypeError traceback; a string was read as its characters;
+    # true was read as the literal 'True', and a bad literal's error did not name the file
     paths = _inputs(tmp_path)
     paths["packet"].write_text(json.dumps(packet), encoding="utf-8")
     code, out, err = run(capsys, "shift", str(paths["p3"]), "--multi", str(paths["packet"]),

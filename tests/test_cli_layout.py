@@ -211,11 +211,13 @@ def test_each_format_renders_matrices_one_way(inputs, capsys, monkeypatch):
     _, paths = inputs
 
     def forbidden(*_):
-        raise AssertionError("matrix rendered in the other format")
+        raise AssertionError("rendered in the other format")
 
-    for fmt, other in (("json", "fmt_matrix"), ("table", "matrix_json")):
+    # a JSON report formats no table text: no matrix, eigenvalue column or recovery line
+    for fmt, others in (("json", ("fmt_matrix", "complex_texts")), ("table", ("matrix_json",))):
         with monkeypatch.context() as m:
-            m.setattr(cli, other, forbidden)
+            for other in others:
+                m.setattr(cli, other, forbidden)
             for case in ("factor_both", "factor_poly", "solve_shift", "eig_left"):
                 assert run_case(argv_for(case, fmt, paths), capsys)[0] == 0
 
