@@ -6,9 +6,9 @@ circle, the canonical factorization A(z) = (I - z R+) K+ (I - z^{-1} G+)
 exists with spectral radii of G+ and R+ below one; G+ and R+ are the
 minimal solvents of the two one-sided quadratic matrix equations.  They are
 computed here by cyclic reduction, whose error decays like sigma^(2^k).
-The inverse A(z)^{-1} has Laurent coefficients expressible through G+, K+,
-R+; when its central coefficient H_0 is nonsingular, A(z^{-1}) factors as
-well and the factors follow by similarity with H_0.
+The inverse A(z)^{-1} has Laurent coefficients expressible through G+, R+
+and H_0.  The same cyclic reduction run factors A(z^{-1}): its B_0 tends to
+H_0^{-1}, and B_0 + A_0 - Hhat to the K- of A(z^{-1}).
 
 Shifting an eigenvalue lambda (|lambda| < 1) of A(z) to mu (|mu| < 1) keeps
 R+ and K+ and replaces G+ by G+ + (mu - lambda) u v*; the double-sided
@@ -16,9 +16,9 @@ update additionally transforms H_0 in closed form.  These updates are what
 make shift-accelerated equation solving cheap: no factorization has to be
 recomputed from scratch.
 
-Cyclic reduction, the H_0 series and the reversed factorization compute in
-real arithmetic when their inputs have no imaginary part (QBD blocks are
-real); every factor they return is complex128 either way.
+Cyclic reduction and the reversed factorization compute in real arithmetic
+when their inputs have no imaginary part (QBD blocks are real); every
+factor they return is complex128 either way.
 
 A factorization residual is the sum of the Frobenius norms of its
 coefficients, a bound on the whole unit circle; a check with only a
@@ -63,12 +63,12 @@ from .shifts import ShiftSpec, _check_sides, left_shift_poly, right_shift_lauren
 from .spectra import polyeig, spectral_radius
 
 RADIUS_MARGIN = 1e-8
-H0_MAXSTEPS = 64  # doubling steps: the first 2^64 terms of the H_0 series
 
 
 @dataclass(frozen=True, eq=False)
 class QuadFactorization:
-    """Factors of A(z) = (I - z rplus) kplus (I - z^{-1} gplus)."""
+    """Factors of A(z) = (I - z rplus) kplus (I - z^{-1} gplus); ``limits`` = (B_0, Hhat,
+    step) are cyclic reduction's accumulators at its stop, on the blocks times ``step``."""
 
     gplus: np.ndarray
     rplus: np.ndarray
@@ -77,6 +77,7 @@ class QuadFactorization:
     residual: float
     rho_g: float
     rho_r: float
+    limits: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +148,12 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     min(||B_{-1}||_inf, ||B_1||_inf) drops below tol (finite, >= 0) times the
     input scale; a norm that is not finite raises NoConvergence naming the
     step, a test still failing after maxit (>= 1) steps one without.  Hhat
-    tends to K+, G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}.  One gate, at 1e-10
-    relative, reads two residuals: the factorization residual
-    ||E_{-1}|| + ||E_0|| + ||E_1|| (:func:`_quad_fact_residual`, a bound on the
-    whole unit circle; E_{-1} is G+'s equation residual) and R+'s equation
-    residual, which the sum does not bound when ||R+|| > 1; NaN fails it.  The
-    blocks are prescaled (:func:`~mpshift.core._pow2_scaled`, the gates'
-    scale) and K+ multiplied back; G+ and R+ do not depend on the scale.
+    tends to K+, G+ = -Hhat^{-1} A_{-1}, R+ = -A_1 Hhat^{-1}
+    (:func:`_limit_factors`); one gate, at 1e-10 relative, reads the two
+    residuals it returns, and NaN fails it.  The blocks are prescaled
+    (:func:`~mpshift.core._pow2_scaled`, the gates' scale) and K+ multiplied
+    back; G+ and R+ do not depend on the scale.  B_0 and Hhat stay on the
+    result as its ``limits``, for :func:`reversed_factorization`.
 
     With ``strict_radius`` the spectral radii of G+ and R+ must be below one
     with margin 1e-8 (a genuine canonical factorization); pass False when
@@ -193,15 +193,7 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     _check(NoConvergence, "cr_quadratic.stop", norms.min(), tol * denom,
            "cyclic reduction did not converge in {} iterations "
            "(eigenvalues on the unit circle without a gap?)", maxit)
-    try:
-        gplus = -np.linalg.solve(hhat, am1)
-        rplus = -np.linalg.solve(hhat.T, a1.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularPivot(f"singular pivot at cyclic reduction step {k}", step=k) from exc
-    kplus = a0 + a1 @ gplus
-
-    fact_res = _quad_fact_residual(*_residual_coeffs(am1, a0, a1, gplus, rplus, kplus), scale)
-    res_r = np.linalg.norm(rplus @ (rplus @ am1 + a0) + a1) / scale
+    gplus, rplus, kplus, fact_res, res_r = _limit_factors(am1, a0, a1, hhat, scale, k)
     _check(NoConvergence, "cr_quadratic.residual", np.maximum(fact_res, res_r), RESIDUAL_TOL,
            "cyclic reduction limit fails its residual checks "
            "(factorization residual {:.2e}, R+ residual {:.2e})", fact_res, res_r)
@@ -214,45 +206,40 @@ def cr_quadratic(am1, a0, a1, tol=1e-14, maxit=64, strict_radius=True):
     # data the -0.0 imaginary parts that complex arithmetic writes to reports.
     gplus, rplus = (-m for m in _promote(-gplus, -rplus))
     (kplus,) = _promote(_times(kplus, 1 / step))
-    return QuadFactorization(gplus, rplus, kplus, k, fact_res, rho_g, rho_r)
+    return QuadFactorization(gplus, rplus, kplus, k, fact_res, rho_g, rho_r, (b0, hhat, step))
 
 
-def _h0(f):
-    """H_0 = sum_j G+^j K+^{-1} R+^j by Smith doubling, in the working dtype.
+def _limit_factors(am1, a0, a1, hhat, scale, k, r_from_k=False):
+    """G = -Hhat^{-1} A_{-1}, K = A_0 + A_1 G, R = -A_1 Hhat^{-1} (-A_1 K^{-1} with ``r_from_k``:
+    as E_0 = -E_1 G, an R off K weighs ||G|| times) from a limit Hhat of prescaled blocks, and
+    their factorization residual and R's equation residual (unbounded by that sum when
+    ||R|| > 1).  A singular Hhat or K raises SingularPivot naming step ``k``."""
+    try:
+        g = -np.linalg.solve(hhat, am1)
+        kk = a0 + a1 @ g
+        r = -np.linalg.solve((kk if r_from_k else hhat).T, a1.T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularPivot(f"singular pivot at cyclic reduction step {k}", step=k) from exc
+    fact_res = _quad_fact_residual(*_residual_coeffs(am1, a0, a1, g, r, kk), scale)
+    res_r = np.linalg.norm(r @ (r @ am1 + a0) + a1) / scale
+    return g, r, kk, fact_res, res_r
 
-    After k steps h holds the first 2^k terms: h <- h + G h R adds the next
-    2^k, then G <- G^2 and R <- R^2.  It stops once the added block is below
-    1e-16 of the sum; a series still growing after H0_MAXSTEPS steps, or one
-    that overflowed, raises NoConvergence.  K+ is prescaled before it is
-    inverted and the sum multiplied back, so the test sees every scale alike.
-    """
-    g, k, r = as_working(f.gplus, f.kplus, f.rplus)
-    (k,), step, _ = _pow2_scaled([k])
-    h = np.linalg.inv(k)
-    failure = "H_0 series did not reach its tail tolerance"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(H0_MAXSTEPS):
-            term = g @ h @ r
-            h = h + term
-            total = np.linalg.norm(h)
-            _check(NoConvergence, "h0.finite", total, math.inf, failure, op="<")
-            if np.linalg.norm(term) <= 1e-16 * total:
-                return _times(h, step)
-            g = g @ g
-            r = r @ r
-    # reached only when the tail test above failed at every step, so this raises
-    _check(NoConvergence, "h0.tail", np.linalg.norm(term), 1e-16 * total, failure)
+
+def _limit_h0(f):
+    """H_0 = step B_0^{-1} from the limits of ``f``, in their working dtype."""
+    b0, _, step = f.limits
+    return _times(np.linalg.inv(b0), step)
 
 
 def inverse_coefficients(f, m):
     """Laurent coefficients H_{-m}..H_m of A(z)^{-1} from a factorization.
 
-    H_i = G+^{-i} H_0 for i < 0 and H_i = H_0 R+^i for i > 0; returns a list
-    of 2m + 1 matrices indexed from -m to m.
+    H_0 is read off the limits, H_i = G+^{-i} H_0 for i < 0 and H_i = H_0 R+^i
+    for i > 0; returns a list of 2m + 1 matrices indexed from -m to m.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    (h0,) = _promote(_h0(f))
+    (h0,) = _promote(_limit_h0(f))
     neg, pos = [h0], [h0]
     for _ in range(m):
         neg.append(f.gplus @ neg[-1])
@@ -260,39 +247,49 @@ def inverse_coefficients(f, m):
     return neg[:0:-1] + pos
 
 
-def _similar_factors(am1, a0, a1, gplus, rplus, h, error, h_name):
-    """Factors of A(z^{-1}) by similarity with H (H_0, or W~ after a shift).
-
-    G- = H R+ H^{-1}, R- = H^{-1} G+ H, and K- = A_0 + A_{-1} G-
-    (= A_0 + R- A_1; both expressions are computed and must agree).  Raises
-    ``error`` when H, named ``h_name`` in the message, is numerically
-    singular (or not finite) or the two K- disagree; the caller gates the
-    returned factorization residual.  H and the A_i are prescaled apart.
+def _similar_factors(am1, a0, a1, gplus, rplus, w):
+    """Factors of A(z^{-1}) by similarity with W~, H_0 after a shift: G- = W R+ W^{-1},
+    R- = W^{-1} G+ W and K- = A_0 + A_{-1} G- (= A_0 + R- A_1; both are computed).  A
+    numerically singular (or not finite) W or two K- that disagree raise SingularWtilde;
+    the caller gates the returned factorization residual.  W and the A_i are prescaled apart.
     """
-    (h,), h_step, _ = _pow2_scaled([h])
-    rc = rcond(h)
-    _check(error, "similar_factors.rcond", rc, 1e-12,
-           "reciprocal condition of {} is {:.2e}", h_name, rc, op=">=")
-    gminus = np.linalg.solve(h.T, (h @ rplus).T).T
-    rminus = np.linalg.solve(h, gplus @ h)
+    (w,), w_step, _ = _pow2_scaled([w])
+    rc = rcond(w)
+    _check(SingularWtilde, "similar_factors.rcond", rc, 1e-12,
+           "reciprocal condition of W~ is {:.2e}", rc, op=">=")
+    gminus = np.linalg.solve(w.T, (w @ rplus).T).T
+    rminus = np.linalg.solve(w, gplus @ w)
     (a1, a0, am1), step, scale = _pow2_scaled((a1, a0, am1))
     k_a = a0 + am1 @ gminus
     k_b = a0 + rminus @ a1
     disagreement = np.linalg.norm(k_a - k_b)
-    _check(error, "similar_factors.k_minus", disagreement / scale, RESIDUAL_TOL,
+    _check(SingularWtilde, "similar_factors.k_minus", disagreement / scale, RESIDUAL_TOL,
            "the two K- expressions disagree by {:.2e}", disagreement / step)
     fact_res = _factor_residual(a1, a0, am1, gminus, rminus, k_a)
-    k_a, h = _times(k_a, 1 / step), _times(h, 1 / h_step)
-    return ReversedFactorization(*_promote(gminus, rminus, k_a, h), fact_res)
+    k_a, w = _times(k_a, 1 / step), _times(w, 1 / w_step)
+    return ReversedFactorization(*_promote(gminus, rminus, k_a, w), fact_res)
 
 
 def reversed_factorization(am1, a0, a1, f):
-    """Canonical factorization of A(z^{-1}): :func:`_similar_factors` with a nonsingular H_0."""
-    am1, a0, a1, gplus, rplus = as_working(am1, a0, a1, f.gplus, f.rplus)
-    rf = _similar_factors(am1, a0, a1, gplus, rplus, _h0(f), SingularH0, "H_0")
-    _check(SingularH0, "reversed_factorization.residual", rf.residual, RESIDUAL_TOL,
-           "reversed factorization residual {:.2e} exceeds 1e-10", rf.residual)
-    return rf
+    """Canonical factorization of A(z^{-1}) from the limits of ``f``'s cyclic reduction.
+
+    Cyclic reduction on A_1, A_0, A_{-1} is the same iteration with B_{-1} and B_1 swapped, so
+    its Hhat is the dual accumulator Khat = B_0 + A_0 - Hhat: G- = -Khat^{-1} A_1, K- = A_0 +
+    A_{-1} G- and R- = -A_{-1} K-^{-1} (from K-: a large ||G-|| near a singular H_0 amplifies
+    the rounding of Khat, a difference), under :func:`cr_quadratic`'s residual gate.  W = H_0 =
+    B_0^{-1}, with rcond(B_0) >= 1e-12.  Both gates raise SingularH0."""
+    b0, hhat, _ = f.limits
+    rc = rcond(b0)
+    _check(SingularH0, "reversed_factorization.rcond", rc, 1e-12,
+           "reciprocal condition of H_0 is {:.2e}", rc, op=">=")
+    (am1, a0, a1), step, scale = _pow2_scaled(as_working(am1, a0, a1))
+    gminus, rminus, kminus, fact_res, res_r = _limit_factors(
+        a1, a0, am1, b0 + a0 - hhat, scale, f.iterations, r_from_k=True)
+    _check(SingularH0, "reversed_factorization.residual", np.maximum(fact_res, res_r),
+           RESIDUAL_TOL, "reversed factorization fails its residual checks "
+           "(factorization residual {:.2e}, R- residual {:.2e})", fact_res, res_r)
+    kminus, w = _times(kminus, 1 / step), _limit_h0(f)
+    return ReversedFactorization(*_promote(gminus, rminus, kminus, w), fact_res)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +427,17 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     q = spec.q
     gplus_t = f.gplus + (mu - lam) * q
     w_t = rf.w + (mu - lam) * q @ rf.w @ np.linalg.solve(eye - mu * f.rplus, f.rplus)
-    rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t, SingularWtilde, "W~")
+    rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t)
     fact_res = _factor_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
     _check(NoConvergence, "shifted_factorization_both.residual",
            np.maximum(fact_res, rev.residual), RESIDUAL_TOL,
            "shifted factorization residuals {:.2e}/{:.2e} exceed 1e-10", fact_res, rev.residual)
-    quad = QuadFactorization(
-        gplus_t, f.rplus, f.kplus, f.iterations, fact_res, spectral_radius(gplus_t), f.rho_r
-    )
-    return quad, rev
+    # the limits of A~'s cyclic reduction: B_0 = step W~^{-1}, B_0 + step A~_0 - Hhat = step K~-
+    (_, a0_t, _), step, _ = _pow2_scaled(shifted.coeffs)
+    b0 = _times(np.linalg.inv(rev.w), step)
+    limits = (b0, b0 + a0_t - _times(rev.kminus, step), step)
+    return QuadFactorization(gplus_t, f.rplus, f.kplus, f.iterations, fact_res,
+                             spectral_radius(gplus_t), f.rho_r, limits), rev
 
 
 def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):

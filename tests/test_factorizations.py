@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,14 +42,15 @@ from mpshift.errors import (
     ShiftOutsideDisk,
     SingularH0,
     SingularPivot,
+    SingularWtilde,
     SplittingFailure,
     ZeroLambda,
 )
+from mpshift.core import _pow2_scaled
 from mpshift.equations import ReblockedQuadratic
 from mpshift.fixtures import p3
 
 from mpshift import equations, factorizations
-from mpshift.factorizations import QuadFactorization, _h0
 
 from conftest import critical_qbd, crandn, qbd_quadratic
 
@@ -288,12 +290,13 @@ def test_an_early_stopped_limit_fails_the_one_residual_gate():
         solve_unilateral(p3(), tol=1e-2)
 
 
-def test_nan_h0_fails_the_condition_gate(monkeypatch):
+def test_nan_h0_fails_the_condition_gate():
     am1, a0, a1 = qbd_quadratic(np.random.default_rng(73), 4)
     f = cr_quadratic(am1, a0, a1)
-    monkeypatch.setattr(factorizations, "_h0", lambda f: np.full((4, 4), math.nan))
+    b0, hhat, step = f.limits
+    nan_limit = replace(f, limits=(np.full_like(b0, math.nan), hhat, step))
     with pytest.raises(SingularH0, match="reciprocal condition of H_0 is nan"):
-        reversed_factorization(am1, a0, a1, f)
+        reversed_factorization(am1, a0, a1, nan_limit)
 
 
 def test_cr_no_unit_circle_gap_detected():
@@ -336,11 +339,11 @@ def test_inverse_coefficients_match_pointwise_inverse():
         assert np.linalg.norm(approx - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
-# --- H_0 by Smith doubling ---
+# --- H_0 and the reversed factorization from cyclic reduction's limits ---
 
 def _stein_residual(f, h0):
     """||H_0 - G+ H_0 R+ - K+^{-1}|| / ||H_0||: H_0 is the fixed point of that map."""
-    k_inv = np.linalg.inv(f.kplus)
+    (h0, k_inv), _, _ = _pow2_scaled([h0, np.linalg.inv(f.kplus)])
     return np.linalg.norm(h0 - f.gplus @ h0 @ f.rplus - k_inv) / np.linalg.norm(h0)
 
 
@@ -356,20 +359,129 @@ def test_reversed_factorization_near_critical_zero_drift():
     assert _stein_residual(f, rf.w) <= 1e-12
 
 
-def test_h0_divergent_series_raises():
-    # rho(G+) rho(R+) = 1: the partial sums grow without bound
-    eye = np.eye(3)
+README_QUAD = ([[0.3, 0.1], [0.1, 0.3]], [[-0.9, 0.1], [0.1, -0.9]], [[0.2, 0.1], [0.1, 0.2]])
+RELATION_CASES = {
+    "qbd4": lambda: qbd_quadratic(np.random.default_rng(11), 4),
+    "qbd20": lambda: qbd_quadratic(np.random.default_rng(13), 20),
+    "critical50": lambda: critical_qbd(3, 50, 5e-3, 0.99),
+    "drift0": lambda: critical_qbd(0, 8, drift=0.0, scale=1 - 1e-7),
+    "complex8": lambda: [cmath.exp(0.7j) * b for b in critical_qbd(4, 8, 5e-3, 0.99)],
+    "readme1e300": lambda: [1e300 * np.array(b) for b in README_QUAD],
+}
+
+
+def _rel_scaled(x, y):
+    """||x - y|| / ||y|| on both divided by one power of two, so no norm under- or overflows."""
+    (x, y), _, _ = _pow2_scaled([x, y])
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("case", RELATION_CASES, ids=list(RELATION_CASES))
+def test_reversed_factors_meet_the_paper_relations(case):
+    # the code takes G-, R- and W from cyclic reduction's limits, not through these:
+    # the similarity G- = W R+ W^-1, R- = W^-1 G+ W, and the Stein equation of H_0
+    blocks = RELATION_CASES[case]()
+    f = cr_quadratic(*blocks)
+    rf = reversed_factorization(*blocks, f)
+    w = rf.w
+    assert _rel_scaled(rf.gminus @ w, w @ f.rplus) <= 1e-12
+    assert _rel_scaled(w @ rf.rminus, f.gplus @ w) <= 1e-12
+    assert _stein_residual(f, w) <= 1e-12
+    if case == "drift0":
+        assert f.iterations == 16
+
+
+def test_reversed_factorization_of_a_shift_reads_its_limits():
+    # the shifted factorization carries limits filled from W~ and K~-, so both
+    # routes of the library read them: reversed_factorization gives back rev
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(269), 4)
+    f = cr_quadratic(am1, a0, a1)
+    lam, u = _inside_eigenpair(f)
+    quad, rev = shifted_factorization_both(am1, a0, a1, f, reversed_factorization(am1, a0, a1, f),
+                                           lam, 0.5 * lam, u)
+    shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), ShiftSpec(lam, 0.5 * lam, u))
+    again = reversed_factorization(*shifted.coeffs, quad)
+    for name in ("gminus", "rminus", "kminus", "w"):
+        assert _rel(getattr(again, name), getattr(rev, name)) <= 1e-12, name
+    assert _rel(inverse_coefficients(quad, 0)[0], rev.w) <= 1e-12
+
+
+def _near_singular_h0(eps, seed):
+    """n = 6 blocks whose H_0 = I + G R is singular at eps = 0: a 2x2 block with
+    G = e1 e2^T, R = (eps - 1) e2 e1^T and K = I (H_0 = diag(eps, 1) there), beside a
+    random contractive 4x4 block, under a random orthogonal similarity."""
+    rng = np.random.default_rng(seed)
+    g, r, k = np.zeros((6, 6)), np.zeros((6, 6)), np.eye(6)
+    g[0, 1], r[1, 0] = 1.0, eps - 1.0
+
+    def contraction():
+        q1, q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+        return q1 @ np.diag(rng.uniform(0.2, 0.9, 4)) @ q2
+
+    g[2:, 2:], r[2:, 2:] = 0.5 * contraction(), contraction()
+    k[2:, 2:] += 0.3 * rng.standard_normal((4, 4))
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    return tuple(q.T @ a @ q for a in (-k @ g, k + r @ k @ g, -r @ k))
+
+
+def _similarity_route(blocks, f):
+    """The reversed factorization by the H_0 series and similarity, for reference:
+    H_0 = sum_j G+^j K+^-1 R+^j by doubling, then G- = H_0 R+ H_0^-1, R- = H_0^-1 G+ H_0
+    under the same 1e-10 factorization residual.  Whether it accepts."""
+    g, r = f.gplus, f.rplus
+    h = np.linalg.inv(f.kplus)
+    for _ in range(64):
+        term = g @ h @ r
+        h, g, r = h + term, g @ g, r @ r
+        if np.linalg.norm(term) <= 1e-16 * np.linalg.norm(h):
+            break
+    try:
+        rf = factorizations._similar_factors(*blocks, f.gplus, f.rplus, h)
+    except SingularWtilde:
+        return False
+    return rf.residual <= 1e-10
+
+
+def test_a_singular_h0_is_still_caught():
+    # CR itself stops short of a singular H_0; just above it the reversed
+    # factorization fails its residual, whichever route computes it
     with pytest.raises(NoConvergence):
-        _h0(QuadFactorization(eye, eye, eye, 0, 0.0, 1.0, 1.0))
-    with pytest.raises(NoConvergence):  # overflows before the step bound
-        _h0(QuadFactorization(2 * eye, eye, eye, 0, 0.0, 2.0, 1.0))
+        cr_quadratic(*_near_singular_h0(1e-9, 0))
+    for eps in (1e-7, 1e-5):
+        for seed in range(3):
+            blocks = _near_singular_h0(eps, seed)
+            f = cr_quadratic(*blocks)
+            assert not _similarity_route(blocks, f)
+            with pytest.raises(SingularH0, match="reversed factorization fails its residual"):
+                reversed_factorization(*blocks, f)
 
 
-def test_h0_slow_geometric_series():
-    # sum_j 0.999^j = 1000, to a 1e-16 tail only after about 3.7e4 terms
-    eye = np.eye(3)
-    h0 = _h0(QuadFactorization(eye, 0.999 * eye, eye, 0, 0.0, 1.0, 0.999))
-    assert np.linalg.norm(h0 - 1000 * eye) <= 1e-12 * np.linalg.norm(1000 * eye)
+def test_the_limits_route_accepts_no_fewer_near_a_singular_h0():
+    # at the edge, eps in 1e-3..5e-3, some inputs pass and some fail: every
+    # rejection is SingularH0, and the limits route accepts at least as many
+    # as the similarity route it replaced
+    accepted, reference = 0, 0
+    for eps in (1e-3, 2e-3, 3e-3, 5e-3):
+        for seed in range(60):
+            blocks = _near_singular_h0(eps, seed)
+            f = cr_quadratic(*blocks)
+            reference += _similarity_route(blocks, f)
+            try:
+                rf = reversed_factorization(*blocks, f)
+            except SingularH0:
+                continue
+            assert rf.residual <= 1e-10
+            accepted += 1
+    assert 0 < reference <= accepted < 240
+
+
+def test_reversed_factorization_reads_no_series_and_no_similarity(monkeypatch):
+    assert not hasattr(factorizations, "_h0") and not hasattr(factorizations, "H0_MAXSTEPS")
+    monkeypatch.setattr(factorizations, "_similar_factors", None)
+    am1, a0, a1 = qbd_quadratic(np.random.default_rng(11), 4)
+    f = cr_quadratic(am1, a0, a1)
+    assert reversed_factorization(am1, a0, a1, f).residual <= 1e-10
+    inverse_coefficients(f, 1)
 
 
 # --- real arithmetic for real data ---
@@ -497,14 +609,16 @@ def test_reversed_similarity_preserves_spectrum():
     assert abs(rf.rho_r - f.rho_g) <= 1e-10
 
 
-def test_reversed_factorization_rejects_a_perturbed_h0(monkeypatch):
+def test_reversed_factorization_rejects_a_perturbed_h0():
+    # a perturbed B_0 limit is a perturbed H_0^{-1} (and K- moves with it); a
+    # perturbed Hhat moves K- alone: the residual gate catches both
     am1, a0, a1 = qbd_quadratic(np.random.default_rng(101), 5)
     f = cr_quadratic(am1, a0, a1)
-    h0 = _h0(f)
-    bump = 1e-6 * np.linalg.norm(h0) * np.random.default_rng(103).standard_normal(h0.shape)
-    monkeypatch.setattr(factorizations, "_h0", lambda f: h0 + bump)
-    with pytest.raises(SingularH0):
-        reversed_factorization(am1, a0, a1, f)
+    b0, hhat, step = f.limits
+    bump = 1e-6 * np.linalg.norm(b0) * np.random.default_rng(103).standard_normal(b0.shape)
+    for limits in ((b0 + bump, hhat, step), (b0, hhat + bump, step)):
+        with pytest.raises(SingularH0, match="reversed factorization fails its residual"):
+            reversed_factorization(am1, a0, a1, replace(f, limits=limits))
 
 
 def _count_radii(monkeypatch):

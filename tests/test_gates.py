@@ -8,6 +8,7 @@ the sources, so a new gate without a row fails.
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,10 @@ from mpshift import (
     LaurentPoly,
     MatrixPoly,
     MultiShiftSpec,
-    QuadFactorization,
     ShiftSpec,
     cr_quadratic,
     det_ratio_oracle,
     invariant_pair,
-    inverse_coefficients,
     multishift_laurent,
     multishift_pencil,
     palindromic_shift,
@@ -32,6 +31,7 @@ from mpshift import (
     polyeig,
     reblock,
     reversed_factorization,
+    right_shift_laurent,
     right_shift_pencil,
     right_shift_poly,
     shift_accelerated_solve,
@@ -61,6 +61,7 @@ from mpshift.errors import (
     ShiftOverflow,
     SingularH0,
     SingularLambda,
+    SingularWtilde,
     SplittingFailure,
 )
 from mpshift.factorizations import RADIUS_MARGIN
@@ -211,48 +212,43 @@ def _canonical(seed=71):
     return blocks, cr_quadratic(*blocks)
 
 
-def _h0_tail(mp):
-    blocks, f = _canonical()
-    mp.setattr(factorizations, "H0_MAXSTEPS", 1)
-    reversed_factorization(*blocks, f)
-
-
-def _h0_one_step():
-    """The added block and the sum after one doubling step of the H_0 series."""
-    f = _canonical()[1]
-    g, k, r = core.as_working(f.gplus, f.kplus, f.rplus)
-    (k,), _, _ = core._pow2_scaled([k])
-    h = np.linalg.inv(k)
-    term = g @ h @ r
-    return np.linalg.norm(term), np.linalg.norm(h + term)
-
-
-def _h0_message(exc):
-    assert exc.value == _h0_one_step()[0]  # the added block, against 1e-16 of the sum
-    return "H_0 series did not reach its tail tolerance"
-
-
-def _h0_finite(mp):
-    big = 10 * np.eye(2)
-    inverse_coefficients(QuadFactorization(big, big, np.eye(2), 0, 0.0, 10.0, 10.0), 0)
-
-
-def _similar_rcond(mp):
+def _reversed_rcond(mp):
     blocks, f = _canonical(73)
-    mp.setattr(factorizations, "_h0", lambda f: np.full((4, 4), math.nan))
-    reversed_factorization(*blocks, f)
-
-
-def _k_minus(mp):
-    blocks, f = _canonical()
-    off = f.gplus + 1e-6 * np.ones_like(f.gplus)
-    reversed_factorization(*blocks, QuadFactorization(off, f.rplus, f.kplus, 0, 0.0, 0.0, 0.0))
+    b0, hhat, step = f.limits
+    reversed_factorization(*blocks, replace(f, limits=(np.full_like(b0, math.nan), hhat, step)))
 
 
 def _reversed_residual(mp):
     blocks, f = _canonical()
     mp.setattr(factorizations, "_quad_fact_residual", lambda *_: math.nan)
     reversed_factorization(*blocks, f)
+
+
+def _shift_both(f_change=None, rf_change=None):
+    """shifted_factorization_both on _canonical(), its largest inner eigenvalue to 0,
+    with ``f_change`` or ``rf_change`` (dataclass fields) replaced first."""
+    blocks, f = _canonical()
+    rf = reversed_factorization(*blocks, f)
+    lam, u = _inside_eigenpair(f)
+    shifted_factorization_both(*blocks, replace(f, **(f_change or {})),
+                               replace(rf, **(rf_change or {})), lam, 0.0, u)
+
+
+def _shifted_scale():
+    """The gates' scale of the shifted blocks of :func:`_shift_both`."""
+    blocks, f = _canonical()
+    lam, u = _inside_eigenpair(f)
+    shifted = right_shift_laurent(LaurentPoly(-1, blocks), ShiftSpec(lam, 0.0, u))
+    return sum(np.linalg.norm(c) for c in shifted.coeffs)
+
+
+def _similar_rcond(mp):
+    _shift_both(rf_change=dict(w=np.full((4, 4), math.nan)))
+
+
+def _k_minus(mp):
+    f = _canonical()[1]
+    _shift_both(f_change=dict(gplus=f.gplus + 1e-6 * np.ones_like(f.gplus)))
 
 
 def _inside_eigenpair(f):
@@ -346,7 +342,6 @@ def _eigen_values(p):
 
 
 P1_SCALE = sum(np.linalg.norm(c) for c in fx.p1().coeffs)
-K_SCALE = sum(np.linalg.norm(c) for c in qbd_quadratic(np.random.default_rng(71), 4))
 
 
 # name, trigger, error class, tol, op, expected message (a string, or a function of the error)
@@ -397,15 +392,15 @@ GATES = [
     ("cr_quadratic.radius", _cr_radius, NoConvergence, 1.0 - RADIUS_MARGIN, "<",
      lambda e: _larger_of_two(e, r"computed factors are not contractive \(rho\(G\+\)=(\S+), "
                                  r"rho\(R\+\)=(\S+)\); no canonical factorization")),
-    ("h0.tail", _h0_tail, NoConvergence, 1e-16 * _h0_one_step()[1], "<=", _h0_message),
-    ("h0.finite", _h0_finite, NoConvergence, math.inf, "<",
-     "H_0 series did not reach its tail tolerance"),
-    ("similar_factors.rcond", _similar_rcond, SingularH0, 1e-12, ">=",
+    ("reversed_factorization.rcond", _reversed_rcond, SingularH0, 1e-12, ">=",
      "reciprocal condition of H_0 is nan"),
-    ("similar_factors.k_minus", _k_minus, SingularH0, RESIDUAL_TOL, "<=",
-     lambda e: _relative(e, r"the two K- expressions disagree by (\S+)", K_SCALE)),
     ("reversed_factorization.residual", _reversed_residual, SingularH0, RESIDUAL_TOL, "<=",
-     "reversed factorization residual nan exceeds 1e-10"),
+     lambda e: _larger_of_two(e, r"reversed factorization fails its residual checks "
+                                 r"\(factorization residual (\S+), R- residual (\S+)\)")),
+    ("similar_factors.rcond", _similar_rcond, SingularWtilde, 1e-12, ">=",
+     "reciprocal condition of W~ is nan"),
+    ("similar_factors.k_minus", _k_minus, SingularWtilde, RESIDUAL_TOL, "<=",
+     lambda e: _relative(e, r"the two K- expressions disagree by (\S+)", _shifted_scale())),
     ("shifted_factors.product", _shifted_product, NoConvergence, RESIDUAL_TOL, "<=",
      lambda e: f"updated factors disagree with the shifted function: {e.value:.2e}"),
     ("shifted_factors.l_roots", _l_roots, NoConvergence, 1.0 + RADIUS_MARGIN, ">",

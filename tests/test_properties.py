@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,9 +47,9 @@ from mpshift.errors import (
     NotInvariant,
     NotPalindromic,
     ShiftOverflow,
-    SingularH0,
+    SingularWtilde,
 )
-from mpshift.factorizations import QuadFactorization, _factor_residual
+from mpshift.factorizations import _factor_residual
 from mpshift.spectra import invariant_pair_residual, null_vectors
 
 from conftest import (
@@ -243,13 +244,17 @@ def test_reversed_factorization_does_not_depend_on_the_scale(qbd_factors, alpha)
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha", [1.0] + ALPHAS, ids=["1"] + ALPHA_IDS)
 def test_a_perturbed_gplus_fails_at_every_scale(qbd_factors, alpha):
+    # the reversed factorization reads no G+; the shift update's similarity does
     blocks1, f1, _ = qbd_factors
     off = f1.gplus + 1e-6 * np.ones_like(f1.gplus)
     blocks = _qbd_blocks(alpha)
     kplus = alpha * f1.kplus
     assert _factor_residual(*blocks, off, f1.rplus, kplus) > 1e-10
-    with pytest.raises(SingularH0, match="the two K- expressions disagree"):
-        reversed_factorization(*blocks, QuadFactorization(off, f1.rplus, kplus, 0, 0.0, 0.0, 0.0))
+    f = cr_quadratic(*blocks)
+    lam, u = _largest_eigenpair(f1.gplus)
+    with pytest.raises(SingularWtilde, match="the two K- expressions disagree"):
+        rf = reversed_factorization(*blocks, f)
+        shifted_factorization_both(*blocks, replace(f, gplus=off), rf, lam, 0.0, u)
     with pytest.raises(NotASolvent, match="sum A_i g"):
         poly_factorization(MatrixPoly(blocks), off)
 
