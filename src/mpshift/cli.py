@@ -181,9 +181,9 @@ def complex_texts(values):
     return texts
 
 
-def fmt_matrix(mat, indent="  "):
+def fmt_matrix(mat):
     texts, width = complex_texts(mat), np.shape(mat)[1]
-    return "\n".join(indent + "  ".join(texts[i:i + width]) for i in range(0, len(texts), width))
+    return "\n".join("  " + "  ".join(texts[i:i + width]) for i in range(0, len(texts), width))
 
 
 def matrix_json(mat):
@@ -304,11 +304,8 @@ def _shift_single(args, poly):
     lam = INF if args.mode == "from-inf" else args.lam
     mu = INF if args.mode == "to-inf" else args.mu
     infinite = is_infinite(lam) or is_infinite(mu)
-    if infinite:
-        if poly.lo != 0:
-            raise UsageError("infinity shifts need a matrix polynomial input")
-        if args.side == "left":
-            raise UsageError("--side left does not apply to infinity shifts")
+    if infinite and args.side == "left":
+        raise UsageError("--side left does not apply to infinity shifts")
     left = args.side == "left"
     vector, dual = (args.v, args.u) if left else (args.u, args.v)
     spec = ShiftSpec(lam, mu, _vector_arg(vector, poly, lam, left), _dual_arg(dual, poly.n),

@@ -30,6 +30,7 @@ import orjson
 
 from .errors import (
     DegeneratePolynomial,
+    DegenerateShift,
     DimensionMismatch,
     ParseError,
     ZeroAtNegativePower,
@@ -92,17 +93,14 @@ def _square_coeffs(coeffs):
 class LaurentPoly:
     """Matrix Laurent polynomial A(z) = sum_{i=lo}^{hi} z^i A_i, lo <= 0 <= hi.
 
-    ``coeffs[k]`` is the coefficient of z^{lo+k}.  The ``truncated`` flag
-    records that the instance stands for a truncated Laurent series; the
-    truncation itself is the caller's responsibility.  A matrix polynomial
-    is the case lo = 0; functions defined only for polynomials check
+    ``coeffs[k]`` is the coefficient of z^{lo+k}.  A matrix polynomial is
+    the case lo = 0; functions defined only for polynomials check
     ``p.lo == 0``, so they accept ``LaurentPoly(0, coeffs)`` and
     :class:`MatrixPoly` alike.
     """
 
     lo: int
     coeffs: tuple
-    truncated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _square_coeffs(self.coeffs))
@@ -134,8 +132,8 @@ class LaurentPoly:
             return self.coeffs[power - self.lo]
         return np.zeros((self.n, self.n), dtype=complex)
 
-    def to_laurent(self, truncated=False):
-        return LaurentPoly(self.lo, self.coeffs, truncated)
+    def to_laurent(self):
+        return LaurentPoly(self.lo, self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +141,6 @@ class MatrixPoly(LaurentPoly):
     """Matrix polynomial A(z) = sum_{i=0}^d z^i coeffs[i]: a LaurentPoly with lo = 0."""
 
     lo: int = field(default=0, init=False)
-    truncated: bool = field(default=False, init=False)
 
 
 INF = complex(math.inf, 0.0)
@@ -367,7 +364,8 @@ def det_ratio_oracle(
     unchanged.  C is 1, or with ``fit_constant`` the ratio at the sample with
     the largest log|det a(z) prod(z - added)|.
 
-    Raises DegeneratePolynomial when rcond(a(z)) <= RANK_TOL at every sample.
+    Raises DegeneratePolynomial when rcond(a(z)) <= RANK_TOL at every sample,
+    and DegenerateShift when 200 * samples draws leave too few samples.
     Returns an :class:`OracleReport`; ``passed`` means max |ratio / C - 1| <= ORACLE_TOL.
     """
     if a.n != a_tilde.n:
@@ -387,7 +385,7 @@ def det_ratio_oracle(
     while len(pts) < samples:
         attempts += 1
         if attempts > 200 * samples:
-            raise RuntimeError("could not place oracle samples away from shift values")
+            raise DegenerateShift("could not place oracle samples away from shift values")
         r = ORACLE_RADII[len(pts) % len(ORACLE_RADII)]
         z = r * cmath.exp(2j * math.pi * rng.random())
         if avoid.size and np.min(np.abs(z - avoid)) < 1e-3:

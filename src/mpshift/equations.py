@@ -10,7 +10,8 @@ change it); it equals :func:`convergence_ratio` whenever exactly n
 eigenvalues lie in the closed unit disk.  Degree-1 equations need no
 iteration and report sigma = NaN.  When an eigenvalue sits on or near the
 circle, sigma -> 1 and convergence crawls; shifting that eigenvalue away
-(e.g. 1 -> 0) shrinks sigma, and the solvent of the original equation is
+(e.g. 1 -> 0) shrinks sigma: :func:`shift_accelerated_solve` is the plain
+solve of the shifted equation, and the solvent of the original equation is
 recovered in closed form from the shifted one: G = G~ + (lambda - mu) Q.
 """
 
@@ -209,11 +210,13 @@ def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):
 def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64):
     """Solve sum_i A_i X^i = 0 by shifting a unit-circle eigenvalue away first.
 
-    Shifts the eigenpair (lam, u) to mu (default 0), solves the shifted
-    equation by cyclic reduction, and recovers the original minimal solvent
-    as G = G~ + (lam - mu) Q.  The recovered G is verified on the original
-    equation to 1e-8 (looser than the shifted residual: the rank-one
-    recovery carries the conditioning of the shift).
+    Three steps: :func:`~mpshift.shifts.right_shift_poly` moves the eigenpair
+    (lam, u) to mu (default 0), :func:`solve_unilateral` solves the shifted
+    equation by cyclic reduction under its own residual gate, and the original
+    minimal solvent is recovered as G = G~ + (lam - mu) Q.  The recovered G is
+    verified on the original equation to 1e-8 (looser than the shifted
+    residual: the rank-one recovery carries the conditioning of the shift).
+    Like :func:`solve_unilateral`, it takes matrix polynomials (lo = 0) only.
     """
     lam = complex(lam)
     mu = complex(mu)
@@ -227,14 +230,11 @@ def shift_accelerated_solve(p, lam, u, v=None, mu=0.0, tol=1e-14, maxit=64):
             stacklevel=2,
         )
     spec = ShiftSpec(lam, mu, u, v)
-    shifted = right_shift_poly(p, spec)  # gates the eigenpair (lam, u)
-    g_shift, iterations, sigma = _solve_cr(shifted, tol, maxit)
-    res_shift = equation_residual(shifted, g_shift)
-    _check(NoConvergence, "shift_accelerated_solve.shifted", res_shift, RESIDUAL_TOL,
-           "shifted solvent residual {:.2e} exceeds 1e-10", res_shift)
+    shifted = solve_unilateral(right_shift_poly(p, spec), tol=tol, maxit=maxit)
     q = spec.q
-    g = g_shift + (lam - mu) * q
-    res_orig = equation_residual(p, g)
-    _check(NoConvergence, "shift_accelerated_solve.recovered", res_orig, 1e-8,
-           "recovered solvent fails the original equation: residual {:.2e}", res_orig)
-    return SolveReport(g, iterations, res_orig, sigma, shifted=True, recovery=(lam, mu, q))
+    g = shifted.g + (lam - mu) * q
+    res = equation_residual(p, g)
+    _check(NoConvergence, "shift_accelerated_solve.recovered", res, 1e-8,
+           "recovered solvent fails the original equation: residual {:.2e}", res)
+    return SolveReport(g, shifted.iterations, res, shifted.sigma, shifted=True,
+                       recovery=(lam, mu, q))

@@ -32,10 +32,8 @@ function: the ``*_poly`` and ``*_laurent`` names of the right, left and
 multi shifts are the same function.  Every result is built by
 ``dataclasses.replace`` and keeps the input's type.  The reversal-based
 shifts require lo = 0.  Every shift is validated downstream by the
-determinant-ratio oracle in :mod:`mpshift.core`; the kernel's sums are exact
-(finite) for polynomial data.  For truncated Laurent series the sums run
-over the stored support only and the result keeps the ``truncated`` flag,
-since the dropped tail decays geometrically.
+determinant-ratio oracle in :mod:`mpshift.core`; the kernel's sums run over
+the stored support and are exact.
 """
 
 from __future__ import annotations

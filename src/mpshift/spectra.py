@@ -103,9 +103,6 @@ class Spectrum:
     def finite(self):
         return [p for p in self.pairs if not p.is_infinite]
 
-    def infinite(self):
-        return [p for p in self.pairs if p.is_infinite]
-
 
 def null_vectors(p, z, left=False):
     """Unit right (and, with ``left``, left) singular vectors of the smallest

@@ -420,6 +420,40 @@ def test_check_pass_and_fail(tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+def test_check_that_cannot_place_its_samples_is_one_error_line(tmp_path, capsys):
+    # 2500 values on the oracle's circle |z| = 0.7 leave no sample point 1e-3 away
+    src = tmp_path / "p1.mp.json"
+    write_poly(fixture_p1(), src)
+    z = 0.7 * np.exp(2j * np.pi * np.arange(2500) / 2500)
+    pts = ",".join(f"{w.real!r}{'-' if w.imag < 0 else '+'}{abs(w.imag)!r}i" for w in z.tolist())
+    for fmt in ("table", "json"):
+        code, out, err = run(capsys, "check", str(src), str(src), f"--removed={pts}",
+                             f"--added={pts}", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: could not place oracle samples away from shift values\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_shift_reports_a_failed_oracle(tmp_path, capsys, monkeypatch, fmt):
+    from mpshift.core import OracleReport
+
+    def failing(*args):
+        return OracleReport(False, 0.25, 16, 1 + 0j, 1e-8)
+
+    monkeypatch.setattr(cli, "det_ratio_oracle", failing)
+    src, dst = tmp_path / "p1.mp.json", tmp_path / "out.mp.json"
+    write_poly(fixture_p1(), src)
+    code, out, err = run(capsys, "shift", str(src), "--lambda", "1", "--mu", "0", "--u", "1,0",
+                         "-o", str(dst), "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["oracle"] == {"passed": False, "max_rel_err": 0.25, "samples": 16}
+    else:
+        assert "oracle: FAIL (max rel err 2.500e-01 over 16 samples, tol 1.0e-08)" in out
+    assert read_poly(dst).n == 2
+    assert err == "error: determinant-ratio oracle FAILED (max rel err 2.500e-01)\n"
+
+
 # --- determinism ---
 
 def test_shift_is_byte_deterministic(tmp_path, capsys):

@@ -25,6 +25,7 @@ from mpshift import (
 )
 from mpshift.errors import (
     DegeneratePolynomial,
+    DegenerateShift,
     DimensionMismatch,
     ParseError,
     ZeroAtNegativePower,
@@ -641,6 +642,38 @@ def test_oracle_rejects_samples_near_shift_values(p1):
     shifted = right_shift_poly(p1, spec)
     rep = det_ratio_oracle(p1, shifted, removed=[1.0], added=[0.7], samples=24)
     assert rep.passed
+
+
+def _on_circle(k, r=0.7):
+    """k equispaced points on |z| = r, the oracle's first sample circle."""
+    return r * np.exp(2j * np.pi * np.arange(k) / k)
+
+
+def test_oracle_that_cannot_place_its_samples_raises_a_typed_error(p1):
+    # 2500 values on |z| = 0.7 leave no point of that circle 1e-3 away from all of them
+    pts = _on_circle(2500)
+    with pytest.raises(DegenerateShift) as caught:
+        det_ratio_oracle(p1, p1, removed=pts, added=pts)
+    assert str(caught.value) == "could not place oracle samples away from shift values"
+
+
+def test_oracle_draws_again_near_a_shift_value(p1, monkeypatch):
+    # 800 values on |z| = 0.7 block about a third of that circle: some draws are
+    # rejected, and every sample the oracle evaluates keeps its 1e-3 distance
+    pts = _on_circle(800)
+    evaluated = []
+
+    def spy(p, z):
+        evaluated.append(np.asarray(z, dtype=complex))
+        return evaluate(p, z)
+
+    monkeypatch.setattr(core, "evaluate", spy)
+    assert det_ratio_oracle(p1, p1, removed=pts, added=pts).passed
+    samples = evaluated[0]
+    assert len(samples) == 16 and np.abs(np.subtract.outer(samples, pts)).min() >= 1e-3
+    rng = np.random.default_rng(0)  # the first 16 draws, had none been rejected
+    first = [core.ORACLE_RADII[k % 2] * cmath.exp(2j * math.pi * rng.random()) for k in range(16)]
+    assert not np.allclose(samples, first)
 
 
 def _planted_quadratic_shift(n, lam=0.5 + 0.2j, mu=-0.3 + 0.1j):

@@ -14,6 +14,7 @@ from mpshift import (
     right_shift_poly,
     shift_accelerated_solve,
     solve_unilateral,
+    unit_vector,
 )
 from mpshift.errors import (
     DegenerateShift,
@@ -26,7 +27,7 @@ from mpshift.errors import (
 
 from mpshift import fixtures as fx
 
-from conftest import critical_qbd, crandn, qbd_quadratic, rand_poly
+from conftest import critical_qbd, crandn, plant_right, qbd_quadratic, rand_laurent, rand_poly
 
 
 def test_p3_row_sums_are_exact_in_integer_arithmetic():
@@ -133,10 +134,12 @@ def test_scaled_p3_solves_like_p3(alpha):
 
 @pytest.mark.parametrize(
     "fail_on, message",
-    [("original", "solvent residual nan exceeds"), ("shifted", "shifted solvent residual nan"),
+    [("original", "solvent residual nan exceeds"),
+     ("shifted", "solvent residual nan exceeds"),
      ("recovered", "recovered solvent fails the original equation: residual nan")],
 )
 def test_nan_solvent_residual_fails_the_solve_gates(monkeypatch, fail_on, message):
+    # the shifted equation is solved by solve_unilateral, so it fails that gate
     import mpshift.equations
 
     p = fx.p3()
@@ -147,11 +150,26 @@ def test_nan_solvent_residual_fails_the_solve_gates(monkeypatch, fail_on, messag
         return math.nan if nan else equation_residual(q, g)
 
     monkeypatch.setattr(mpshift.equations, "equation_residual", residual)
-    with pytest.raises(NoConvergence, match=message):
+    with pytest.raises(NoConvergence, match=message) as caught:
         if fail_on == "original":
             solve_unilateral(p)
         else:
             shift_accelerated_solve(p, 1.0, e, e / 5)
+    recovered = fail_on == "recovered"
+    gate = "shift_accelerated_solve.recovered" if recovered else "solve_unilateral.residual"
+    assert caught.value.name == gate
+
+
+@pytest.mark.parametrize("hi", [0, 1])
+def test_shift_accelerated_solve_rejects_laurent_input_at_every_degree(hi):
+    # a planted pair passes the shift's gate; the shifted Laurent equation is
+    # then refused by solve_unilateral, at degree 1 as at degree 2
+    rng = np.random.default_rng(503)
+    lam, u = 0.5, unit_vector(crandn(rng, 3))
+    p = plant_right(rand_laurent(rng, 3, -1, hi), lam, u)
+    with pytest.raises(DimensionMismatch) as caught:
+        shift_accelerated_solve(p, lam, u, mu=0.1)
+    assert str(caught.value) == "solve_unilateral expects a matrix polynomial"
 
 
 def test_reblock_determinant_has_extra_origin_zeros():

@@ -908,16 +908,6 @@ def test_identity_at_mu_equals_lambda_all_ops():
     assert left_shift_laurent(lpl, ShiftSpec(lam, lam, u, side="left")) is lpl
 
 
-def test_truncated_flag_propagates():
-    rng = np.random.default_rng(181)
-    lam, u = 0.5, unit_vector(crandn(rng, 3))
-    p = LaurentPoly(-1, [crandn(rng, 3, 3) for _ in range(3)], truncated=True)
-    p = plant_right(p, lam, u)
-    assert p.truncated
-    out = right_shift_laurent(p, ShiftSpec(lam, 0.1, u))
-    assert out.truncated
-
-
 def test_multishift_laurent_identity_exact():
     rng = np.random.default_rng(191)
     lams = [0.4, -0.3 + 0.5j]

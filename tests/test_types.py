@@ -18,6 +18,7 @@ from mpshift import (
     reverse,
     right_shift_laurent,
     right_shift_poly,
+    shift_accelerated_solve,
     shift_from_infinity,
     shift_to_infinity,
     solve_unilateral,
@@ -33,9 +34,11 @@ from conftest import crandn, palindromic_quad, qbd_quadratic, rand_laurent
 def test_matrix_poly_is_a_laurent_poly_with_lo_zero():
     p = fixture("p1")
     assert isinstance(p, LaurentPoly)
-    assert (p.lo, p.hi, p.d, p.truncated) == (0, 2, 2, False)
+    assert (p.lo, p.hi, p.d) == (0, 2, 2)
     q = LaurentPoly(-1, p.coeffs)
     assert (q.lo, q.hi, q.d) == (-1, 1, 2)
+    with pytest.raises(TypeError):  # a container holds the lo and the coefficients, nothing else
+        LaurentPoly(-1, p.coeffs, True)
     with pytest.raises(TypeError):
         MatrixPoly(p.coeffs, lo=-1)
     assert type(replace(p, coeffs=p.coeffs[:2])) is MatrixPoly
@@ -91,6 +94,11 @@ def _poly_factorization_case():
     return p, lambda p: poly_factorization(p, g).ucoeffs
 
 
+def _shift_solve_case():
+    e = np.ones(5)
+    return fixture("p3"), lambda p: shift_accelerated_solve(p, 1.0, e, e / 5).g
+
+
 def _from_infinity_case():
     # p2's leading coefficient diag(0, 1, 1) annihilates e_1
     return fixture("p2"), lambda p: shift_from_infinity(p, 1.0, [1.0, 0.0, 0.0])
@@ -114,6 +122,7 @@ POLY_ONLY = {
     "reblock": _reblock_case,
     "solve_unilateral": _solve_case,
     "poly_factorization": _poly_factorization_case,
+    "shift_accelerated_solve": _shift_solve_case,
     "shift_from_infinity": _from_infinity_case,
     "shift_to_infinity": _to_infinity_case,
     "palindromic_shift": _palindromic_case,
@@ -127,7 +136,7 @@ def test_polynomial_functions_take_laurent_lo_zero(name):
     want, got = call(mp), call(lp)
     if isinstance(want, LaurentPoly):
         assert type(want) is MatrixPoly and type(got) is LaurentPoly
-        assert got.lo == 0 and not got.truncated
+        assert got.lo == 0
         want, got = want.coeffs, got.coeffs
     want, got = np.asarray(want), np.asarray(got)
     assert want.shape == got.shape
