@@ -416,18 +416,17 @@ def cmd_solve(args):
         rep = shift_accelerated_solve(poly, lam, u, v, mu, tol=tol, maxit=maxit)
     else:
         rep = solve_unilateral(poly, method=args.mode, tol=tol, maxit=maxit, seed=args.seed)
-    sigma = None if math.isnan(rep.sigma) else rep.sigma
     fields = {
         "iterations": rep.iterations,
         "residual": rep.residual,
-        "sigma": sigma,
+        "sigma": rep.sigma,
         "shifted": rep.shifted,
         "g": rep.g,
     }
     lines = [
         f"iterations: {rep.iterations}",
         f"residual:   {rep.residual:.3e}",
-        f"sigma:      {'n/a' if sigma is None else fmt_float(sigma)}",
+        f"sigma:      {fmt_float(rep.sigma)}",
         _matrix_line("G", rep.g),
     ]
     if rep.shifted:

@@ -7,10 +7,11 @@ error decays like sigma^(2^k) with sigma = |lambda_n| / |lambda_{n+1}| for
 the eigenvalues ordered by modulus.  Each solve reads sigma off its own
 cyclic reduction as rho(G+) rho(R+) (the embedding's extra zeros do not
 change it); it equals :func:`convergence_ratio` whenever exactly n
-eigenvalues lie in the closed unit disk.  Degree-1 equations need no
-iteration and report sigma = NaN.  When an eigenvalue sits on or near the
-circle, sigma -> 1 and convergence crawls; shifting that eigenvalue away
-(e.g. 1 -> 0) shrinks sigma: :func:`shift_accelerated_solve` is the plain
+eigenvalues lie in the closed unit disk.  A pencil is embedded with a zero
+A_2, so cyclic reduction stops at step 0 with sigma = 0: every further
+eigenvalue is at infinity.  When an eigenvalue sits on or near the circle,
+sigma -> 1 and convergence crawls; shifting that eigenvalue away (e.g.
+1 -> 0) shrinks sigma: :func:`shift_accelerated_solve` is the plain
 solve of the shifted equation, and the solvent of the original equation is
 recovered in closed form from the shifted one: G = G~ + (lambda - mu) Q.
 """
@@ -45,10 +46,10 @@ class SolveReport:
 
     ``residual`` is ||sum_i A_i G^i||_F / sum_i ||A_i||_F.  ``sigma`` is the
     convergence ratio |lambda_n| / |lambda_{n+1}| of the solved equation
-    (the shifted one for shift-accelerated runs); it is NaN for degree-1
-    equations only, which need no iteration.  For
-    shift-accelerated runs ``shifted`` is True and ``recovery`` holds the
-    (lambda, mu, Q) triple used to map the shifted solvent back.
+    (the shifted one for shift-accelerated runs), 0 when every eigenvalue
+    beyond the nth is at infinity, as for a pencil.  For shift-accelerated
+    runs ``shifted`` is True and ``recovery`` holds the (lambda, mu, Q)
+    triple used to map the shifted solvent back.
     """
 
     g: np.ndarray
@@ -63,7 +64,8 @@ class SolveReport:
 class ReblockedQuadratic:
     """Degree-2 block embedding of a degree-d unilateral equation.
 
-    With k = d-1, N = n k and s = max_i ||A_i||_inf (the largest double if
+    A pencil (d = 1) is padded with a zero A_2 and embedded as d = 2.  With
+    k = d-1, N = n k and s = max_i ||A_i||_inf (the largest double if
     that row sum overflows): B_{-1} holds A_0 in block (1,1); B_0 has first
     block row [A_1 ... A_{d-1}] and -s I on the remaining diagonal; B_1 has
     A_d in block (1,k) and s I on the subdiagonal.  The factor s makes the
@@ -82,24 +84,26 @@ class ReblockedQuadratic:
 
 
 def reblock(p):
-    """Embed a degree >= 2 matrix polynomial into an equivalent block quadratic."""
+    """Embed a degree >= 1 matrix polynomial, a pencil padded with a zero A_2,
+    into an equivalent block quadratic."""
     if p.lo != 0:
         raise DimensionMismatch("reblock expects a matrix polynomial")
-    n, d = p.n, p.d
-    if d < 2:
-        raise DimensionMismatch("reblock needs degree >= 2")
-    (coeffs,) = as_working(np.array(p.coeffs))  # A_0, ..., A_d stacked
+    if p.d < 1:
+        raise DimensionMismatch("reblock needs degree >= 1")
+    n, d = p.n, max(p.d, 2)
+    (coeffs,) = as_working(np.array([*p.coeffs, *np.zeros((d - p.d, n, n))]))  # A_0, ..., A_d
     k = d - 1
     big = n * k
     bm1, b0, b1 = np.zeros((3, big, big), dtype=coeffs.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # a row sum beyond double range is capped
-        s_eye = min(np.abs(coeffs).sum(axis=2).max(), math.nextafter(math.inf, 0)) * np.eye(n)
     bm1[:n, :n] = coeffs[0]
     for j in range(k):
         b0[:n, j * n : (j + 1) * n] = coeffs[j + 1]
-    for i in range(1, k):
-        b0[i * n : (i + 1) * n, i * n : (i + 1) * n] = -s_eye
-        b1[i * n : (i + 1) * n, (i - 1) * n : i * n] = s_eye
+    if k > 1:
+        with np.errstate(over="ignore", invalid="ignore"):  # a row sum beyond double range is capped
+            s_eye = min(np.abs(coeffs).sum(axis=2).max(), math.nextafter(math.inf, 0)) * np.eye(n)
+        for i in range(1, k):
+            b0[i * n : (i + 1) * n, i * n : (i + 1) * n] = -s_eye
+            b1[i * n : (i + 1) * n, (i - 1) * n : i * n] = s_eye
     b1[:n, (k - 1) * n :] = coeffs[d]
     return ReblockedQuadratic(bm1, b0, b1)
 
@@ -127,14 +131,7 @@ def convergence_ratio(p, seed=0):
 
 
 def _solve_cr(p, tol, maxit):
-    """Minimal solvent, CR steps and sigma = rho(G+) rho(R+) (NaN at degree 1)."""
-    n = p.n
-    if p.d == 1:
-        try:
-            g = -np.linalg.solve(p.coeffs[1], p.coeffs[0])
-        except np.linalg.LinAlgError as exc:
-            raise SplittingFailure("leading coefficient of the pencil is singular") from exc
-        return g, 1, math.nan
+    """Minimal solvent, CR steps and sigma = rho(G+) rho(R+)."""
     rq = reblock(p)
     try:
         f = cr_quadratic(rq.bm1, rq.b0, rq.b1, tol=tol, maxit=maxit, strict_radius=False)
@@ -142,7 +139,7 @@ def _solve_cr(p, tol, maxit):
         if exc.step is not None:  # non-finite blocks say nothing about the splitting
             raise
         raise SplittingFailure(str(exc), name=exc.name, value=exc.value, tol=exc.tol) from exc
-    return np.array(f.gplus[:n, :n]), f.iterations, f.rho_g * f.rho_r
+    return np.array(f.gplus[:p.n, :p.n]), f.iterations, f.rho_g * f.rho_r
 
 
 def _solve_eigen(p, seed):
@@ -172,7 +169,7 @@ def _solve_eigen(p, seed):
     _check(IllConditionedEigenbasis, "solve_eigen.rcond", rc, 1e-8,
            "reciprocal condition of the eigenvector basis is {:.2e}", rc, op=">=")
     g = np.linalg.solve(vmat.T, (vmat @ np.diag(vals)).T).T
-    return g, 1, gap_lo / gap_hi if p.d > 1 else math.nan
+    return g, 1, gap_lo / gap_hi
 
 
 def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):

@@ -169,12 +169,15 @@ class MultiShiftSpec:
 # the shift kernel and its compositions
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # the gate at the end reports them
 def _shift_coeffs(coeffs, lo, u, lam, s, v):
     """Coefficients of A(z) (I + U (zI - Lambda)^{-1} (Lambda - S) V*).
 
     Nonnegative powers gain (sum_{k>=0} A_{i+k+1} U Lambda^k)(Lambda - S) V*,
     negative powers lose (sum_{k>=0} A_{i-k} U Lambda^{-k-1})(Lambda - S) V*,
     with sums over the stored support; the top coefficient never changes.
+    Every shift's result passes one gate here, ``shift.finite``: an entry
+    beyond double range raises ShiftOverflow, not numpy's warnings.
     """
     hi = lo + len(coeffs) - 1
     n, m = u.shape
@@ -196,6 +199,9 @@ def _shift_coeffs(coeffs, lo, u, lam, s, v):
         for i in range(lo, 0):
             acc = (coeffs[i - lo] @ u + acc) @ lam_inv
             out[i - lo] -= acc @ diff @ vstar
+    bad = sum(int(np.count_nonzero(~np.isfinite(c))) for c in out)
+    _check(ShiftOverflow, "shift.finite", bad, 0,
+           "{} shifted coefficient entries are beyond double range", bad)
     return out
 
 
@@ -270,20 +276,15 @@ def _gate(p, spec, alone):
 
 def _apply(p, spec):
     """p after one gated shift.  An infinite lambda or mu is the right shift
-    1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients.  A shifted entry
-    beyond double range raises ShiftOverflow, not numpy's warnings."""
+    1/lambda -> 1/mu (1/inf = 0) of the reversed coefficients."""
     if spec.mu == spec.lam:
         return p
-    with np.errstate(over="ignore", invalid="ignore"):  # the gate below reports them
-        if is_infinite(spec.lam) or is_infinite(spec.mu):
-            lam, mu = (0j if is_infinite(z) else 1 / z for z in (spec.lam, spec.mu))
-            coeffs = _right(p.coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1]
-        else:
-            shift = _right if spec.side == "right" else _left
-            coeffs = shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
-    bad = sum(int(np.count_nonzero(~np.isfinite(c))) for c in coeffs)
-    _check(ShiftOverflow, "shift.finite", bad, 0,
-           "{} shifted coefficient entries are beyond double range", bad)
+    if is_infinite(spec.lam) or is_infinite(spec.mu):
+        lam, mu = (0j if is_infinite(z) else 1 / z for z in (spec.lam, spec.mu))
+        coeffs = _right(p.coeffs[::-1], 0, lam, mu, spec.vector, spec.dual)[::-1]
+    else:
+        shift = _right if spec.side == "right" else _left
+        coeffs = shift(p.coeffs, p.lo, spec.lam, spec.mu, spec.vector, spec.dual)
     return replace(p, coeffs=coeffs)
 
 

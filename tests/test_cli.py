@@ -373,17 +373,40 @@ def test_solve_degree_one(tmp_path, capsys):
     write_poly(MatrixPoly([-np.diag([0.3, 0.5]), np.eye(2)]), path)
     code, out, _ = run(capsys, "solve", str(path), "--format", "json")
     assert code == 0
-    assert json.loads(out)["iterations"] == 1
+    assert json.loads(out)["iterations"] == 0
 
 
 @pytest.mark.parametrize("method", ["cr", "eigen"])
-def test_solve_degree_one_has_no_sigma(tmp_path, capsys, method):
+def test_solve_degree_one_sigma_is_zero(tmp_path, capsys, method):
+    # every eigenvalue beyond the nth of a pencil is at infinity
     path = tmp_path / "pencil.mp.json"
     write_poly(MatrixPoly([-np.diag([0.3, 0.5]), np.eye(2)]), path)
     code, out, _ = run(capsys, "solve", str(path), "--method", method, "--format", "json")
-    assert code == 0 and json.loads(out)["sigma"] is None
+    assert code == 0 and json.loads(out)["sigma"] == 0.0
     code, out, _ = run(capsys, "solve", str(path), "--method", method)
-    assert code == 0 and "sigma:      n/a" in out.splitlines()
+    assert code == 0 and "sigma:      0.0" in out.splitlines()
+
+
+def test_solve_and_factor_a_pencil(tmp_path, capsys):
+    path = tmp_path / "pencil.mp.json"
+    write_poly(MatrixPoly([-np.array([[1.0, 0.2], [0.0, 0.5]]), 2 * np.eye(2)]), path)
+    code, out, _ = run(capsys, "solve", str(path), "--shift", "0.5,0", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["shifted"] is True
+    assert (payload["iterations"], payload["sigma"]) == (0, 0.0) and payload["residual"] <= 1e-15
+    write_poly(MatrixPoly([-np.diag([0.3, 0.5]), 2 * np.eye(2)]), path)
+    code, out, _ = run(capsys, "factor", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["iterations"] == 0
+    assert np.allclose(np.array(payload["g"]) @ [1, 1j], np.diag([0.15, 0.25]), rtol=0, atol=1e-15)
+
+
+def test_solve_pencil_with_singular_leading_coefficient_exits_1(tmp_path, capsys):
+    path = tmp_path / "pencil.mp.json"
+    write_poly(MatrixPoly([np.eye(2), np.diag([1.0, 0.0])]), path)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: singular pivot at cyclic reduction step 0"]
 
 
 def test_solve_p3_reports_sigma(tmp_path, capsys):
@@ -664,6 +687,24 @@ def test_shift_multi_dependent_packet_exits_2(tmp_path, capsys):
         capsys, "shift", str(path), "--multi", str(spec), "-o", str(tmp_path / "x.mp.json")
     )
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_shift_multi_overflow_exits_1(tmp_path, capsys, fmt):
+    from mpshift import polyeig
+
+    # two eigenvalues of a polynomial with entries near 1e300 moved to +-1e305
+    rng = np.random.default_rng(1)
+    p = MatrixPoly([1e300 * rng.standard_normal((4, 4)) for _ in range(3)])
+    path, spec, dst = (tmp_path / name for name in ("big.mp.json", "packet.json", "out.mp.json"))
+    write_poly(p, path)
+    lams = [complex(q.value) for q in polyeig(p).pairs if not q.is_infinite][:2]
+    spec.write_text(json.dumps({"lambdas": [f"{z.real!r}{z.imag:+}i" for z in lams],
+                                "targets": ["1e305", "-1e305"]}), encoding="utf-8")
+    code, out, err = run(capsys, "shift", str(path), "--multi", str(spec), "-o", str(dst),
+                         "--format", fmt)
+    assert code == 1 and out == "" and not dst.exists()
+    assert err.splitlines() == ["error: 32 shifted coefficient entries are beyond double range"]
 
 
 def test_shift_laurent_input_cli(tmp_path, capsys):

@@ -207,10 +207,13 @@ def test_reblock_known_solvent_substitution():
     assert np.linalg.norm(res) <= 1e-12 * scale
 
 
-def test_reblock_rejects_degree_one():
-    p = MatrixPoly([np.eye(2), np.eye(2)])
-    with pytest.raises(DimensionMismatch):
-        reblock(p)
+def test_reblock_pads_degree_one():
+    a0, a1 = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])
+    rq = reblock(MatrixPoly([a0, a1]))
+    assert np.array_equal(rq.bm1, a0) and np.array_equal(rq.b0, a1)
+    assert np.array_equal(rq.b1, np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch, match="reblock needs degree >= 1"):
+        reblock(MatrixPoly([np.eye(2)]))
 
 
 # --- solve_unilateral ---
@@ -232,8 +235,35 @@ def test_solve_degree_one_pencil():
     m = np.array([[0.5, 0.2], [0.1, 0.3]])
     p = MatrixPoly([-m, np.eye(2)])
     rep = solve_unilateral(p)
-    assert rep.iterations == 1
+    assert rep.iterations == 0
     assert np.allclose(rep.g, m, atol=1e-14)
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_pencil_solve_stops_cr_at_step_zero(is_complex):
+    # a pencil embeds as (A_0, A_1, 0): cyclic reduction stops at step 0 with
+    # Hhat = A_1, and every eigenvalue beyond the nth is at infinity (sigma = 0)
+    rng = np.random.default_rng(61)
+    a0, a1 = (crandn(rng, 6, 6) if is_complex else rng.standard_normal((6, 6)) for _ in range(2))
+    want = -np.linalg.solve(a1, a0)
+    p = MatrixPoly([a0, a1])
+    cr = solve_unilateral(p)
+    assert cr.iterations == 0 and cr.sigma == 0.0
+    assert np.linalg.norm(cr.g - want) <= 1e-14 * np.linalg.norm(want)
+    eig = solve_unilateral(p, method="eigen")
+    assert eig.sigma == 0.0
+    # the eigen solve's G carries the condition of its eigenvector basis
+    assert np.linalg.norm(eig.g - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kwargs", [dict(tol=math.nan), dict(tol=-1.0), dict(maxit=0)],
+                         ids=["tol_nan", "tol_negative", "maxit_zero"])
+def test_pencil_solve_checks_tol_and_maxit(kwargs):
+    p = MatrixPoly([-0.5 * np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError, match="must be"):
+        solve_unilateral(p, **kwargs)
+    with pytest.raises(ValueError, match="must be"):
+        shift_accelerated_solve(p, 0.5, [1.0, 0.0], **kwargs)
 
 
 def test_solve_methods_agree_on_clean_split():
@@ -401,10 +431,10 @@ def test_sigma_finite_at_n50():
 
 
 @pytest.mark.parametrize("method", ["cr", "eigen"])
-def test_degree_one_sigma_is_nan(method):
+def test_degree_one_sigma_is_zero(method):
     p = MatrixPoly([-np.array([[0.5, 0.2], [0.1, 0.3]]), np.eye(2)])
     rep = solve_unilateral(p, method=method)
-    assert math.isnan(rep.sigma)
+    assert rep.sigma == 0.0
     assert np.allclose(rep.g, [[0.5, 0.2], [0.1, 0.3]], atol=1e-14)
 
 

@@ -31,6 +31,7 @@ from mpshift.errors import (
     DimensionMismatch,
     DistinctnessViolated,
     ModulusConstraintViolated,
+    SingularPivot,
     SplittingFailure,
     UnknownFixture,
     ZeroLambda,
@@ -59,8 +60,8 @@ CHECKS = [
     (lambda: det_ratio_oracle(fx.p1(), fx.p1(), removed=[INF]), ValueError,
      "oracle factors must be finite; handle infinity via fit_constant"),
     # equations
-    (lambda: solve_unilateral(MatrixPoly([E, np.zeros((2, 2))])), SplittingFailure,
-     "leading coefficient of the pencil is singular"),
+    (lambda: solve_unilateral(MatrixPoly([E, np.zeros((2, 2))])), SingularPivot,
+     "singular pivot at cyclic reduction step 0"),
     (lambda: solve_unilateral(MatrixPoly([-0.5 * E, np.diag([1.0, 0.0])]), method="eigen"),
      SplittingFailure, "only 1 finite eigenvalues; cannot select 2 inside a circle"),
     (lambda: solve_unilateral(MatrixPoly([E])), DimensionMismatch,

@@ -36,6 +36,7 @@ from mpshift.errors import (
     NotInKernel,
     NotInvariant,
     NotPalindromic,
+    ShiftOverflow,
     SingularLambda,
     ZeroLambda,
     ZeroLambdaWithNegativePowers,
@@ -626,6 +627,37 @@ def test_multishift_laurent_singular_lambda_rejected():
     ms = MultiShiftSpec(np.column_stack(us), np.diag([0.0, 0.5]), np.diag([0.1, 0.2]))
     with pytest.raises(SingularLambda):
         multishift_laurent(p, ms)
+
+
+def _big_packet_shift():
+    # two eigenvalues of a polynomial with entries near 1e300 moved to +-1e305
+    rng = np.random.default_rng(1)
+    p = MatrixPoly([1e300 * rng.standard_normal((4, 4)) for _ in range(3)])
+    pairs = [q for q in polyeig(p).pairs if not q.is_infinite][:2]
+    u = np.column_stack([q.right for q in pairs])
+    multishift_poly(p, MultiShiftSpec(u, np.diag([q.value for q in pairs]), np.diag([1e305, -1e305])))
+
+
+BIG = np.diag([1.5e308, 1.0, 2.0])
+E1 = np.eye(3)[0]
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [
+        _big_packet_shift,
+        lambda: right_shift_pencil(BIG, ShiftSpec(1.5e308, -1.5e308, E1)),
+        lambda: multishift_pencil(BIG, MultiShiftSpec(E1, [[1.5e308]], [[-1.5e308]])),
+        lambda: multishift_pencil(BIG, MultiShiftSpec(np.eye(3)[:, :2], np.diag([1.5e308, 1.0]),
+                                                      np.diag([-1.5e308, 0.5]))),
+    ],
+    ids=["multishift_m2", "pencil", "multishift_pencil_m1", "multishift_pencil_m2"],
+)
+def test_overflowing_shift_fails_the_finite_gate(shift):
+    # every shift result passes one gate; numpy's overflow warnings would be errors here
+    with pytest.raises(ShiftOverflow, match="shifted coefficient entries are beyond double range") as caught:
+        shift()
+    assert caught.value.name == "shift.finite"
 
 
 # --- shifts from / to infinity ---
