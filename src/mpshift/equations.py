@@ -44,8 +44,10 @@ BOUNDARY_TOL = 1e-9  # |lambda| <= 1 + BOUNDARY_TOL counts as inside
 class SolveReport:
     """Result of a unilateral solve.
 
-    ``residual`` is ||sum_i A_i G^i||_F / sum_i ||A_i||_F.  ``sigma`` is the
-    convergence ratio |lambda_n| / |lambda_{n+1}| of the solved equation
+    ``iterations`` is the number of cyclic reduction steps (0 for the
+    "eigen" method, which runs none, and for a pencil).  ``residual`` is
+    ||sum_i A_i G^i||_F / sum_i ||A_i||_F.  ``sigma`` is the convergence
+    ratio |lambda_n| / |lambda_{n+1}| of the solved equation
     (the shifted one for shift-accelerated runs), 0 when every eigenvalue
     beyond the nth is at infinity, as for a pencil.  For shift-accelerated
     runs ``shifted`` is True and ``recovery`` holds the (lambda, mu, Q)
@@ -169,7 +171,7 @@ def _solve_eigen(p, seed):
     _check(IllConditionedEigenbasis, "solve_eigen.rcond", rc, 1e-8,
            "reciprocal condition of the eigenvector basis is {:.2e}", rc, op=">=")
     g = np.linalg.solve(vmat.T, (vmat @ np.diag(vals)).T).T
-    return g, 1, gap_lo / gap_hi
+    return g, 0, gap_lo / gap_hi
 
 
 def solve_unilateral(p, method="cr", tol=1e-14, maxit=64, seed=0):

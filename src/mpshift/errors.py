@@ -117,10 +117,6 @@ class SingularH0(MpshiftError):
     """H_0 is numerically singular; the reversed factorization is undefined."""
 
 
-class SingularWtilde(MpshiftError):
-    """Updated W matrix is numerically singular."""
-
-
 class NotASolvent(MpshiftError):
     """G does not solve the unilateral matrix equation within tolerance."""
 

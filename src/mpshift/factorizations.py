@@ -12,9 +12,10 @@ H_0^{-1}, and B_0 + A_0 - Hhat to the K- of A(z^{-1}).
 
 Shifting an eigenvalue lambda (|lambda| < 1) of A(z) to mu (|mu| < 1) keeps
 R+ and K+ and replaces G+ by G+ + (mu - lambda) u v*; the double-sided
-update additionally transforms H_0 in closed form.  These updates are what
-make shift-accelerated equation solving cheap: no factorization has to be
-recomputed from scratch.
+update additionally transforms H_0 in closed form, fills the shifted limits
+from it and K+, and reads the reversed factors off them.  These updates are
+what make shift-accelerated equation solving cheap: no factorization has to
+be recomputed from scratch.
 
 Cyclic reduction and the reversed factorization compute in real arithmetic
 when their inputs have no imaginary part (QBD blocks are real); every
@@ -28,6 +29,7 @@ call of :func:`~mpshift.core._check`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -56,7 +58,6 @@ from .errors import (
     ShiftOutsideDisk,
     SingularH0,
     SingularPivot,
-    SingularWtilde,
     ZeroLambda,
 )
 from .shifts import ShiftSpec, _check_sides, left_shift_poly, right_shift_laurent
@@ -247,29 +248,6 @@ def inverse_coefficients(f, m):
     return neg[:0:-1] + pos
 
 
-def _similar_factors(am1, a0, a1, gplus, rplus, w):
-    """Factors of A(z^{-1}) by similarity with W~, H_0 after a shift: G- = W R+ W^{-1},
-    R- = W^{-1} G+ W and K- = A_0 + A_{-1} G- (= A_0 + R- A_1; both are computed).  A
-    numerically singular (or not finite) W or two K- that disagree raise SingularWtilde;
-    the caller gates the returned factorization residual.  W and the A_i are prescaled apart.
-    """
-    (w,), w_step, _ = _pow2_scaled([w])
-    rc = rcond(w)
-    _check(SingularWtilde, "similar_factors.rcond", rc, 1e-12,
-           "reciprocal condition of W~ is {:.2e}", rc, op=">=")
-    gminus = np.linalg.solve(w.T, (w @ rplus).T).T
-    rminus = np.linalg.solve(w, gplus @ w)
-    (a1, a0, am1), step, scale = _pow2_scaled((a1, a0, am1))
-    k_a = a0 + am1 @ gminus
-    k_b = a0 + rminus @ a1
-    disagreement = np.linalg.norm(k_a - k_b)
-    _check(SingularWtilde, "similar_factors.k_minus", disagreement / scale, RESIDUAL_TOL,
-           "the two K- expressions disagree by {:.2e}", disagreement / step)
-    fact_res = _factor_residual(a1, a0, am1, gminus, rminus, k_a)
-    k_a, w = _times(k_a, 1 / step), _times(w, 1 / w_step)
-    return ReversedFactorization(*_promote(gminus, rminus, k_a, w), fact_res)
-
-
 def reversed_factorization(am1, a0, a1, f):
     """Canonical factorization of A(z^{-1}) from the limits of ``f``'s cyclic reduction.
 
@@ -397,14 +375,18 @@ def _check_l_outside_disk(lcoeffs):
 def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     """Update both canonical factorizations of a quadratic under a right shift.
 
-    Keeps R+ and K+, sets G~+ = G+ + (mu-lam) Q, and updates the reversed
-    factors by similarity with W~ = W + (mu-lam) Q W (I - mu R+)^{-1} R+,
-    where W = H_0.  (The resolvent factor is exact for every |mu| < 1 and
-    collapses to W + (mu-lam) Q W R+ in the common mu = 0 case; see the
-    telescoping of (G+ + (mu-lam)Q)^i, whose powers contract with ratio mu
-    on the shifted eigendirection.)  Requires |lam| < 1, |mu| < 1, v* u = 1,
-    and the non-degeneracy condition
+    Keeps R+ and K+, sets G~+ = G+ + (mu-lam) Q, and updates W = H_0 to
+    W~ = W + (mu-lam) Q W (I - mu R+)^{-1} R+.  (The resolvent factor is exact
+    for every |mu| < 1 and collapses to W + (mu-lam) Q W R+ in the common
+    mu = 0 case; see the telescoping of (G+ + (mu-lam)Q)^i, whose powers
+    contract with ratio mu on the shifted eigendirection.)  Requires |lam| < 1,
+    |mu| < 1, v* u = 1, and the non-degeneracy condition
     (lam-mu) v* (I - mu G-)^{-1} G- u != 1 (checked with margin 1e-10).
+
+    The + side's factorization residual is gated at 1e-10.  W~ and K+ fill
+    the shifted limits B_0 = W~^{-1} and Hhat = K+, and the reversed factors
+    are :func:`reversed_factorization` of them, under its gates: a singular
+    or non-finite W~ raises SingularH0.
 
     The shifted coefficients, and the eigenpair gate, are those of
     :func:`~mpshift.shifts.right_shift_laurent`.  Returns the pair
@@ -416,7 +398,6 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), spec)
     if mu == lam:
         return f, rf
-    am1_t, a0_t, a1_t = shifted.coeffs
 
     eye = np.eye(shifted.n, dtype=complex)
     resolvent_g = np.linalg.solve(eye - mu * rf.gminus, rf.gminus @ spec.vector)
@@ -427,17 +408,19 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     q = spec.q
     gplus_t = f.gplus + (mu - lam) * q
     w_t = rf.w + (mu - lam) * q @ rf.w @ np.linalg.solve(eye - mu * f.rplus, f.rplus)
-    rev = _similar_factors(am1_t, a0_t, a1_t, gplus_t, f.rplus, w_t)
-    fact_res = _factor_residual(am1_t, a0_t, a1_t, gplus_t, f.rplus, f.kplus)
-    _check(NoConvergence, "shifted_factorization_both.residual",
-           np.maximum(fact_res, rev.residual), RESIDUAL_TOL,
-           "shifted factorization residuals {:.2e}/{:.2e} exceed 1e-10", fact_res, rev.residual)
-    # the limits of A~'s cyclic reduction: B_0 = step W~^{-1}, B_0 + step A~_0 - Hhat = step K~-
-    (_, a0_t, _), step, _ = _pow2_scaled(shifted.coeffs)
-    b0 = _times(np.linalg.inv(rev.w), step)
-    limits = (b0, b0 + a0_t - _times(rev.kminus, step), step)
-    return QuadFactorization(gplus_t, f.rplus, f.kplus, f.iterations, fact_res,
-                             spectral_radius(gplus_t), f.rho_r, limits), rev
+    fact_res = _factor_residual(*shifted.coeffs, gplus_t, f.rplus, f.kplus)
+    _check(NoConvergence, "shifted_factorization_both.residual", fact_res, RESIDUAL_TOL,
+           "shifted factorization residual {:.2e} exceeds 1e-10", fact_res)
+    # A~'s limits B_0 = step W~^{-1} (W~ prescaled apart), Hhat = step K+; NaN B_0 fails rcond
+    _, step, _ = _pow2_scaled(shifted.coeffs)
+    b0 = np.full_like(w_t, math.nan)
+    if np.isfinite(w_t).all():
+        (w_t,), w_step, _ = _pow2_scaled([w_t])
+        with contextlib.suppress(np.linalg.LinAlgError):
+            b0 = _times(np.linalg.inv(w_t), step * w_step)
+    quad = QuadFactorization(gplus_t, f.rplus, f.kplus, f.iterations, fact_res,
+                             spectral_radius(gplus_t), f.rho_r, (b0, _times(f.kplus, step), step))
+    return quad, reversed_factorization(*shifted.coeffs, quad)
 
 
 def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):

@@ -1074,6 +1074,19 @@ def test_solve_eigen_reads_seed(tmp_path, capsys):
     assert code == 0 and json.loads(out)["residual"] <= 1e-10
 
 
+def test_solve_eigen_runs_no_cyclic_reduction_step(tmp_path, capsys):
+    # iterations counts cyclic reduction steps, and the eigen method runs none
+    from mpshift import solve_unilateral
+    from mpshift.fixtures import p3
+
+    assert solve_unilateral(p3(), method="eigen").iterations == 0
+    assert solve_unilateral(p3()).iterations == 12
+    code, out, _, _ = _run_template(
+        tmp_path, capsys, ("solve", "{p3}", "--method", "eigen", "--format", "json")
+    )
+    assert code == 0 and json.loads(out)["iterations"] == 0
+
+
 def test_bad_complex_literal_is_a_usage_error(tmp_path, capsys):
     argv = ("shift", "{p1}", "--lambda", "1+", "--mu", "0", "-o", "{out}")
     code, out, err, _ = _run_template(tmp_path, capsys, argv)

@@ -11,6 +11,7 @@ import pytest
 from mpshift import (
     LaurentPoly,
     MatrixPoly,
+    ReversedFactorization,
     ShiftSpec,
     cli,
     cr_quadratic,
@@ -42,11 +43,10 @@ from mpshift.errors import (
     ShiftOutsideDisk,
     SingularH0,
     SingularPivot,
-    SingularWtilde,
     SplittingFailure,
     ZeroLambda,
 )
-from mpshift.core import _pow2_scaled
+from mpshift.core import RESIDUAL_TOL, _pow2_scaled, _times, rcond
 from mpshift.equations import ReblockedQuadratic
 from mpshift.fixtures import p3
 
@@ -391,21 +391,6 @@ def test_reversed_factors_meet_the_paper_relations(case):
         assert f.iterations == 16
 
 
-def test_reversed_factorization_of_a_shift_reads_its_limits():
-    # the shifted factorization carries limits filled from W~ and K~-, so both
-    # routes of the library read them: reversed_factorization gives back rev
-    am1, a0, a1 = qbd_quadratic(np.random.default_rng(269), 4)
-    f = cr_quadratic(am1, a0, a1)
-    lam, u = _inside_eigenpair(f)
-    quad, rev = shifted_factorization_both(am1, a0, a1, f, reversed_factorization(am1, a0, a1, f),
-                                           lam, 0.5 * lam, u)
-    shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), ShiftSpec(lam, 0.5 * lam, u))
-    again = reversed_factorization(*shifted.coeffs, quad)
-    for name in ("gminus", "rminus", "kminus", "w"):
-        assert _rel(getattr(again, name), getattr(rev, name)) <= 1e-12, name
-    assert _rel(inverse_coefficients(quad, 0)[0], rev.w) <= 1e-12
-
-
 def _near_singular_h0(eps, seed):
     """n = 6 blocks whose H_0 = I + G R is singular at eps = 0: a 2x2 block with
     G = e1 e2^T, R = (eps - 1) e2 e1^T and K = I (H_0 = diag(eps, 1) there), beside a
@@ -424,10 +409,33 @@ def _near_singular_h0(eps, seed):
     return tuple(q.T @ a @ q for a in (-k @ g, k + r @ k @ g, -r @ k))
 
 
+def _similar_factors(am1, a0, a1, gplus, rplus, w):
+    """Reference reversed factors by similarity with W (H_0, or W~ after a shift):
+    G- = W R+ W^-1, R- = W^-1 G+ W and K- = A_0 + A_-1 G- (= A_0 + R- A_1).  None where
+    rcond(W) < 1e-12 or the two K- disagree by more than 1e-10 relative; the caller reads
+    the factorization residual.  W and the A_i are prescaled apart."""
+    (w,), w_step, _ = _pow2_scaled([w])
+    if not rcond(w) >= 1e-12:
+        return None
+    gminus = np.linalg.solve(w.T, (w @ rplus).T).T
+    rminus = np.linalg.solve(w, gplus @ w)
+    (a1, a0, am1), step, scale = _pow2_scaled((a1, a0, am1))
+    k_a = a0 + am1 @ gminus
+    if not np.linalg.norm(k_a - (a0 + rminus @ a1)) / scale <= RESIDUAL_TOL:
+        return None
+    fact_res = factorizations._factor_residual(a1, a0, am1, gminus, rminus, k_a)
+    return ReversedFactorization(gminus, rminus, _times(k_a, 1 / step), _times(w, 1 / w_step),
+                                 fact_res)
+
+
+def _accepted(rf):
+    return rf if rf is not None and rf.residual <= 1e-10 else None
+
+
 def _similarity_route(blocks, f):
-    """The reversed factorization by the H_0 series and similarity, for reference:
-    H_0 = sum_j G+^j K+^-1 R+^j by doubling, then G- = H_0 R+ H_0^-1, R- = H_0^-1 G+ H_0
-    under the same 1e-10 factorization residual.  Whether it accepts."""
+    """The reversed factorization by the H_0 series and :func:`_similar_factors`, for
+    reference: H_0 = sum_j G+^j K+^-1 R+^j by doubling, under the same 1e-10 factorization
+    residual.  Whether it accepts."""
     g, r = f.gplus, f.rplus
     h = np.linalg.inv(f.kplus)
     for _ in range(64):
@@ -435,11 +443,25 @@ def _similarity_route(blocks, f):
         h, g, r = h + term, g @ g, r @ r
         if np.linalg.norm(term) <= 1e-16 * np.linalg.norm(h):
             break
-    try:
-        rf = factorizations._similar_factors(*blocks, f.gplus, f.rplus, h)
-    except SingularWtilde:
-        return False
-    return rf.residual <= 1e-10
+    return _accepted(_similar_factors(*blocks, f.gplus, f.rplus, h)) is not None
+
+
+def _shifted_by_similarity(blocks, f, rf, lam, mu, u):
+    """Reference reversed factors of a right shift lam -> mu: :func:`_similar_factors` on
+    G~+ = G+ + (mu-lam) Q and W~ = W + (mu-lam) Q W (I - mu R+)^-1 R+, or None where it
+    rejects them."""
+    spec = ShiftSpec(lam, mu, u)
+    shifted = right_shift_laurent(LaurentPoly(-1, blocks), spec)
+    resolvent_r = np.linalg.solve(np.eye(len(u)) - mu * f.rplus, f.rplus)
+    w = rf.w + (mu - lam) * spec.q @ rf.w @ resolvent_r
+    return _accepted(_similar_factors(*shifted.coeffs, f.gplus + (mu - lam) * spec.q, f.rplus, w))
+
+
+def _largest_inner(f, count, floor=0.0):
+    """The ``count`` largest-modulus eigenpairs of G+ with |lambda| >= ``floor``."""
+    vals, vecs = np.linalg.eig(f.gplus)
+    order = [k for k in np.argsort(-np.abs(vals), kind="stable") if abs(vals[k]) >= floor]
+    return [(complex(vals[k]), vecs[:, k]) for k in order[:count]]
 
 
 def test_a_singular_h0_is_still_caught():
@@ -475,13 +497,95 @@ def test_the_limits_route_accepts_no_fewer_near_a_singular_h0():
     assert 0 < reference <= accepted < 240
 
 
-def test_reversed_factorization_reads_no_series_and_no_similarity(monkeypatch):
+def test_reversed_factorization_reads_no_series_and_no_similarity():
     assert not hasattr(factorizations, "_h0") and not hasattr(factorizations, "H0_MAXSTEPS")
-    monkeypatch.setattr(factorizations, "_similar_factors", None)
+    assert not hasattr(factorizations, "_similar_factors")
     am1, a0, a1 = qbd_quadratic(np.random.default_rng(11), 4)
     f = cr_quadratic(am1, a0, a1)
     assert reversed_factorization(am1, a0, a1, f).residual <= 1e-10
     inverse_coefficients(f, 1)
+
+
+def test_reversed_factorization_of_a_shift_reads_its_limits():
+    # the shifted factorization carries limits filled from W~ and K+, and both routes
+    # of the library read them: its reversed factors and inverse_coefficients' H~_0
+    blocks = qbd_quadratic(np.random.default_rng(269), 4)
+    f = cr_quadratic(*blocks)
+    rf = reversed_factorization(*blocks, f)
+    lam, u = _inside_eigenpair(f)
+    quad, rev = shifted_factorization_both(*blocks, f, rf, lam, 0.5 * lam, u)
+    ref = _shifted_by_similarity(blocks, f, rf, lam, 0.5 * lam, u)
+    for name in ("gminus", "rminus", "kminus", "w"):
+        assert _rel(getattr(rev, name), getattr(ref, name)) <= 1e-12, name
+    assert _rel(inverse_coefficients(quad, 0)[0], ref.w) <= 1e-12
+
+
+def _agreement_inputs():
+    rng = np.random.default_rng
+    yield from (qbd_quadratic(rng(seed), 4) for seed in range(6))
+    yield from (qbd_quadratic(rng(seed), 20) for seed in range(100, 106))
+    yield from (critical_qbd(3, n, 5e-3, 0.99) for n in (8, 50))
+    yield [cmath.exp(0.7j) * b for b in qbd_quadratic(rng(7), 6)]
+
+
+def test_a_shift_agrees_with_the_similarity_route():
+    # 15 inputs, their two largest eigenvalues of G+ each moved to 0 and to lambda/2
+    cases = 0
+    for case, blocks in enumerate(_agreement_inputs()):
+        f = cr_quadratic(*blocks)
+        rf = reversed_factorization(*blocks, f)
+        for lam, u in _largest_inner(f, 2):
+            for mu in (0.0, 0.5 * lam):
+                _, rev = shifted_factorization_both(*blocks, f, rf, lam, mu, u)
+                ref = _shifted_by_similarity(blocks, f, rf, lam, mu, u)
+                for field in ("gminus", "rminus", "kminus", "w"):
+                    err = _rel_scaled(getattr(rev, field), getattr(ref, field))
+                    assert err <= 1e-13, (case, lam, mu, field, err)
+                cases += 1
+    assert cases == 60
+
+
+def test_a_shift_near_a_singular_h0_accepts_no_fewer_than_the_similarity_route():
+    # up to three eigenvalues of G+ (|lambda| >= 1e-3) each moved to 0 and to lambda/2, on
+    # inputs whose own reversed factorization passes: every rejection is SingularH0, every
+    # accepted shift meets the Stein equation of W~ and the similarity G~- W~ = W~ R+
+    accepted = reference = total = 0
+    for eps in (1e-3, 2e-3, 3e-3, 5e-3, 1e-2):
+        for seed in range(60):
+            blocks = _near_singular_h0(eps, seed)
+            f = cr_quadratic(*blocks)
+            try:
+                rf = reversed_factorization(*blocks, f)
+            except SingularH0:
+                continue
+            for lam, u in _largest_inner(f, 3, floor=1e-3):
+                for mu in (0.0, 0.5 * lam):
+                    total += 1
+                    reference += _shifted_by_similarity(blocks, f, rf, lam, mu, u) is not None
+                    try:
+                        quad, rev = shifted_factorization_both(*blocks, f, rf, lam, mu, u)
+                    except SingularH0:
+                        continue
+                    # ||G~-|| reaches 5e2 here: the similarity rounds on ||G~-|| ||W~||
+                    g, w = rev.gminus, rev.w
+                    gap = np.linalg.norm(g @ w - w @ quad.rplus)
+                    assert _stein_residual(quad, w) <= 1e-12
+                    assert gap <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(w)
+                    accepted += 1
+    assert 0 < reference <= accepted < total
+
+
+@pytest.mark.parametrize("w", ["zero", "rank1", "nan"])
+def test_a_singular_or_nan_wtilde_is_singular_h0(w):
+    blocks = qbd_quadratic(np.random.default_rng(269), 4)
+    f = cr_quadratic(*blocks)
+    rf = reversed_factorization(*blocks, f)
+    lam, u = _inside_eigenpair(f)
+    bad = {"zero": np.zeros((4, 4)), "rank1": np.outer(u, u.conj()),
+           "nan": np.full((4, 4), math.nan)}[w]
+    with pytest.raises(SingularH0, match="reciprocal condition of H_0") as caught:
+        shifted_factorization_both(*blocks, f, replace(rf, w=bad), lam, 0.0, u)
+    assert caught.value.name == "reversed_factorization.rcond"
 
 
 # --- real arithmetic for real data ---
@@ -673,9 +777,7 @@ def test_reversed_seeded_residual():
 # --- shifted factorizations ---
 
 def _inside_eigenpair(f):
-    vals, vecs = np.linalg.eig(f.gplus)
-    k = int(np.argmax(np.abs(vals)))
-    return complex(vals[k]), vecs[:, k]
+    return _largest_inner(f, 1)[0]
 
 
 def test_shifted_right_quadratic_is_rank_one_update():
