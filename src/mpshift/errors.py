@@ -40,14 +40,6 @@ class EigensolverFailure(MpshiftError):
     """The dense eigensolver failed or no usable spectral transform was found."""
 
 
-class DependentEigenvectors(MpshiftError):
-    """Selected eigenvectors are numerically linearly dependent."""
-
-
-class DistinctnessViolated(MpshiftError):
-    """Selected eigenvalues are not pairwise distinct."""
-
-
 class NoSplitting(MpshiftError):
     """No eigenvalues on one side of the unit circle; ratio undefined."""
 
@@ -87,7 +79,7 @@ class SingularLambda(MpshiftError):
 
 
 class DegenerateShift(MpshiftError):
-    """Shift parameters violate a non-degeneracy condition."""
+    """Shift parameters violate a non-degeneracy condition (e.g. U with dependent columns)."""
 
 
 class ShiftOverflow(MpshiftError):
@@ -126,7 +118,7 @@ class SplittingFailure(MpshiftError):
 
 
 class IllConditionedEigenbasis(MpshiftError):
-    """Eigenvector basis too ill conditioned to form the solvent."""
+    """Eigenvector basis too ill conditioned (dependent vectors) to form the solvent."""
 
 
 # --- command line ---

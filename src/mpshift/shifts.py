@@ -128,10 +128,11 @@ class ShiftSpec:
 
 @dataclass(frozen=True, eq=False)
 class MultiShiftSpec:
-    """Invariant pair (U, Lambda) and target S for a simultaneous shift.
+    """Invariant pair (U, Lambda) and target S for a simultaneous shift: the one packet type.
 
-    V defaults to U (U* U)^{-1}; it must satisfy ||V* U - I||_F <= RESIDUAL_TOL = 1e-10.
-    Every entry must be finite (else DegenerateShift).
+    U needs independent columns, not distinct eigenvalues.  V defaults to U (U* U)^{-1};
+    ||V* U - I||_F <= RESIDUAL_TOL = 1e-10 fails for dependent columns of U or a V not
+    dual to U (DegenerateShift), as does a non-finite entry.
     """
 
     u: np.ndarray
@@ -153,8 +154,9 @@ class MultiShiftSpec:
             raise DegenerateShift("U, Lambda, S and V must be finite")
         v = np.linalg.pinv(u).conj().T if self.v is None else np.asarray(self.v, dtype=complex).reshape(n, m)
         gap = np.linalg.norm(v.conj().T @ u - np.eye(m))
-        _check(DimensionMismatch, "MultiShiftSpec.dual", gap, RESIDUAL_TOL,
-               "||V* U - I||_F = {:.2e} exceeds 1e-10", gap)
+        _check(DegenerateShift, "MultiShiftSpec.dual", gap, RESIDUAL_TOL,
+               "||V* U - I||_F = {:.2e} exceeds 1e-10: U has dependent columns "
+               "or V is not dual to U", gap)
         for name, arr in (("u", u), ("lam", lam), ("s", s), ("v", v)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -176,8 +178,7 @@ def _shift_coeffs(coeffs, lo, u, lam, s, v):
     Nonnegative powers gain (sum_{k>=0} A_{i+k+1} U Lambda^k)(Lambda - S) V*,
     negative powers lose (sum_{k>=0} A_{i-k} U Lambda^{-k-1})(Lambda - S) V*,
     with sums over the stored support; the top coefficient never changes.
-    Every shift's result passes one gate here, ``shift.finite``: an entry
-    beyond double range raises ShiftOverflow, not numpy's warnings.
+    The result passes :func:`_finite`.
     """
     hi = lo + len(coeffs) - 1
     n, m = u.shape
@@ -199,10 +200,15 @@ def _shift_coeffs(coeffs, lo, u, lam, s, v):
         for i in range(lo, 0):
             acc = (coeffs[i - lo] @ u + acc) @ lam_inv
             out[i - lo] -= acc @ diff @ vstar
-    bad = sum(int(np.count_nonzero(~np.isfinite(c))) for c in out)
+    return _finite(out)
+
+
+def _finite(coeffs):
+    """Every shift result's gate, ``shift.finite``: ShiftOverflow, not numpy's warnings."""
+    bad = sum(int(np.count_nonzero(~np.isfinite(c))) for c in coeffs)
     _check(ShiftOverflow, "shift.finite", bad, 0,
            "{} shifted coefficient entries are beyond double range", bad)
-    return out
+    return coeffs
 
 
 def _right(coeffs, lo, lam, mu, u, v):
@@ -445,11 +451,13 @@ def palindromic_shift(p, lam, mu, u):
     uh = unit_vector(u)
     ahat = _right(coeffs, 0, lam, mu, uh, uh)
     out, out_step, out_scale, dev = _palindromic_gap(_flip(_right(_flip(ahat), 0, lam, mu, uh, uh)))
-    step *= out_step
+    with np.errstate(over="ignore"):  # _finite reports it; step * out_step may underflow to 0
+        dev_in = dev / out_step / step
+        out = [_times(_times((a + b) / 2, 1 / out_step), 1 / step) for a, b in zip(out, _flip(out))]
     if dev > 1e-12 * out_scale:
-        warnings.warn(f"pre-symmetrization palindromic deviation {dev / step:.2e} "
+        warnings.warn(f"pre-symmetrization palindromic deviation {dev_in:.2e} "
                       "exceeds 1e-12*scale", stacklevel=2)
     _check(NotAnEigenpair, "palindromic_shift.output", dev / out_scale, 1e-6,
            "palindromic shift lost structure (deviation {:.2e}); eigenpair too inaccurate",
-           dev / step)
-    return replace(p, coeffs=[_times((a + b) / 2, 1 / step) for a, b in zip(out, _flip(out))])
+           dev_in)
+    return replace(p, coeffs=_finite(out))

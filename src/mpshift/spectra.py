@@ -1,4 +1,4 @@
-"""Eigenvalues, eigenvectors, and invariant pairs of matrix polynomials.
+"""Eigenvalues, eigenvectors, and invariant-pair residuals of matrix polynomials.
 
 The polynomial eigenvalue problem det A(z) = 0 is solved through the
 Frobenius companion linearization C1 - z C2 combined with a Cayley-type
@@ -12,6 +12,9 @@ decoupling their accuracy from the conditioning of the linearization.
 The Cayley point c is redrawn on |c| = 0.9 until rcond(A(c)) = sigma_min /
 sigma_max exceeds RANK_TOL = 1e-13, a test invariant to scale and dimension;
 after 10 failed draws det A(z) vanishes identically (DegeneratePolynomial).
+
+A multishift packet (U, Lambda), e.g. of :func:`polyeig` columns, is a
+:class:`~mpshift.shifts.MultiShiftSpec`, gated on :func:`invariant_pair_residual`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EIGENPAIR_TOL,
     FLOOR,
     RANK_TOL,
     EigenPair,
@@ -39,11 +41,8 @@ from .core import (
 )
 from .errors import (
     DegeneratePolynomial,
-    DependentEigenvectors,
     DimensionMismatch,
-    DistinctnessViolated,
     EigensolverFailure,
-    NotInvariant,
     SingularLambda,
 )
 
@@ -222,19 +221,6 @@ def refine_pair(p, lam, u):
     return EigenPair(best[0], best[1], None, best[2])
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantPair:
-    """U (n x m) and diagonal Lambda (m x m) with sum_i A_i U Lambda^i = 0.
-
-    ``v`` satisfies v* U = I, ready for use as the dual block in a multishift.
-    """
-
-    u: np.ndarray
-    lam: np.ndarray
-    v: np.ndarray
-    residual: float
-
-
 def invariant_pair_residual(p, u, lam):
     """||sum_i A_i U Lambda^i||_F / (||U||_F sum_i ||A_i||_F rho^i), rho = rho(Lambda).
 
@@ -258,41 +244,3 @@ def invariant_pair_residual(p, u, lam):
     scale = max(np.linalg.norm(coeffs, axis=(1, 2)) @ rho ** powers, FLOOR)
     return float(np.linalg.norm(acc) / (nu * scale))
 
-
-def invariant_pair(p, selected):
-    """Assemble an invariant pair from finite, pairwise-distinct eigenpairs.
-
-    Parameters
-    ----------
-    p : LaurentPoly
-    selected : sequence of EigenPair
-        Finite eigenpairs with linearly independent right vectors.
-
-    Returns
-    -------
-    InvariantPair with U = [u_1 ... u_m], Lambda = diag(lambda_1..lambda_m),
-    and V = U (U* U)^{-1} so that V* U = I.
-    """
-    pairs = list(selected)
-    if not pairs:
-        raise DimensionMismatch("at least one eigenpair is required")
-    if any(q.is_infinite for q in pairs):
-        raise DistinctnessViolated("invariant pairs are built from finite eigenvalues")
-    values = [complex(q.value) for q in pairs]
-    top = max(1.0, max(abs(v) for v in values))
-    gap, i, j = min(((abs(a - b) / top, i, j) for i, a in enumerate(values)
-                     for j, b in enumerate(values) if j > i), default=(math.inf, 0, 0))
-    _check(DistinctnessViolated, "invariant_pair.distinct", gap, 1e-12,
-           "eigenvalues {} and {} coincide", values[i], values[j], op=">")
-    u = np.column_stack([q.right for q in pairs])
-    if u.shape[1] >= u.shape[0]:
-        raise DimensionMismatch("packet size m must be smaller than the dimension n")
-    smin = np.linalg.svd(u, compute_uv=False)[-1]
-    _check(DependentEigenvectors, "invariant_pair.independent", smin, 1e-8,
-           "smallest singular value of U is {:.2e}", smin, op=">=")
-    lam = np.diag(values)
-    v = np.linalg.pinv(u).conj().T
-    res = invariant_pair_residual(p, u, lam)
-    _check(NotInvariant, "invariant_pair.residual", res, EIGENPAIR_TOL,
-           "invariant-pair residual {:.2e} exceeds 1e-8", res)
-    return InvariantPair(u, lam, v, res)

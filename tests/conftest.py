@@ -126,6 +126,12 @@ def palindromic_quad(rng, n):
     return MatrixPoly([a0, r + r.conj().T, a0.conj().T])
 
 
+def real_palindromic_quad(rng, n, scale=1.0):
+    """scale times [A_0, R + R^T, A_0^T] for real standard normal A_0 and R."""
+    a0, r = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return MatrixPoly([scale * a0, scale * (r + r.T), scale * a0.T])
+
+
 def match_moduli(got, expected, split_inf=True):
     """Max matching distance between two complex multisets (optimal assignment).
 

@@ -673,20 +673,22 @@ def test_shift_multi_m2_cli(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_shift_multi_dependent_packet_exits_2(tmp_path, capsys):
-    from mpshift.fixtures import p2
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("name, lambdas", [("p2", ["0+1i", "0-1i"]), ("p3", [1, 1])],
+                         ids=["p2-conjugate-pair", "p3-repeated"])
+def test_shift_multi_dependent_packet_exits_1(tmp_path, capsys, name, lambdas, fmt):
+    # p2's +-i pair shares one real eigenvector, and [1, 1] takes p3's twice:
+    # U has dependent columns, a failed gate rather than a usage error
+    from mpshift.fixtures import fixture
 
-    path = tmp_path / "p2.mp.json"
-    spec = tmp_path / "packet.json"
-    write_poly(p2(), path)
-    spec.write_text(
-        json.dumps({"lambdas": ["0+1i", "0-1i"], "targets": ["0.3", "-0.3"]}),
-        encoding="utf-8",
-    )
-    code, _, err = run(
-        capsys, "shift", str(path), "--multi", str(spec), "-o", str(tmp_path / "x.mp.json")
-    )
-    assert code == 2 and "error" in err
+    path, spec, dst = (tmp_path / f for f in ("in.mp.json", "packet.json", "out.mp.json"))
+    write_poly(fixture(name), path)
+    spec.write_text(json.dumps({"lambdas": lambdas, "targets": ["0.3", "-0.3"]}), encoding="utf-8")
+    code, out, err = run(capsys, "shift", str(path), "--multi", str(spec), "-o", str(dst),
+                         "--format", fmt)
+    assert code == 1 and out == "" and not dst.exists()
+    assert err.splitlines() == ["error: ||V* U - I||_F = 1.00e+00 exceeds 1e-10: "
+                                "U has dependent columns or V is not dual to U"]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -705,6 +707,38 @@ def test_shift_multi_overflow_exits_1(tmp_path, capsys, fmt):
                          "--format", fmt)
     assert code == 1 and out == "" and not dst.exists()
     assert err.splitlines() == ["error: 32 shifted coefficient entries are beyond double range"]
+
+
+def _huge_palindromic(tmp_path):
+    """A real *-palindromic quadratic near 1e307 on disk, and --lambda= its smallest eigenvalue."""
+    from mpshift import polyeig
+
+    from conftest import real_palindromic_quad
+
+    p = real_palindromic_quad(np.random.default_rng(0), 3, 1e307)
+    path = tmp_path / "pal.mp.json"
+    write_poly(p, path)
+    lam = complex(polyeig(p).finite()[0].value)
+    return path, f"--lambda={lam.real!r}{lam.imag:+}i"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("mu", ["1e5", "1e10"])
+def test_palindromic_shift_beyond_double_range_exits_1(tmp_path, capsys, mu, fmt):
+    path, lam = _huge_palindromic(tmp_path)
+    dst = tmp_path / "out.mp.json"
+    code, out, err = run(capsys, "shift", str(path), "--palindromic", lam, "--mu", mu,
+                         "-o", str(dst), "--format", fmt)
+    assert code == 1 and out == "" and not dst.exists()
+    assert re.fullmatch(r"error: \d+ shifted coefficient entries are beyond double range\n", err)
+
+
+def test_palindromic_shift_near_the_top_of_double_range_cli(tmp_path, capsys):
+    path, lam = _huge_palindromic(tmp_path)
+    dst = tmp_path / "out.mp.json"
+    code, out, err = run(capsys, "shift", str(path), "--palindromic", lam, "--mu", "1e-200",
+                         "-o", str(dst), "--format", "json")
+    assert code == 0 and err == "" and json.loads(out)["oracle"]["passed"]
 
 
 def test_shift_laurent_input_cli(tmp_path, capsys):

@@ -75,7 +75,6 @@ FAILURES = {
     "shift_missing_mu": ["shift", "{p1}", "--lambda", "1", "-o", "{out}"],
     "shift_vector_length": ["shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "1,0,0", "-o", "{out}"],
     "shift_zero_vector": ["shift", "{p1}", "--lambda", "1", "--mu", "0", "--u", "0,0", "-o", "{out}"],
-    "shift_multi_dependent": ["shift", "{p2}", "--multi", "{packet_dependent}", "-o", "{out}"],
     "shift_multi_missing_key": ["shift", "{p1}", "--multi", "{packet_bad}", "-o", "{out}"],
     "shift_multi_not_utf8": ["shift", "{p1}", "--multi", "{packet_not_utf8}", "-o", "{out}"],
     "shift_multi_huge_int": ["shift", "{p1}", "--multi", "{packet_huge_int}", "-o", "{out}"],
@@ -102,6 +101,7 @@ FAILURES = {
     # numeric failures: exit 1
     "eig_degenerate": ["eig", "{degenerate}"],
     "shift_not_an_eigenpair": ["shift", "{p1}", "--lambda", "0.5", "--mu", "0", "--u", "1,0", "-o", "{out}"],
+    "shift_multi_dependent": ["shift", "{p2}", "--multi", "{packet_dependent}", "-o", "{out}"],
     "solve_no_splitting": ["solve", "{circle}"],
     "solve_shift_not_an_eigenpair": ["solve", "{p3}", "--shift", "0.5", "--u", "1,0,0,0,0"],
     "solve_shift_mu_outside": ["solve", "{p3}", "--shift", "1,2"],

@@ -19,6 +19,7 @@ from mpshift import (
 from mpshift.errors import (
     DegenerateShift,
     DimensionMismatch,
+    IllConditionedEigenbasis,
     NoConvergence,
     NoSplitting,
     NotAnEigenpair,
@@ -278,6 +279,32 @@ def test_solve_methods_agree_on_clean_split():
 def test_solve_eigen_p3(p3):
     rep = solve_unilateral(p3, method="eigen")
     assert rep.residual <= 1e-10
+
+
+def _repeated_half(kind):
+    """An equation whose minimal solvent G has the eigenvalue 0.5 twice, and G."""
+    if kind == "pencil":  # 0.5 and 0.5 (1 + 1e-13), closer than any distinctness test
+        g = np.diag([0.5, 0.5 * (1 + 1e-13), 3.0])
+        return MatrixPoly([-g, np.eye(3)]), g
+    # (zI - 3I)(zI - G), G diagonalizable in a random basis
+    t = np.random.default_rng(0).standard_normal((3, 3))
+    g = t @ np.diag([0.5, 0.5, 0.2]) @ np.linalg.inv(t)
+    return MatrixPoly([3 * g, -(g + 3 * np.eye(3)), np.eye(3)]), g
+
+
+@pytest.mark.parametrize("kind", ["pencil", "quadratic"])
+def test_solve_eigen_takes_a_repeated_eigenvalue(kind):
+    p, g = _repeated_half(kind)
+    for method in ("eigen", "cr"):
+        assert np.abs(solve_unilateral(p, method=method).g - g).max() <= 1e-14
+
+
+def test_solve_eigen_rejects_identical_vectors():
+    # A(0.5) = 0: both copies of 0.5 take the same null vector; the near-Jordan
+    # basis fails the same gate in test_gates
+    with pytest.raises(IllConditionedEigenbasis) as caught:
+        solve_unilateral(MatrixPoly([-0.5 * np.eye(2), np.eye(2)]), method="eigen")
+    assert caught.value.name == "solve_eigen.rcond"
 
 
 def test_solve_splitting_failure():

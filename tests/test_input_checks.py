@@ -4,11 +4,13 @@ The numerical gates are in ``test_gates.py``; the rows below are the checks on
 shapes, degrees, flags and values that reject an input outright.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mpshift import (
-    EigenPair,
     LaurentPoly,
     MatrixPoly,
     MultiShiftSpec,
@@ -16,21 +18,21 @@ from mpshift import (
     cr_quadratic,
     det_ratio_oracle,
     double_shift_factorization,
-    invariant_pair,
     inverse_coefficients,
     poly_factorization,
-    polyeig,
+    read_poly,
     refine_pair,
     shift_accelerated_solve,
     solve_unilateral,
 )
+from mpshift import cli
 from mpshift import fixtures as fx
 from mpshift.core import INF
 from mpshift.errors import (
     DegenerateShift,
     DimensionMismatch,
-    DistinctnessViolated,
     ModulusConstraintViolated,
+    ParseError,
     SingularPivot,
     SplittingFailure,
     UnknownFixture,
@@ -40,6 +42,16 @@ from mpshift.spectra import companion_pencil
 
 E = np.eye(2)
 E1 = [1.0, 0.0]
+
+
+EMPTY_COEFFS = '{"n": 2, "lo": 0, "coeffs": []}'
+
+
+def _read_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.mp.json"
+        path.write_text(text, encoding="utf-8")
+        return read_poly(path)
 
 
 def _double_shift(lam1, lam2):
@@ -55,6 +67,7 @@ CHECKS = [
      "coefficient 1 has size 3, expected 2"),
     (lambda: LaurentPoly(1, [E]), DimensionMismatch, "lo must be <= 0, got 1"),
     (lambda: LaurentPoly(-2, [E, E]), DimensionMismatch, "hi must be >= 0, got -1"),
+    (lambda: _read_text(EMPTY_COEFFS), ParseError, "field 'coeffs': expected a non-empty array"),
     (lambda: det_ratio_oracle(fx.p1(), fx.p2()), DimensionMismatch,
      "operands have different dimensions"),
     (lambda: det_ratio_oracle(fx.p1(), fx.p1(), removed=[INF]), ValueError,
@@ -76,6 +89,8 @@ CHECKS = [
      "coefficients must be square and equally sized"),
     (lambda: inverse_coefficients(cr_quadratic([[-0.25]], [[1.0]], [[-0.25]]), -1), ValueError,
      "m must be nonnegative"),
+    (lambda: _double_shift(1.5, 2.0), ModulusConstraintViolated,
+     "right pair must lie inside the unit circle (|lam1|=1.5000, |mu1|=0.1000)"),
     (lambda: _double_shift(0.5, 0.5), ModulusConstraintViolated,
      "left pair must lie outside the unit circle (|lam2|=0.5000, |mu2|=3.0000)"),
     (lambda: _double_shift(0.0, 2.0), ZeroLambda,
@@ -94,11 +109,6 @@ CHECKS = [
      "companion pencil needs degree >= 1"),
     (lambda: refine_pair(fx.p1(), INF, E1), DimensionMismatch,
      "refine_pair handles finite eigenvalues only"),
-    (lambda: invariant_pair(fx.p1(), []), DimensionMismatch, "at least one eigenpair is required"),
-    (lambda: invariant_pair(fx.p2(), [EigenPair(INF, [1.0, 0.0, 0.0])]), DistinctnessViolated,
-     "invariant pairs are built from finite eigenvalues"),
-    (lambda: invariant_pair(fx.p1(), polyeig(fx.p1()).finite()[:2]), DimensionMismatch,
-     "packet size m must be smaller than the dimension n"),
 ]
 
 
@@ -108,3 +118,10 @@ def test_input_check_raises_its_error(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_empty_coeffs_exit_2_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "p.mp.json"
+    path.write_text(EMPTY_COEFFS, encoding="utf-8")
+    assert cli.main(["eig", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: field 'coeffs': expected a non-empty array\n")

@@ -56,6 +56,7 @@ from conftest import (
     poly_scale,
     rand_laurent,
     rand_poly,
+    real_palindromic_quad,
 )
 
 
@@ -155,8 +156,6 @@ def test_nan_invariant_pair_residual_fails_the_packet_gates(monkeypatch, p1):
     ms = MultiShiftSpec(np.eye(2)[:, :1], [[1.0]], [[0.0]])
     with pytest.raises(NotInvariant, match="residual nan exceeds"):
         multishift_poly(p1, ms)
-    with pytest.raises(NotInvariant, match="residual nan exceeds"):
-        mpshift.spectra.invariant_pair(p1, polyeig(p1).finite()[:1])
 
 
 def test_nan_matrix_fails_the_pencil_gates():
@@ -896,6 +895,30 @@ def test_palindromic_cubic_oracle_and_structure():
     assert rep.passed, rep
     for i in range(4):
         assert np.array_equal(out.coeffs[i], out.coeffs[3 - i].conj().T)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [1e5, 1e10])
+def test_palindromic_shift_beyond_double_range_fails_its_gate(mu):
+    # the kernel runs on prescaled coefficients, so only the result multiplied
+    # back overflows; at mu = 1e10 the two prescales' product is below 2^-1074
+    p = real_palindromic_quad(np.random.default_rng(0), 3, 1e307)
+    pair = polyeig(p).finite()[0]
+    with pytest.raises(ShiftOverflow) as caught:
+        palindromic_shift(p, pair.value, mu, pair.right)
+    assert caught.value.name == "shift.finite"
+
+
+@pytest.mark.filterwarnings("error")
+def test_palindromic_shift_near_the_top_of_double_range():
+    # the pair (lam, 1/conj(lam)) moves to (1e-200, 1e200); the result stays near 1e307
+    p = real_palindromic_quad(np.random.default_rng(0), 3, 1e307)
+    pair = polyeig(p).finite()[0]
+    lam, mu = complex(pair.value), 1e-200
+    out = palindromic_shift(p, lam, mu, pair.right)
+    rep = det_ratio_oracle(p, out, removed=[lam, 1 / lam.conjugate()], added=[mu, 1 / mu],
+                           fit_constant=True)
+    assert rep.passed, rep
 
 
 def test_palindromic_rejects_structure_violation(p1):

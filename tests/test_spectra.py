@@ -1,19 +1,21 @@
-"""Polynomial eigensolver, refinement, and invariant pairs."""
+"""Polynomial eigensolver, refinement, and invariant pairs (MultiShiftSpec packets)."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from mpshift import (
     LaurentPoly,
     MatrixPoly,
     MultiShiftSpec,
     companion_pencil,
+    cr_quadratic,
     det_at,
     det_ratio_oracle,
     evaluate,
-    invariant_pair,
+    multishift_laurent,
     multishift_poly,
     unit_vector,
     polyeig,
@@ -21,15 +23,22 @@ from mpshift import (
 )
 from mpshift.errors import (
     DegeneratePolynomial,
-    DependentEigenvectors,
-    DistinctnessViolated,
+    DegenerateShift,
     EigensolverFailure,
+    NoConvergence,
     SingularLambda,
 )
 
 from mpshift.spectra import invariant_pair_residual, null_vectors
 
-from conftest import crandn, far_quadratic, match_moduli, rand_poly, shared_kernel_poly
+from conftest import (
+    crandn,
+    critical_qbd,
+    far_quadratic,
+    match_moduli,
+    rand_poly,
+    shared_kernel_poly,
+)
 
 
 def test_polyeig_p1(p1):
@@ -205,60 +214,65 @@ def test_refine_pair_improves_random():
     assert rough.residual <= 1e-10
 
 
-# --- invariant pairs ---
+# --- invariant pairs: MultiShiftSpec packets of polyeig columns ---
+
+def _packet(pairs):
+    """U = [u_1 ... u_m] and Lambda = diag(lambda_i) of eigenpairs, with S = Lambda."""
+    lam = np.diag([q.value for q in pairs])
+    return MultiShiftSpec(np.column_stack([q.right for q in pairs]), lam, lam)
+
 
 def test_invariant_pair_single_p1(p1):
-    pair = refine_pair(p1, 1.0, np.array([1.0, 0.0]))
-    inv = invariant_pair(p1, [pair])
-    assert np.array_equal(inv.u[:, 0], np.array([1.0, 0.0], dtype=complex))
-    assert inv.lam[0, 0] == 1.0
-    assert np.allclose(inv.v[:, 0], np.array([1.0, 0.0]))
-    assert inv.residual <= 1e-12
+    ms = _packet([refine_pair(p1, 1.0, np.array([1.0, 0.0]))])
+    assert np.array_equal(ms.u[:, 0], np.array([1.0, 0.0], dtype=complex))
+    assert ms.lam[0, 0] == 1.0
+    assert np.allclose(ms.v[:, 0], np.array([1.0, 0.0]))
+    assert invariant_pair_residual(p1, ms.u, ms.lam) <= 1e-12
 
 
 def test_invariant_pair_diag_pencil():
     p = MatrixPoly([-np.diag([1.0, 2.0, 3.0]), np.eye(3)])
-    pairs = [q for q in polyeig(p).pairs if abs(q.value) < 2.5]
-    inv = invariant_pair(p, pairs)
-    assert np.allclose(np.abs(inv.u), np.eye(3)[:, :2], atol=1e-10)
-    assert np.allclose(sorted(np.diag(inv.lam).real), [1.0, 2.0])
+    ms = _packet([q for q in polyeig(p).pairs if abs(q.value) < 2.5])
+    assert np.allclose(np.abs(ms.u), np.eye(3)[:, :2], atol=1e-10)
+    assert np.allclose(sorted(np.diag(ms.lam).real), [1.0, 2.0])
+    assert invariant_pair_residual(p, ms.u, ms.lam) <= 1e-12
 
 
 def test_invariant_pair_random_quadratic_residual():
     rng = np.random.default_rng(37)
     p = rand_poly(rng, 4, 2)
-    pairs = sorted(polyeig(p).finite(), key=lambda q: abs(q.value))[:2]
-    inv = invariant_pair(p, pairs)
-    assert inv.residual <= 1e-8
-    assert np.linalg.norm(inv.v.conj().T @ inv.u - np.eye(2)) <= 1e-10
+    ms = _packet(sorted(polyeig(p).finite(), key=lambda q: abs(q.value))[:2])
+    assert invariant_pair_residual(p, ms.u, ms.lam) <= 1e-8
+    assert np.linalg.norm(ms.v.conj().T @ ms.u - np.eye(2)) <= 1e-10
 
 
 def test_invariant_pair_rejects_dependent_vectors():
-    from mpshift import EigenPair
-
     u = np.array([1.0, 0.0, 0.0], dtype=complex)
-    pairs = [EigenPair(0.5, u), EigenPair(0.6, u)]
-    with pytest.raises(DependentEigenvectors):
-        invariant_pair(MatrixPoly([np.eye(3), np.eye(3), np.eye(3)]), pairs)
+    with pytest.raises(DegenerateShift, match="U has dependent columns") as caught:
+        MultiShiftSpec(np.column_stack([u, u]), np.diag([0.5, 0.6]), np.zeros((2, 2)))
+    assert caught.value.name == "MultiShiftSpec.dual"
 
 
-def test_invariant_pair_rejects_coincident_eigenvalues():
-    from mpshift import EigenPair
-
-    pairs = [
-        EigenPair(0.5, np.array([1.0, 0.0, 0.0])),
-        EigenPair(0.5, np.array([0.0, 1.0, 0.0])),
-    ]
-    with pytest.raises(DistinctnessViolated):
-        invariant_pair(MatrixPoly([np.eye(3), np.eye(3)]), pairs)
+def test_invariant_pair_accepts_coincident_eigenvalues():
+    # two closed classes of a block-diagonal QBD: the eigenvalue 1 twice, one
+    # class indicator each; strict cyclic reduction fails before the shift
+    chains = [critical_qbd(seed, 50, 5e-3) for seed in (3, 4)]
+    p = LaurentPoly(-1, [block_diag(*blocks) for blocks in zip(*chains)])
+    with pytest.raises(NoConvergence):
+        cr_quadratic(*p.coeffs)
+    ms = MultiShiftSpec(np.kron(np.eye(2), np.ones((50, 1))), np.eye(2), np.zeros((2, 2)))
+    shifted = multishift_laurent(p, ms)
+    f = cr_quadratic(*shifted.coeffs)
+    g = f.gplus + ms.u @ ms.v.conj().T  # G = G~+ + U (Lambda - S) V*
+    assert f.iterations <= 6
+    assert np.abs(g.sum(axis=1) - 1).max() <= 1e-12 and g.real.min() >= -1e-12
+    assert det_ratio_oracle(p, shifted, removed=[1, 1], added=[0, 0]).passed
 
 
 def test_invariant_pair_then_identity_multishift_is_exact():
     rng = np.random.default_rng(41)
     p = rand_poly(rng, 4, 2)
-    pairs = sorted(polyeig(p).finite(), key=lambda q: abs(q.value))[:2]
-    inv = invariant_pair(p, pairs)
-    ms = MultiShiftSpec(inv.u, inv.lam, inv.lam, inv.v)
+    ms = _packet(sorted(polyeig(p).finite(), key=lambda q: abs(q.value))[:2])
     back = multishift_poly(p, ms)
     for a, b in zip(p.coeffs, back.coeffs):
         assert np.array_equal(a, b)
