@@ -86,12 +86,9 @@ class ShiftOverflow(MpshiftError):
     """A shifted coefficient has an entry beyond double range."""
 
 
-class ShiftOutsideDisk(MpshiftError):
-    """lambda or mu lies outside the open unit disk required here."""
-
-
 class ModulusConstraintViolated(MpshiftError):
-    """Eigenvalue moduli violate the inside/outside constraints."""
+    """A factor update's pair leaves its side of the unit circle: a right pair
+    (lambda, mu) must lie inside it, a left pair outside."""
 
 
 # --- factorizations and equations ---

@@ -15,7 +15,9 @@ R+ and K+ and replaces G+ by G+ + (mu - lambda) u v*; the double-sided
 update additionally transforms H_0 in closed form, fills the shifted limits
 from it and K+, and reads the reversed factors off them.  These updates are
 what make shift-accelerated equation solving cheap: no factorization has to
-be recomputed from scratch.
+be recomputed from scratch.  A factorization U(z) L(z^{-1}) has one update,
+:func:`shifted_factorization` (a right shift changes L, a left one U); every
+update checks its pairs in :func:`_check_annulus`.
 
 Cyclic reduction and the reversed factorization compute in real arithmetic
 when their inputs have no imaginary part (QBD blocks are real); every
@@ -55,7 +57,6 @@ from .errors import (
     ModulusConstraintViolated,
     NoConvergence,
     NotASolvent,
-    ShiftOutsideDisk,
     SingularH0,
     SingularPivot,
     ZeroLambda,
@@ -296,52 +297,46 @@ def _shift_l(lcoeffs, spec):
     return right_shift_laurent(l_inv, spec).coeffs[::-1]
 
 
-def _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec=None):
-    """Factors of A(z) = U(z) L(z^{-1}) after a right shift (on L) and an optional left
-    shift (on U), checked against the shifted function on the unit circle; when the
-    right shift moves, det L~ must also have no root in the closed unit disk.
+def _check_annulus(spec):
+    """The annulus of a factorization: a right pair inside the unit circle, a left pair
+    outside it (ModulusConstraintViolated), and lambda != 0 (ZeroLambda)."""
+    lam, mu = abs(spec.lam), abs(spec.mu)
+    if spec.side == "right" and not (lam < 1 and mu < 1):
+        raise ModulusConstraintViolated(
+            f"right pair must lie inside the unit circle (|lambda|={lam:.4f}, |mu|={mu:.4f})")
+    if spec.side == "left" and not (lam > 1 and mu > 1):
+        raise ModulusConstraintViolated(
+            f"left pair must lie outside the unit circle (|lambda|={lam:.4f}, |mu|={mu:.4f})")
+    if lam == 0:
+        raise ZeroLambda("lambda = 0 is outside the annulus")
 
-    Each shift gates its own eigenpair: ||L(1/lambda1) u|| and ||v* U(lambda2)||.
-    U and L pass the :class:`~mpshift.core.LaurentPoly` validator (read-only
+
+def shifted_factorization(ucoeffs, lcoeffs, right_spec, left_spec=None):
+    """Update A(z) = U(z) L(z^{-1}) under a right shift (on L) and an optional left shift
+    (on U), checked against the shifted function at 8 unit-circle points; when the right
+    shift moves, det L~ must also have no root in the closed unit disk.
+
+    The right pair (inside the unit circle, L(1/lambda1) u = 0) gives
+    L~_i = L_i - (lambda1-mu1) sum_{j>=1} lambda1^{-j} L_{j+i-1} Q, the left pair (outside
+    it) U~_i = U_i + (lambda2-mu2) sum_{j>=0} lambda2^j S U_{i+j+1}: finite sums, so degrees
+    stay.  The sides must be "right" and "left", in that order, and each shift gates its own
+    eigenpair.  U and L pass the :class:`~mpshift.core.LaurentPoly` validator (read-only
     complex copies, square, of one size, finite) and must match in size.
     """
+    specs = (right_spec,) if left_spec is None else (right_spec, left_spec)
+    _check_sides(specs, ("right", "left")[:len(specs)])
+    for spec in specs:
+        _check_annulus(spec)
     ucoeffs, lcoeffs = _square_coeffs(ucoeffs), _square_coeffs(lcoeffs)
     if len(ucoeffs[0]) != len(lcoeffs[0]):
         raise DimensionMismatch(f"U has size {len(ucoeffs[0])} but L has size {len(lcoeffs[0])}")
     new_l = _shift_l(lcoeffs, right_spec)
-    new_u, specs = ucoeffs, [right_spec]
-    if left_spec is not None:
-        new_u = left_shift_poly(MatrixPoly(ucoeffs), left_spec).coeffs
-        specs.append(left_spec)
+    new_u = ucoeffs if left_spec is None else left_shift_poly(MatrixPoly(ucoeffs), left_spec).coeffs
     factors = CanonicalFactors(new_u, new_l)
     _check_shifted_product(ucoeffs, lcoeffs, factors, specs)
     if right_spec.mu != right_spec.lam:
         _check_l_outside_disk(factors.lcoeffs)
     return factors
-
-
-def _inside_disk_spec(lam, mu, u, v):
-    """The spec of a right factor update: lambda != 0, and |lambda|, |mu| < 1."""
-    lam, mu = complex(lam), complex(mu)
-    if lam == 0:
-        raise ZeroLambda("lambda = 0 is outside the annulus of the factorization")
-    if abs(lam) >= 1 or abs(mu) >= 1:
-        raise ShiftOutsideDisk(f"|lambda|={abs(lam):.4f}, |mu|={abs(mu):.4f} must be < 1")
-    return ShiftSpec(lam, mu, u, v)
-
-
-def shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u, v=None):
-    """Update a canonical factorization under a right shift inside the unit disk.
-
-    Given A(z) = U(z) L(z^{-1}) and an eigenpair A(lam) u = 0 with
-    |lam| < 1, |mu| < 1 (so L(1/lam) u = 0), the shifted function keeps U
-    and replaces L by
-    L~_0 = L_0, L~_i = L_i - (lam-mu) sum_{j>=1} lam^{-j} L_{j+i-1} Q.
-    The updated factors are verified against the shifted function at 8
-    unit-circle points, and det L~ is checked to have no roots in the closed
-    unit disk (all eigenvalues of the L~ polynomial beyond radius one).
-    """
-    return _shifted_factors(ucoeffs, lcoeffs, _inside_disk_spec(lam, mu, u, v))
 
 
 def _check_shifted_product(ucoeffs, lcoeffs, factors, specs):
@@ -364,10 +359,7 @@ def _check_shifted_product(ucoeffs, lcoeffs, factors, specs):
 
 
 def _check_l_outside_disk(lcoeffs):
-    lpoly = MatrixPoly(lcoeffs)
-    if lpoly.d == 0:
-        return
-    root = min((abs(q.value) for q in polyeig(lpoly).finite()), default=math.inf)
+    root = min((abs(q.value) for q in polyeig(MatrixPoly(lcoeffs)).finite()), default=math.inf)
     _check(NoConvergence, "shifted_factors.l_roots", root, 1.0 + RADIUS_MARGIN,
            "det L~ has a root of modulus {:.6f} inside the closed unit disk", root, op=">")
 
@@ -393,7 +385,8 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     (QuadFactorization, ReversedFactorization) for the shifted Laurent
     polynomial.
     """
-    spec = _inside_disk_spec(lam, mu, u, v)
+    spec = ShiftSpec(lam, mu, u, v)
+    _check_annulus(spec)
     lam, mu = spec.lam, spec.mu
     shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), spec)
     if mu == lam:
@@ -421,31 +414,6 @@ def shifted_factorization_both(am1, a0, a1, f, rf, lam, mu, u, v=None):
     quad = QuadFactorization(gplus_t, f.rplus, f.kplus, f.iterations, fact_res,
                              spectral_radius(gplus_t), f.rho_r, (b0, _times(f.kplus, step), step))
     return quad, reversed_factorization(*shifted.coeffs, quad)
-
-
-def double_shift_factorization(ucoeffs, lcoeffs, right_spec, left_spec):
-    """Update a canonical factorization under a double shift.
-
-    The right pair (lam1 -> mu1, |.| < 1) updates L as in
-    :func:`shifted_factorization_right`; the left pair (lam2 -> mu2,
-    |.| > 1) updates U by U~_i = U_i + (lam2-mu2) sum_{j>=0} lam2^j S U_{i+j+1}.
-    Both sums are finite for polynomial factors, so degrees are preserved.
-    The specs' sides must be "right" and "left", in that order.  As there, det L~
-    must have no root in the closed unit disk.
-    """
-    _check_sides((right_spec, left_spec), ("right", "left"))
-    l1, m1, l2, m2 = right_spec.lam, right_spec.mu, left_spec.lam, left_spec.mu
-    if abs(l1) >= 1 or abs(m1) >= 1:
-        raise ModulusConstraintViolated(
-            f"right pair must lie inside the unit circle (|lam1|={abs(l1):.4f}, |mu1|={abs(m1):.4f})"
-        )
-    if abs(l2) <= 1 or abs(m2) <= 1:
-        raise ModulusConstraintViolated(
-            f"left pair must lie outside the unit circle (|lam2|={abs(l2):.4f}, |mu2|={abs(m2):.4f})"
-        )
-    if l1 == 0:
-        raise ZeroLambda("lambda1 = 0 is outside the annulus of the factorization")
-    return _shifted_factors(ucoeffs, lcoeffs, right_spec, left_spec)
 
 
 def poly_factorization(p, g):
@@ -482,10 +450,9 @@ __all__ = [
     "QuadFactorization",
     "ReversedFactorization",
     "cr_quadratic",
-    "double_shift_factorization",
     "inverse_coefficients",
     "poly_factorization",
     "reversed_factorization",
-    "shifted_factorization_right",
+    "shifted_factorization",
     "shifted_factorization_both",
 ]

@@ -342,16 +342,22 @@ def double_shift_laurent(p, right_spec, left_spec):
 # multishifts
 # ---------------------------------------------------------------------------
 
+def _rank_one(ms):
+    """A gated m = 1 packet as a ShiftSpec: its dual makes it the right shift bit for bit."""
+    return ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0])
+
+
 def multishift_pencil(a, ms):
     """Move the eigenvalues of an invariant pair of A to those of S: A - U (Lambda - S) V*."""
     a = np.asarray(a, dtype=complex)
     res = _pencil_residual(a, ms.u, ms.lam)
     _check(NotInvariant, "multishift_pencil.invariant", res, EIGENPAIR_TOL,
            "||A U - U Lambda|| residual {:.2e} exceeds {}", res, EIGENPAIR_TOL)
-    if ms.m == 1:
-        return right_shift_pencil(a, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
         return a.copy()
+    if ms.m == 1:
+        spec = _rank_one(ms)
+        return -_right([-a, np.eye(len(a))], 0, spec.lam, spec.mu, spec.vector, spec.dual)[0]
     return -_shift_coeffs([-a, np.eye(len(a))], 0, ms.u, ms.lam, ms.s, ms.v)[0]
 
 
@@ -368,11 +374,10 @@ def multishift_laurent(p, ms):
     res = invariant_pair_residual(p, ms.u, ms.lam)
     _check(NotInvariant, "multishift.invariant", res, EIGENPAIR_TOL,
            "invariant-pair residual {:.2e} exceeds {}", res, EIGENPAIR_TOL)
-    if ms.m == 1:
-        # through ShiftSpec, so m = 1 matches right_shift_laurent bit for bit
-        return right_shift_laurent(p, ShiftSpec(ms.lam[0, 0], ms.s[0, 0], ms.u[:, 0], ms.v[:, 0]))
     if np.array_equal(ms.s, ms.lam):
         return p
+    if ms.m == 1:
+        return _apply(p, _rank_one(ms))
     return replace(p, coeffs=_shift_coeffs(p.coeffs, p.lo, ms.u, ms.lam, ms.s, ms.v))
 
 

@@ -16,7 +16,6 @@ from mpshift import (
     cli,
     cr_quadratic,
     double_shift_laurent,
-    double_shift_factorization,
     evaluate,
     inverse_coefficients,
     poly_factorization,
@@ -26,21 +25,21 @@ from mpshift import (
     right_shift_laurent,
     right_shift_poly,
     shift_accelerated_solve,
+    shifted_factorization,
     shifted_factorization_both,
-    shifted_factorization_right,
     solve_unilateral,
     spectral_radius,
     unit_vector,
     write_poly,
 )
 from mpshift.errors import (
+    DegeneratePolynomial,
     DegenerateShift,
     DimensionMismatch,
     ModulusConstraintViolated,
     NoConvergence,
     NotAnEigenpair,
     NotASolvent,
-    ShiftOutsideDisk,
     SingularH0,
     SingularPivot,
     SplittingFailure,
@@ -787,10 +786,10 @@ def test_shifted_right_quadratic_is_rank_one_update():
     lam, u = _inside_eigenpair(f)
     mu = 0.4 * lam
     eye = np.eye(4, dtype=complex)
-    factors = shifted_factorization_right(
-        [(eye - 0 * eye) @ f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], lam, mu, u
-    )
     spec = ShiftSpec(lam, mu, u)
+    factors = shifted_factorization(
+        [(eye - 0 * eye) @ f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], spec
+    )
     expected_l1 = -(f.gplus + (mu - lam) * spec.q)
     assert np.allclose(factors.lcoeffs[1], expected_l1, atol=1e-12)
     assert np.array_equal(factors.ucoeffs[0], f.kplus)
@@ -802,8 +801,8 @@ def test_shifted_right_identity():
     f = cr_quadratic(am1, a0, a1)
     lam, u = _inside_eigenpair(f)
     eye = np.eye(3, dtype=complex)
-    factors = shifted_factorization_right(
-        [f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], lam, lam, u
+    factors = shifted_factorization(
+        [f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], ShiftSpec(lam, lam, u)
     )
     assert np.array_equal(factors.lcoeffs[1], -f.gplus)
 
@@ -815,11 +814,11 @@ def test_shifted_right_agrees_with_fresh_cr():
     lam, u = _inside_eigenpair(f)
     mu = -0.3 * lam
     eye = np.eye(4, dtype=complex)
-    factors = shifted_factorization_right(
-        [f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], lam, mu, u
+    spec = ShiftSpec(lam, mu, u)
+    factors = shifted_factorization(
+        [f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], spec
     )
     gtilde = -factors.lcoeffs[1]
-    spec = ShiftSpec(lam, mu, u)
     shifted = right_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), spec)
     f2 = cr_quadratic(shifted.coeff(-1), shifted.coeff(0), shifted.coeff(1))
     assert np.linalg.norm(gtilde - f2.gplus) <= 1e-8
@@ -837,7 +836,7 @@ def test_shifted_right_degree_two_l_matches_closed_form():
     b2 = m - np.outer(m @ u - lam * u, u.conj())
     lcoeffs = [eye, -(b1 + b2), b1 @ b2]
     ucoeffs = [eye + 0.1 * crandn(rng, n, n), 0.1 * crandn(rng, n, n)]
-    factors = shifted_factorization_right(ucoeffs, lcoeffs, lam, mu, u)
+    factors = shifted_factorization(ucoeffs, lcoeffs, ShiftSpec(lam, mu, u))
     q = ShiftSpec(lam, mu, u).q
     ell = len(lcoeffs) - 1
     assert np.array_equal(factors.lcoeffs[0], lcoeffs[0])
@@ -851,7 +850,7 @@ def test_shifted_right_degree_two_l_matches_closed_form():
 
 
 def _rebalanced_gate_message(monkeypatch, s, error):
-    """Run shifted_factorization_right on (s U, L / s), adding ``error`` to L~_1;
+    """Run shifted_factorization on (s U, L / s), adding ``error`` to L~_1;
     the gate's message, or None when it passes."""
     am1, a0, a1 = qbd_quadratic(np.random.default_rng(239), 4)
     f = cr_quadratic(am1, a0, a1)
@@ -867,8 +866,9 @@ def _rebalanced_gate_message(monkeypatch, s, error):
     with monkeypatch.context() as patch:
         patch.setattr(factorizations, "_shift_l", bent)
         try:
-            shifted_factorization_right(
-                [s * f.kplus, -s * f.rplus @ f.kplus], [eye / s, -f.gplus / s], lam, 0.4 * lam, u
+            shifted_factorization(
+                [s * f.kplus, -s * f.rplus @ f.kplus], [eye / s, -f.gplus / s],
+                ShiftSpec(lam, 0.4 * lam, u)
             )
         except NoConvergence as exc:
             return str(exc)
@@ -891,9 +891,9 @@ def test_shifted_right_rejects_outside_disk():
     f = cr_quadratic(am1, a0, a1)
     lam, u = _inside_eigenpair(f)
     eye = np.eye(3, dtype=complex)
-    with pytest.raises(ShiftOutsideDisk):
-        shifted_factorization_right(
-            [f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], lam, 1.5, u
+    with pytest.raises(ModulusConstraintViolated):
+        shifted_factorization(
+            [f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], ShiftSpec(lam, 1.5, u)
         )
 
 
@@ -990,7 +990,7 @@ def test_double_shift_factorization_identity():
     v = vecs[:, k].conj()
     rs = ShiftSpec(lam1, lam1, u)
     ls = ShiftSpec(lam2, lam2, v, side="left")
-    out = double_shift_factorization(ucoeffs, lcoeffs, rs, ls)
+    out = shifted_factorization(ucoeffs, lcoeffs, rs, ls)
     assert np.array_equal(out.ucoeffs[0], ucoeffs[0])
     assert np.array_equal(out.lcoeffs[1], lcoeffs[1])
 
@@ -1005,7 +1005,7 @@ def test_double_shift_factorization_matches_shift_of_function():
     mu1, mu2 = 0.3 * lam1, 1.4 * lam2
     rs = ShiftSpec(lam1, mu1, u)
     ls = ShiftSpec(lam2, mu2, v, side="left")
-    out = double_shift_factorization(ucoeffs, lcoeffs, rs, ls)
+    out = shifted_factorization(ucoeffs, lcoeffs, rs, ls)
     assert len(out.ucoeffs) == len(ucoeffs) and len(out.lcoeffs) == len(lcoeffs)
 
     shifted = double_shift_laurent(LaurentPoly(-1, (am1, a0, a1)), rs, ls)
@@ -1023,7 +1023,7 @@ def test_double_shift_factorization_modulus_constraints():
     rs = ShiftSpec(lam1, 0.2 * lam1, u)
     bad_ls = ShiftSpec(0.5, 2.0, np.ones(3), side="left")  # |lambda2| < 1
     with pytest.raises(ModulusConstraintViolated):
-        double_shift_factorization(ucoeffs, lcoeffs, rs, bad_ls)
+        shifted_factorization(ucoeffs, lcoeffs, rs, bad_ls)
 
 
 def test_double_shift_factorization_needs_a_right_then_a_left_spec():
@@ -1036,7 +1036,7 @@ def test_double_shift_factorization_needs_a_right_then_a_left_spec():
         rs = ShiftSpec(lam1, 0.3 * lam1, u, side=sides[0])
         ls = ShiftSpec(lam2, 1.4 * lam2, v, side=sides[1])
         with pytest.raises(DegenerateShift, match="a right spec and then a left spec"):
-            double_shift_factorization(ucoeffs, lcoeffs, rs, ls)
+            shifted_factorization(ucoeffs, lcoeffs, rs, ls)
 
 
 def _double_specs(f, identity=False):
@@ -1059,10 +1059,10 @@ def test_double_shift_factorization_checks_the_shifted_l(monkeypatch):
     # the double update runs the det L~ root check of the right update on L~
     (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
     seen = _record_l_checks(monkeypatch)
-    out = double_shift_factorization(ucoeffs, lcoeffs, *_double_specs(f))
+    out = shifted_factorization(ucoeffs, lcoeffs, *_double_specs(f))
     assert len(seen) == 1 and seen[0] is out.lcoeffs
     seen.clear()
-    double_shift_factorization(ucoeffs, lcoeffs, *_double_specs(f, identity=True))
+    shifted_factorization(ucoeffs, lcoeffs, *_double_specs(f, identity=True))
     assert seen == []  # the right spec does not move L
 
 
@@ -1074,26 +1074,50 @@ def test_double_shift_factorization_raises_the_l_check(monkeypatch):
 
     monkeypatch.setattr(factorizations, "_check_l_outside_disk", reject)
     with pytest.raises(NoConvergence, match="inside the closed unit disk"):
-        double_shift_factorization(ucoeffs, lcoeffs, *_double_specs(f))
+        shifted_factorization(ucoeffs, lcoeffs, *_double_specs(f))
 
 
 @pytest.mark.parametrize(
-    "lam, mu, error",
-    [(0.0, 0.0, ZeroLambda), (None, 1.5, ShiftOutsideDisk), (1.0, 0.0, ShiftOutsideDisk)],
-    ids=["lambda_zero", "mu_outside", "lambda_on_circle"],
+    "lam, mu, error, message",
+    [(0.0, 0.0, ZeroLambda, "lambda = 0 is outside the annulus"),
+     (None, 1.5, ModulusConstraintViolated, "right pair must lie inside the unit circle"),
+     (1.0, 0.0, ModulusConstraintViolated, "right pair must lie inside the unit circle"),
+     (1.5, 0.1, ModulusConstraintViolated, "right pair must lie inside the unit circle")],
+    ids=["lambda_zero", "mu_outside", "lambda_on_circle", "lambda_outside"],
 )
-def test_right_and_both_updates_share_their_checks(lam, mu, error):
+def test_right_and_both_updates_share_their_checks(lam, mu, error, message):
+    # the right-only, double and both-sides updates reject a bad right pair
+    # with one class and one message, before any eigenpair gate
     rng = np.random.default_rng(257)
     am1, a0, a1 = qbd_quadratic(rng, 3)
     f = cr_quadratic(am1, a0, a1)
     rf = reversed_factorization(am1, a0, a1, f)
     inside, u = _inside_eigenpair(f)
     args = inside if lam is None else lam, mu, u
-    eye = np.eye(3, dtype=complex)
-    with pytest.raises(error):
-        shifted_factorization_right([f.kplus, -f.rplus @ f.kplus], [eye, -f.gplus], *args)
-    with pytest.raises(error):
-        shifted_factorization_both(am1, a0, a1, f, rf, *args)
+    factors = [f.kplus, -f.rplus @ f.kplus], [np.eye(3, dtype=complex), -f.gplus]
+    raised = []
+    for update in (lambda: shifted_factorization(*factors, ShiftSpec(*args)),
+                   lambda: shifted_factorization(*factors, ShiftSpec(*args), _double_specs(f)[1]),
+                   lambda: shifted_factorization_both(am1, a0, a1, f, rf, *args)):
+        with pytest.raises(error) as caught:
+            update()
+        raised.append((type(caught.value), str(caught.value)))
+    assert raised[0][0] is error and raised[0][1].startswith(message)
+    assert raised == raised[:1] * 3
+
+
+def test_a_singular_constant_l_is_not_updated():
+    # det L = 0 identically: no eigenvalue can move, so the root check of L~
+    # fails instead of passing a degree-0 L through unchecked
+    ucoeffs, lcoeffs = [np.eye(2), 0.3 * np.eye(2)], [np.diag([0.0, 1.0])]
+    e1 = np.array([1.0, 0.0])
+    left = ShiftSpec(-1 / 0.3, 5.0, e1, side="left")  # U(-1/0.3) = 0
+    for specs in ((ShiftSpec(0.5, 0.1, e1),), (ShiftSpec(0.5, 0.1, e1), left)):
+        with pytest.raises(DegeneratePolynomial) as caught:
+            shifted_factorization(ucoeffs, lcoeffs, *specs)
+        assert caught.value.name == "polyeig.rank"
+    out = shifted_factorization(ucoeffs, lcoeffs, ShiftSpec(0.5, 0.5, e1))
+    assert np.array_equal(out.lcoeffs, lcoeffs) and np.array_equal(out.ucoeffs, ucoeffs)
 
 
 def _bad_factor_lists(ucoeffs, lcoeffs):
@@ -1119,16 +1143,16 @@ def test_factor_updates_validate_their_coefficient_lists():
     rs, ls = _double_specs(f)
     for bad_u, bad_l, error, message in _bad_factor_lists(ucoeffs, lcoeffs):
         with pytest.raises(error, match=message):
-            shifted_factorization_right(bad_u, bad_l, lam, 0.5 * lam, u)
+            shifted_factorization(bad_u, bad_l, ShiftSpec(lam, 0.5 * lam, u))
         with pytest.raises(error, match=message):
-            double_shift_factorization(bad_u, bad_l, rs, ls)
+            shifted_factorization(bad_u, bad_l, rs, ls)
 
 
 def test_factor_updates_return_read_only_copies():
     (_, _, _), f, ucoeffs, lcoeffs = _canonical_quadratic(281)
     lam, u = _inside_eigenpair(f)
     ucoeffs, lcoeffs = [c.copy() for c in ucoeffs], [c.copy() for c in lcoeffs]
-    out = shifted_factorization_right(ucoeffs, lcoeffs, lam, 0.5 * lam, u)
+    out = shifted_factorization(ucoeffs, lcoeffs, ShiftSpec(lam, 0.5 * lam, u))
     kept = out.ucoeffs[0].copy()
     ucoeffs[0][:] = 0.0  # the caller's arrays are not the result's
     assert np.array_equal(out.ucoeffs[0], kept)

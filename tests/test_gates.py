@@ -34,8 +34,8 @@ from mpshift import (
     shift_accelerated_solve,
     shift_from_infinity,
     shift_to_infinity,
+    shifted_factorization,
     shifted_factorization_both,
-    shifted_factorization_right,
     solve_unilateral,
 )
 from mpshift import core, equations, factorizations, shifts
@@ -214,8 +214,8 @@ def _shifted_product(mp):
     lam, u = _inside_eigenpair(f)
     shift_l = factorizations._shift_l
     mp.setattr(factorizations, "_shift_l", lambda l, spec: [c + 1e-3 for c in shift_l(l, spec)])
-    shifted_factorization_right([f.kplus, -f.rplus @ f.kplus], [np.eye(4), -f.gplus],
-                                lam, 0.4 * lam, u)
+    shifted_factorization([f.kplus, -f.rplus @ f.kplus], [np.eye(4), -f.gplus],
+                          ShiftSpec(lam, 0.4 * lam, u))
 
 
 def _l_roots(mp):
@@ -389,10 +389,13 @@ def test_every_gate_is_in_the_table():
 def test_readme_gate_table_names_every_gate():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| name | error | tolerance |", 1)[1].split("\n\n", 1)[0]
-    names = set()
+    errors = {}  # gate name -> the error its row names
     for row in table.splitlines()[2:]:  # after the header's rule
-        names |= set(re.findall(f"`({GATE_NAME})`", row.split("|")[1]))
-    assert names == _gate_names_in_src()
+        cells = row.split("|")
+        (error,) = re.findall(r"`(\w+)`", cells[2])
+        errors.update(dict.fromkeys(re.findall(f"`({GATE_NAME})`", cells[1]), error))
+    assert set(errors) == _gate_names_in_src()
+    assert errors == {g[0]: g[2].__name__ for g in GATES}
 
 
 def test_only_an_iteration_sets_step():

@@ -17,12 +17,12 @@ from mpshift import (
     ShiftSpec,
     cr_quadratic,
     det_ratio_oracle,
-    double_shift_factorization,
     inverse_coefficients,
     poly_factorization,
     read_poly,
     refine_pair,
     shift_accelerated_solve,
+    shifted_factorization,
     solve_unilateral,
 )
 from mpshift import cli
@@ -57,7 +57,7 @@ def _read_text(text):
 def _double_shift(lam1, lam2):
     right = ShiftSpec(lam1, 0.1, E1)
     left = ShiftSpec(lam2, 3.0, E1, side="left")
-    double_shift_factorization([E], [E], right, left)
+    shifted_factorization([E], [E], right, left)
 
 
 # call, error class, message
@@ -90,11 +90,12 @@ CHECKS = [
     (lambda: inverse_coefficients(cr_quadratic([[-0.25]], [[1.0]], [[-0.25]]), -1), ValueError,
      "m must be nonnegative"),
     (lambda: _double_shift(1.5, 2.0), ModulusConstraintViolated,
-     "right pair must lie inside the unit circle (|lam1|=1.5000, |mu1|=0.1000)"),
+     "right pair must lie inside the unit circle (|lambda|=1.5000, |mu|=0.1000)"),
     (lambda: _double_shift(0.5, 0.5), ModulusConstraintViolated,
-     "left pair must lie outside the unit circle (|lam2|=0.5000, |mu2|=3.0000)"),
-    (lambda: _double_shift(0.0, 2.0), ZeroLambda,
-     "lambda1 = 0 is outside the annulus of the factorization"),
+     "left pair must lie outside the unit circle (|lambda|=0.5000, |mu|=3.0000)"),
+    (lambda: _double_shift(0.0, 2.0), ZeroLambda, "lambda = 0 is outside the annulus"),
+    (lambda: shifted_factorization([E], [E], ShiftSpec(1.0, 0.1, E1)), ModulusConstraintViolated,
+     "right pair must lie inside the unit circle (|lambda|=1.0000, |mu|=0.1000)"),
     (lambda: poly_factorization(fx.p1(), np.eye(3)), DimensionMismatch, "solvent must be 2x2"),
     # fixtures
     (lambda: fx.fixture("nope"), UnknownFixture,

@@ -571,6 +571,33 @@ def test_multishift_m1_equals_single_right_shift_exactly():
     assert coeffs_equal(multishift_laurent(q, ms), right_shift_laurent(q, spec))
 
 
+def test_a_one_column_packet_is_gated_once(monkeypatch):
+    # the packet's own gate is the shift's: one pencil residual and no eigenpair
+    # residual, with the single right shift's result bit for bit
+    import mpshift.shifts
+
+    rng = np.random.default_rng(109)
+    a = crandn(rng, 4, 4)
+    vals, vecs = np.linalg.eig(a)
+    pencil_ms = MultiShiftSpec(vecs[:, :1], [[vals[0]]], [[0.3]])
+    want_pencil = right_shift_pencil(a, ShiftSpec(vals[0], 0.3, vecs[:, 0], pencil_ms.v[:, 0]))
+    lam, u = 0.4, unit_vector(crandn(rng, 3))
+    q = plant_right(rand_laurent(rng, 3, -1, 1), lam, u)
+    ms = MultiShiftSpec(u.reshape(-1, 1), [[lam]], [[-0.7j]])
+    want = right_shift_laurent(q, ShiftSpec(lam, -0.7j, u, ms.v[:, 0]))
+
+    calls = []
+    for name in ("_pencil_residual", "pair_residual"):
+        counted = getattr(mpshift.shifts, name)
+        monkeypatch.setattr(mpshift.shifts, name,
+                            lambda *args, f=counted, n=name: (calls.append(n), f(*args))[1])
+    assert np.array_equal(multishift_pencil(a, pencil_ms), want_pencil)
+    assert calls == ["_pencil_residual"]
+    calls.clear()
+    assert coeffs_equal(multishift_laurent(q, ms), want)
+    assert calls == []
+
+
 def test_multishift_poly_p1_packet_reproduces_shifted_fixture(p1):
     u = np.array([1.0, 0.0])
     ms = MultiShiftSpec(u.reshape(-1, 1), [[1.0]], [[0.0]], u.reshape(-1, 1))
